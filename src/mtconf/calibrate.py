@@ -91,10 +91,12 @@ def raw_threshold(cdf: EmpiricalCdf, lam: float) -> float:
     """
     if not 0.0 <= lam <= 1.0:
         raise ValueError("cumulative level must lie in [0, 1]")
-    j = _floor_rank(lam * cdf.m)
-    if j == 0:
-        return -math.inf
-    return float(cdf.sorted_samples[j - 1])
+    return _order_statistic(cdf, _floor_rank(lam * cdf.m))
+
+
+def _order_statistic(cdf: EmpiricalCdf, j: int) -> float:
+    """The j-th smallest tuning sample, -inf for j = 0."""
+    return -math.inf if j == 0 else float(cdf.sorted_samples[j - 1])
 
 
 def conservative_level(n: int, alpha: float) -> float:
@@ -204,22 +206,103 @@ def calibrate_maxscore(
     return Calibration(method=Method.QN_MAX, score_kind=score_kind, alpha=alpha, lam=lam)
 
 
-def _transform(cdfs: tuple[EmpiricalCdf, ...], scores: np.ndarray) -> np.ndarray:
-    """Probability-integral transform of each column through its tuning CDF."""
-    return np.column_stack([cdfs[k].eval(scores[:, k]) for k in range(len(cdfs))])
+def _fit_cdfs(tune_scores: np.ndarray) -> tuple[EmpiricalCdf, ...]:
+    """One tuning CDF per target column."""
+    return tuple(fit_cdf(tune_scores[:, k]) for k in range(tune_scores.shape[1]))
 
 
-def _materialize_zeta(cdfs: tuple[EmpiricalCdf, ...], levels: np.ndarray) -> np.ndarray:
-    """Raw-score thresholds realizing per-target CDF levels.
+def _tuning_ranks(cdfs: tuple[EmpiricalCdf, ...], scores: np.ndarray) -> np.ndarray:
+    """(n, K) integer ranks: how many tuning scores of each target lie at or below.
 
-    A level of exactly 1 accepts every transformed score, so the raw-domain
-    threshold it materializes is +inf rather than the largest tuning sample;
-    anything below 1 maps through ``raw_threshold``.
+    A score's CDF value is its rank over m, so every comparison the CDF
+    methods make on transformed scores is an exact integer comparison here.
     """
-    zeta = np.empty(len(cdfs))
-    for k, (cdf, lev) in enumerate(zip(cdfs, levels)):
-        zeta[k] = math.inf if lev >= 1.0 else raw_threshold(cdf, float(lev))
-    return zeta
+    ranks = np.empty(scores.shape, dtype=np.intp)
+    for k, cdf in enumerate(cdfs):
+        ranks[:, k] = np.searchsorted(cdf.sorted_samples, scores[:, k], side="right")
+    return ranks
+
+
+def _rank_levels(method: Method, ranks: np.ndarray, m: int, alpha: float) -> np.ndarray:
+    """Integer per-target CDF levels j in [0, m] for MINIMAX or COPULA.
+
+    Calibration row i lies in the box of levels j when ranks[i] <= j in every
+    coordinate.  With required = ceil((1 - alpha)(n + 1)), MINIMAX shares one
+    level among all targets: the required-th smallest row maximum, which is
+    the least symmetric box holding ``required`` rows.  COPULA starts from
+    that point and cyclically lowers each coordinate to the required-th
+    smallest rank among the rows the other coordinates keep inside, a value
+    every time attained by some row; coordinates never rise, so the sweep
+    ends at a componentwise-minimal box.  A running per-row count of inside
+    coordinates tells which rows the others keep.  When ``required`` exceeds
+    n no finite level certifies 1 - alpha and every level is m.
+    """
+    if not 0.0 < alpha < 1.0:
+        raise ValueError("alpha must lie in (0, 1)")
+    n, n_targets = ranks.shape
+    required = _ceil_rank((1.0 - alpha) * (n + 1))
+    if required > n:
+        return np.full(n_targets, m)
+    levels = np.full(n_targets, np.partition(ranks.max(axis=1), required - 1)[required - 1])
+    if method is Method.MINIMAX:
+        return levels
+    below = ranks <= levels
+    inside = below.sum(axis=1)
+    changed = True
+    while changed:
+        changed = False
+        for k in range(n_targets):
+            others = inside - below[:, k] == n_targets - 1
+            candidate = np.partition(ranks[others, k], required - 1)[required - 1]
+            if candidate < levels[k]:
+                levels[k] = candidate
+                inside -= below[:, k]
+                below[:, k] = ranks[:, k] <= candidate
+                inside += below[:, k]
+                changed = True
+    return levels
+
+
+def _calibrate_ranks(
+    method: Method,
+    cdfs: tuple[EmpiricalCdf, ...],
+    ranks: np.ndarray,
+    alpha: float,
+    score_kind: ScoreKind,
+) -> Calibration:
+    """MINIMAX or COPULA calibration from the calibration rows' tuning ranks.
+
+    A level j maps back to the j-th tuning order statistic of its target
+    (-inf at j = 0); level m accepts every transformed score, so it maps to
+    +inf rather than to the largest tuning sample.
+    """
+    m = cdfs[0].m
+    levels = _rank_levels(method, ranks, m, alpha)
+    zeta = [math.inf if j == m else _order_statistic(cdf, j) for cdf, j in zip(cdfs, levels)]
+    return Calibration(
+        method=method,
+        score_kind=score_kind,
+        alpha=alpha,
+        lam=float(levels[0]) / m if method is Method.MINIMAX else None,
+        per_target_zeta=np.array(zeta),
+        per_target_level=levels / m,
+        cdfs=cdfs,
+    )
+
+
+def _calibrate_tuned(
+    method: Method,
+    tune_scores: np.ndarray,
+    cal_scores: np.ndarray,
+    alpha: float,
+    score_kind: ScoreKind,
+) -> Calibration:
+    tune_scores = _check_scores(tune_scores, 2)
+    cal_scores = _check_scores(cal_scores, 2)
+    if tune_scores.shape[1] != cal_scores.shape[1]:
+        raise ValueError("tuning and calibration scores disagree on target count")
+    cdfs = _fit_cdfs(tune_scores)
+    return _calibrate_ranks(method, cdfs, _tuning_ranks(cdfs, cal_scores), alpha, score_kind)
 
 
 def calibrate_minimax(
@@ -235,28 +318,11 @@ def calibrate_minimax(
     calibrated like a single conformal score, and the resulting level is
     mapped back to one raw-score threshold per target.  Because all targets
     share one level on the transformed scale, their miscoverage rates are
-    asymptotically equalized regardless of the score distributions.
+    asymptotically equalized regardless of the score distributions.  Rank
+    overflow (too few calibration rows for the level) gives level 1 and
+    infinite thresholds.
     """
-    tune_scores = _check_scores(tune_scores, 2)
-    cal_scores = _check_scores(cal_scores, 2)
-    if tune_scores.shape[1] != cal_scores.shape[1]:
-        raise ValueError("tuning and calibration scores disagree on target count")
-    cdfs = tuple(fit_cdf(tune_scores[:, k]) for k in range(tune_scores.shape[1]))
-    max_transform = _transform(cdfs, cal_scores).max(axis=1)
-    lam = emp_quantile(conservative_level(cal_scores.shape[0], alpha), max_transform)
-    # Rank overflow means no finite level certifies 1 - alpha; level 1 keeps
-    # the everything-is-covered semantics on the transformed scale.
-    lam = min(lam, 1.0)
-    levels = np.full(len(cdfs), lam)
-    return Calibration(
-        method=Method.MINIMAX,
-        score_kind=score_kind,
-        alpha=alpha,
-        lam=lam,
-        per_target_zeta=_materialize_zeta(cdfs, levels),
-        per_target_level=levels,
-        cdfs=cdfs,
-    )
+    return _calibrate_tuned(Method.MINIMAX, tune_scores, cal_scores, alpha, score_kind)
 
 
 def calibrate_copula(
@@ -269,51 +335,14 @@ def calibrate_copula(
 
     The calibration scores are mapped to pseudo-observations through the
     tuning CDFs and the fitted copula is their joint empirical CDF.  The
-    levels v minimize sum(v) subject to the copula putting mass at least
+    levels v seek a small sum(v) subject to the copula putting mass at least
     ceil((1 - alpha) * (n + 1)) / n on the box (-inf, v]; the finite-sample
     rank matches the plain conformal correction, so with one target the
-    solution coincides with the minimax level.
-
-    The search starts from the symmetric feasible point (the minimax level
-    in every coordinate) and cyclically jumps each coordinate down to the
-    smallest value that keeps the constraint satisfied, which lands on an
-    attained pseudo-observation every time.  Coordinates never increase, so
-    the sweep terminates at a componentwise-minimal fixed point.
+    solution coincides with the minimax level.  The coordinate descent of
+    ``_rank_levels`` returns a box no single level can shrink, which need
+    not have the least sum.
     """
-    tune_scores = _check_scores(tune_scores, 2)
-    cal_scores = _check_scores(cal_scores, 2)
-    if tune_scores.shape[1] != cal_scores.shape[1]:
-        raise ValueError("tuning and calibration scores disagree on target count")
-    n, n_targets = cal_scores.shape
-    cdfs = tuple(fit_cdf(tune_scores[:, k]) for k in range(n_targets))
-    pseudo = _transform(cdfs, cal_scores)
-    required = _ceil_rank((1.0 - alpha) * (n + 1))
-    if required > n:
-        levels = np.ones(n_targets)
-    else:
-        start = float(np.partition(pseudo.max(axis=1), required - 1)[required - 1])
-        levels = np.full(n_targets, start)
-        below = pseudo <= levels  # (n, K) membership cache
-        changed = True
-        while changed:
-            changed = False
-            for k in range(n_targets):
-                others = np.all(np.delete(below, k, axis=1), axis=1)
-                candidate = float(
-                    np.partition(pseudo[others, k], required - 1)[required - 1]
-                )
-                if candidate < levels[k]:
-                    levels[k] = candidate
-                    below[:, k] = pseudo[:, k] <= candidate
-                    changed = True
-    return Calibration(
-        method=Method.COPULA,
-        score_kind=score_kind,
-        alpha=alpha,
-        per_target_zeta=_materialize_zeta(cdfs, levels),
-        per_target_level=levels,
-        cdfs=cdfs,
-    )
+    return _calibrate_tuned(Method.COPULA, tune_scores, cal_scores, alpha, score_kind)
 
 
 def fit_method(

@@ -110,6 +110,9 @@ CSV_COLUMNS = (
     "sweep_value",
 )
 
+# Experiments that fit quantile models to a training set of 3-target data.
+_FITTED_EXPERIMENTS = ("table1", "coverage_sweep", "ntrain_sweep", "ntune_sweep")
+
 # Below this tuning size the CDF transforms are too coarse to balance
 # per-target coverage; affected rows get a manifest warning.
 UNDER_TUNED = 500
@@ -151,12 +154,9 @@ class ExperimentConfig:
                 raise ConfigError(f"unknown method {token!r}; known: {', '.join(METHOD_TOKENS)}")
         if not self.methods:
             raise ConfigError("methods must not be empty")
+        fits_models = self.experiment in _FITTED_EXPERIMENTS
         if "single" in self.methods:
-            joint_targets = (
-                3
-                if self.experiment in ("table1", "coverage_sweep", "ntrain_sweep", "ntune_sweep")
-                else self.rounds * self.tasks
-            )
+            joint_targets = 3 if fits_models else self.rounds * self.tasks
             if joint_targets > 1:
                 raise ConfigError(
                     "method 'single' calibrates exactly one target; this experiment has "
@@ -172,6 +172,16 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be at least 1")
         if self.n_train < 0:
             raise ConfigError("n_train must not be negative")
+        if fits_models and self.n_train < 1:
+            raise ConfigError(f"n_train must be at least 1: {self.experiment} fits quantile models")
+        for name in ("ntrain_values", "ntune_values", "label_values"):
+            if any(v < 1 for v in getattr(self, name)):
+                raise ConfigError(f"{name} must all be at least 1, got {getattr(self, name)}")
+        for name in ("methods", "alphas", "ntrain_values", "ntune_values", "label_values"):
+            values = getattr(self, name)
+            repeated = sorted({v for v in values if values.count(v) > 1})
+            if repeated:
+                raise ConfigError(f"{name} lists {', '.join(map(str, repeated))} more than once")
         if self.tau is not None and not self.tau > 0:
             raise ConfigError("tau must be positive (or omitted for pilot choice)")
 

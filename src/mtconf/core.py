@@ -243,13 +243,19 @@ def partition(data: LabeledSet, spec: SplitSpec) -> tuple[LabeledSet, LabeledSet
     return tune, cal, test
 
 
+def split_indices(
+    n: int, n_cal: int, n_test: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Row indices of one random calibration/test re-split of n pooled rows."""
+    if n_cal + n_test > n:
+        raise InsufficientSamplesError(
+            f"need {n_cal + n_test} samples for the requested split, have {n}"
+        )
+    perm = rng.permutation(n)
+    return perm[:n_cal], perm[n_cal : n_cal + n_test]
+
+
 def split_cal_test(data: LabeledSet, n_cal: int, n_test: int, rng: np.random.Generator) -> tuple[LabeledSet, LabeledSet]:
     """One random calibration/test re-split of a pooled labeled set."""
-    if n_cal + n_test > data.n:
-        raise InsufficientSamplesError(
-            f"need {n_cal + n_test} samples for the requested split, have {data.n}"
-        )
-    perm = rng.permutation(data.n)
-    cal = data.subset(perm[:n_cal], Role.CAL)
-    test = data.subset(perm[n_cal : n_cal + n_test], Role.TEST)
-    return cal, test
+    cal_idx, test_idx = split_indices(data.n, n_cal, n_test, rng)
+    return data.subset(cal_idx, Role.CAL), data.subset(test_idx, Role.TEST)

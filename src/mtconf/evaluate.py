@@ -4,6 +4,8 @@ Each trial re-splits a fixed evaluation pool into calibration and test sets,
 calibrates one method, and records the joint-coverage indicator, per-target
 coverage, and per-target interval lengths averaged over the test set.  The
 tuning set is drawn once outside this module and stays fixed across trials.
+The pool is scored, and ranked in the sorted tuning columns, once per cell;
+a trial only draws its split as row indices and gathers those rows.
 
 Per-trial results are written into preallocated arrays indexed by trial and
 reduced with numpy means (pairwise summation), so the reported metrics do not
@@ -18,8 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calibrate import Calibration, Method, coverage_mask, fit_method, interval_array
-from .core import LabeledSet, SplitSpec, split_cal_test, trial_rng
+from .calibrate import Calibration, EmpiricalCdf, Method, coverage_mask, fit_method, interval_array
+from .calibrate import _calibrate_ranks, _fit_cdfs, _tuning_ranks
+
+# split_cal_test is imported only for perfbench/layers.py, which times the
+# split layer by rebinding that name in this module.
+from .core import LabeledSet, SplitSpec, split_cal_test, split_indices, trial_rng  # noqa: F401
 from .scores import ScoreKind, score_matrix
 
 
@@ -48,19 +54,51 @@ class TrialMetrics:
         object.__setattr__(self, "mil", mil)
 
 
-def _trial_scores(
-    ds: LabeledSet, kind: ScoreKind
-) -> np.ndarray:
-    return score_matrix(ds.lo, ds.hi, ds.targets, kind)
+@dataclass(frozen=True)
+class _ScoredPool:
+    """What every trial of one cell shares, computed once per cell.
+
+    ``scores`` are the pool's (n, K) scores; a trial gathers its rows instead
+    of re-scoring them.  For MINIMAX and COPULA, ``cdfs`` holds the sorted
+    tuning columns and ``ranks`` each pool row's integer rank in them, so a
+    trial calibrates on gathered ranks without sorting or searching.
+    """
+
+    method: Method
+    score_kind: ScoreKind
+    scores: np.ndarray
+    cdfs: tuple[EmpiricalCdf, ...] | None = None
+    ranks: np.ndarray | None = None
+
+    def calibrate(self, rows: np.ndarray, alpha: float, cols: slice = slice(None)) -> Calibration:
+        """Calibrate on pool rows ``rows`` and target columns ``cols``."""
+        if self.ranks is None:
+            return fit_method(self.method, self.scores[rows, cols], alpha, self.score_kind)
+        return _calibrate_ranks(
+            self.method, self.cdfs[cols], self.ranks[rows, cols], alpha, self.score_kind
+        )
+
+
+def _score_pool(
+    data: LabeledSet, tune: LabeledSet, method: Method, score_kind: ScoreKind
+) -> _ScoredPool:
+    scores = score_matrix(data.lo, data.hi, data.targets, score_kind)
+    if method not in (Method.MINIMAX, Method.COPULA):
+        return _ScoredPool(method, score_kind, scores)
+    cdfs = _fit_cdfs(score_matrix(tune.lo, tune.hi, tune.targets, score_kind))
+    return _ScoredPool(method, score_kind, scores, cdfs, _tuning_ranks(cdfs, scores))
 
 
 def evaluate_calibration(
-    calib: Calibration, test: LabeledSet
+    calib: Calibration, scores: np.ndarray, lo: np.ndarray, hi: np.ndarray
 ) -> tuple[float, np.ndarray, np.ndarray]:
-    """Joint coverage, per-target coverage, and mean lengths on one test set."""
-    scores = _trial_scores(test, calib.score_kind)
+    """Joint coverage, per-target coverage, and mean lengths on one test set.
+
+    ``scores`` are the test rows' (n, K) scores and ``lo``/``hi`` their
+    quantile bands.
+    """
     covered = coverage_mask(scores, calib)
-    ilo, ihi = interval_array(test.lo, test.hi, calib)
+    ilo, ihi = interval_array(lo, hi, calib)
     lengths = np.maximum(0.0, ihi - ilo)
     return (
         float(covered.all(axis=1).mean()),
@@ -86,19 +124,17 @@ def run_trials(
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-    tune_scores = None
-    if method in (Method.MINIMAX, Method.COPULA):
-        tune_scores = _trial_scores(tune, score_kind)
+    pool = _score_pool(data, tune, method, score_kind)
     n_targets = data.n_targets
     ejc = np.empty(trials)
     esc = np.empty((trials, n_targets))
     mil = np.empty((trials, n_targets))
     for t in range(trials):
-        cal, test = split_cal_test(data, spec.n_cal, spec.n_test, trial_rng(spec, t))
-        calib = fit_method(
-            method, _trial_scores(cal, score_kind), alpha, score_kind, tune_scores
+        cal, test = split_indices(data.n, spec.n_cal, spec.n_test, trial_rng(spec, t))
+        calib = pool.calibrate(cal, alpha)
+        ejc[t], esc[t], mil[t] = evaluate_calibration(
+            calib, pool.scores[test], data.lo[test], data.hi[test]
         )
-        ejc[t], esc[t], mil[t] = evaluate_calibration(calib, test)
     return TrialMetrics(
         ejc=float(ejc.mean()),
         esc=esc.mean(axis=0),

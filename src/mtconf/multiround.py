@@ -16,9 +16,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .calibrate import Calibration, Method, coverage_mask, fit_method, interval_array
-from .core import LabeledSet, Role, SplitSpec, concat, partition, split_cal_test, trial_rng
-from .scores import ScoreKind, score_matrix
+# fit_method, split_cal_test and score_matrix are imported only for
+# perfbench/layers.py, which times those layers by rebinding them here.
+from .calibrate import Calibration, Method, coverage_mask, fit_method, interval_array  # noqa: F401
+from .core import LabeledSet, Role, SplitSpec, concat, partition, split_cal_test, split_indices, trial_rng  # noqa: F401
+from .evaluate import _score_pool
+from .scores import ScoreKind, score_matrix  # noqa: F401
 from .synthetic import RoundConfig, gen_multiround
 
 
@@ -48,14 +51,14 @@ class ProtocolResult:
 
 
 def _stop_lengths(
-    test: LabeledSet, calib: Calibration, floor: float
+    lo: np.ndarray, hi: np.ndarray, calib: Calibration, floor: float
 ) -> np.ndarray:
     """Interval lengths used by the stopping rule, (n, K).
 
     One-sided intervals have no finite length, so the rule measures the upper
     endpoint against a configured floor instead.
     """
-    ilo, ihi = interval_array(test.lo, test.hi, calib)
+    ilo, ihi = interval_array(lo, hi, calib)
     if calib.score_kind.one_sided:
         return ihi - floor
     return np.maximum(0.0, ihi - ilo)
@@ -78,26 +81,6 @@ def _round_slice(cfg: RoundConfig, b: int) -> slice:
     return slice(b * cfg.tasks, (b + 1) * cfg.tasks)
 
 
-def _per_round_calibration(
-    tune_s: np.ndarray,
-    cal_s: np.ndarray,
-    alpha: float,
-    cfg: RoundConfig,
-    method: Method,
-    score_kind: ScoreKind,
-) -> np.ndarray:
-    """Thresholds from calibrating every round on its own at full level."""
-    zetas = np.empty(cfg.n_targets)
-    for b in range(cfg.rounds):
-        cols = _round_slice(cfg, b)
-        if cfg.tasks == 1:
-            rcal = fit_method(Method.SINGLE, cal_s[:, cols], alpha, score_kind)
-        else:
-            rcal = fit_method(method, cal_s[:, cols], alpha, score_kind, tune_s[:, cols])
-        zetas[cols] = rcal.margins(cfg.tasks)
-    return zetas
-
-
 def _protocol_trials(
     data: LabeledSet,
     tune: LabeledSet,
@@ -114,17 +97,21 @@ def _protocol_trials(
         raise ValueError("need at least one trial")
     if data.n_targets != cfg.n_targets:
         raise ValueError("data does not match the round layout")
-    tune_s = score_matrix(tune.lo, tune.hi, tune.targets, score_kind)
+    # Calibrated round by round, single-task rounds use plain split conformal.
+    fit = Method.SINGLE if per_round and cfg.tasks == 1 else method
+    pool = _score_pool(data, tune, fit, score_kind)
     eac = np.empty(trials)
     inv_rate = np.empty(trials)
     ejc_all = np.empty(trials)
     hist = np.zeros(cfg.rounds, dtype=np.int64)
     rates = np.asarray(cfg.rates, dtype=np.float64)
     for t in range(trials):
-        cal, test = split_cal_test(data, spec.n_cal, spec.n_test, trial_rng(spec, t))
-        cal_s = score_matrix(cal.lo, cal.hi, cal.targets, score_kind)
+        cal, test = split_indices(data.n, spec.n_cal, spec.n_test, trial_rng(spec, t))
         if per_round:
-            zetas = _per_round_calibration(tune_s, cal_s, alpha, cfg, method, score_kind)
+            zetas = np.empty(cfg.n_targets)
+            for b in range(cfg.rounds):
+                cols = _round_slice(cfg, b)
+                zetas[cols] = pool.calibrate(cal, alpha, cols).margins(cfg.tasks)
             calib = Calibration(
                 method=method,
                 score_kind=score_kind,
@@ -132,10 +119,9 @@ def _protocol_trials(
                 per_target_zeta=zetas,
             )
         else:
-            calib = fit_method(method, cal_s, alpha, score_kind, tune_s)
-        test_s = score_matrix(test.lo, test.hi, test.targets, score_kind)
-        covered = coverage_mask(test_s, calib)
-        lengths = _stop_lengths(test, calib, length_floor)
+            calib = pool.calibrate(cal, alpha)
+        covered = coverage_mask(pool.scores[test], calib)
+        lengths = _stop_lengths(data.lo[test], data.hi[test], calib, length_floor)
         accepted, accepted_cov = _walk(lengths, covered, cfg)
         eac[t] = accepted_cov.mean()
         inv_rate[t] = np.mean(1.0 / rates[accepted])
@@ -213,7 +199,7 @@ def pilot_tau(
     if calib is None:
         lengths = data.hi[:, cols] - data.lo[:, cols]
     else:
-        lengths = _stop_lengths(data, calib, length_floor)[:, cols]
+        lengths = _stop_lengths(data.lo, data.hi, calib, length_floor)[:, cols]
     return float(np.quantile(lengths.max(axis=1), quantile))
 
 

@@ -1,9 +1,13 @@
 """Calibration strategies: thresholds, reductions, and coverage contracts."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from mtconf import (
     Calibration,
@@ -23,7 +27,7 @@ from mtconf import (
     intervals_for,
     raw_threshold,
 )
-from mtconf.calibrate import interval_array
+from mtconf.calibrate import _rank_levels, interval_array
 
 
 def test_single_order_statistic_cases():
@@ -294,3 +298,99 @@ def test_single_split_conformal_marginal_coverage():
     assert coverage >= 1 - alpha - 3 * math.sqrt(alpha * (1 - alpha) / reps)
     # and not grossly conservative: the upper sandwich plus MC slack
     assert coverage <= 1 - alpha + 1 / (n + 1) + 3 * math.sqrt(alpha * (1 - alpha) / reps)
+
+
+@st.composite
+def rank_tables(draw):
+    """(ranks, m): calibration rows' tuning ranks in [0, m], ties and all."""
+    m = draw(st.integers(1, 12))
+    shape = (draw(st.integers(1, 40)), draw(st.integers(1, 4)))
+    return draw(arrays(np.int64, shape, elements=st.integers(0, m))), m
+
+
+def required_rows(percent, n):
+    """ceil((1 - alpha)(n + 1)) for alpha = percent / 100, in exact arithmetic."""
+    return math.ceil((1 - Fraction(percent, 100)) * (n + 1))
+
+
+def rows_inside(ranks, levels):
+    return int((ranks <= levels).all(axis=1).sum())
+
+
+def pseudo_observation_descent(pseudo, required):
+    """COPULA's descent on CDF values pseudo = ranks / m, as first written."""
+    levels = np.full(pseudo.shape[1], np.sort(pseudo.max(axis=1))[required - 1])
+    below = pseudo <= levels
+    changed = True
+    while changed:
+        changed = False
+        for k in range(pseudo.shape[1]):
+            others = np.all(np.delete(below, k, axis=1), axis=1)
+            candidate = np.sort(pseudo[others, k])[required - 1]
+            if candidate < levels[k]:
+                levels[k] = candidate
+                below[:, k] = pseudo[:, k] <= candidate
+                changed = True
+    return levels
+
+
+@given(rank_tables(), st.integers(1, 99), st.sampled_from([Method.MINIMAX, Method.COPULA]))
+@settings(max_examples=400, deadline=None)
+def test_rank_levels_hold_the_conformal_mass_and_are_minimal(table, percent, method):
+    ranks, m = table
+    n, n_targets = ranks.shape
+    need = required_rows(percent, n)
+    levels = _rank_levels(method, ranks, m, percent / 100)
+    if need > n:
+        assert np.all(levels == m)
+        return
+    assert rows_inside(ranks, levels) >= need
+    # MINIMAX: the least symmetric box, by sorting the row maxima.
+    symmetric = np.sort(ranks.max(axis=1))[need - 1]
+    if method is Method.MINIMAX:
+        assert np.all(levels == symmetric)
+        return
+    assert np.all(levels <= symmetric)
+    assert np.array_equal(levels / m, pseudo_observation_descent(ranks / m, need))
+    # COPULA: lowering any one coordinate to the next lower attained rank
+    # loses the mass (below every attained rank the box is empty).
+    for k in range(n_targets):
+        lower = ranks[ranks[:, k] < levels[k], k]
+        if lower.size:
+            dropped = levels.copy()
+            dropped[k] = lower.max()
+            assert rows_inside(ranks, dropped) < need
+
+
+@given(rank_tables(), st.integers(1, 99), st.integers(1, 99))
+@settings(max_examples=200, deadline=None)
+def test_minimax_rank_level_is_monotone_in_alpha(table, a, b):
+    ranks, m = table
+    small, large = sorted((a, b))
+    assert np.all(
+        _rank_levels(Method.MINIMAX, ranks, m, small / 100)
+        >= _rank_levels(Method.MINIMAX, ranks, m, large / 100)
+    )
+
+
+@given(
+    arrays(np.float64, (15, 2), elements=st.integers(-5, 5).map(float)),
+    arrays(np.float64, (25, 2), elements=st.integers(-6, 6).map(float)),
+    st.integers(1, 99),
+    st.integers(1, 99),
+)
+@settings(max_examples=200, deadline=None)
+def test_minimax_thresholds_are_monotone_in_alpha(tune, cal, a, b):
+    small, large = sorted((a, b))
+    wide = calibrate_minimax(tune, cal, small / 100).per_target_zeta
+    narrow = calibrate_minimax(tune, cal, large / 100).per_target_zeta
+    assert np.all(wide >= narrow)
+
+
+def test_copula_levels_are_not_monotone_in_alpha():
+    # The descent stops at a componentwise-minimal box, not at the least sum:
+    # at alpha = 0.6 it returns (5, 5) though (1, 6) also holds the 5 rows.
+    ranks = np.array([(5, 1), (5, 2), (5, 3), (5, 4), (5, 5)] + [(1, 6)] * 6)
+    assert _rank_levels(Method.COPULA, ranks, 6, 0.6).tolist() == [5, 5]
+    assert _rank_levels(Method.COPULA, ranks, 6, 0.55).tolist() == [1, 6]
+    assert rows_inside(ranks, np.array([1, 6])) >= required_rows(60, 11)

@@ -155,6 +155,34 @@ def test_main_rejects_bad_configs(tmp_path, capsys):
     assert "exactly one target" in capsys.readouterr().err
 
 
+def test_config_rejects_an_empty_training_set(tmp_path, capsys):
+    with pytest.raises(ConfigError, match="n_train must be at least 1"):
+        ExperimentConfig(n_train=0)
+    with pytest.raises(ConfigError, match="ntrain_values must all be at least 1"):
+        ExperimentConfig(experiment="ntrain_sweep", ntrain_values=(0, 50))
+    # the multiround experiments fit no quantile model and default to none
+    assert ExperimentConfig(experiment="multiround", methods=("cqr_minimax",), n_train=0)
+    assert run_cli(*BENCH, "--ntrain", "0", "--output-dir", tmp_path) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ctool: config error: n_train") and err.count("\n") == 1
+    config = tmp_path / "sweep.ini"
+    config.write_text("[experiment]\nntrain_values = 0, 50\n")
+    assert run_cli(config, "--experiment", "ntrain_sweep", "--output-dir", tmp_path) == 2
+    assert "ntrain_values" in capsys.readouterr().err
+    assert not (tmp_path / "results.csv").exists()
+
+
+def test_config_rejects_repeated_methods_and_alphas(tmp_path, capsys):
+    with pytest.raises(ConfigError, match="methods lists ia more than once"):
+        ExperimentConfig(methods=("ia", "qn", "ia"))
+    with pytest.raises(ConfigError, match="alphas lists 0.1 more than once"):
+        ExperimentConfig(alphas=(0.1, 0.2, 0.1))
+    assert run_cli(*BENCH, "--methods", "ia,ia", "--alphas", "0.1,0.1", "--output-dir", tmp_path) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ctool: config error: methods lists ia") and err.count("\n") == 1
+    assert not (tmp_path / "results.csv").exists()
+
+
 def test_main_reports_unwritable_output_dir(tmp_path, capsys):
     blocked = tmp_path / "blocked"
     blocked.write_text("still a file")

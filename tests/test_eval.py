@@ -1,6 +1,7 @@
 """Monte Carlo harness: metrics, determinism, and the coverage sandwich."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,10 +16,14 @@ from mtconf import (
     SplitSpec,
     TrialMetrics,
     coverage_bounds_check,
+    fit_method,
     mc_slack,
     run_trials,
+    split_cal_test,
+    trial_rng,
 )
 from mtconf.evaluate import evaluate_calibration
+from mtconf.scores import score_matrix
 
 
 def banded(n, k, seed, role=Role.CAL):
@@ -50,7 +55,8 @@ def test_evaluate_calibration_hand_case():
         alpha=0.2,
         per_target_zeta=np.array([0.0, 0.0]),
     )
-    ejc, esc, mil = evaluate_calibration(calib, data)
+    scores = score_matrix(data.lo, data.hi, data.targets, ScoreKind.CQR)
+    ejc, esc, mil = evaluate_calibration(calib, scores, data.lo, data.hi)
     # rows covered per target: z in [0, 1]
     assert ejc == 0.25
     assert np.allclose(esc, [0.5, 0.75])
@@ -152,3 +158,79 @@ def test_sandwich_holds_for_maxscore_on_exchangeable_rows():
     metrics = run_trials(data, tune, Method.QN_MAX, ScoreKind.QN, 0.2, 50, spec)
     report = coverage_bounds_check(metrics, alpha=0.2, n_cal=2000)
     assert report.passed, report.message
+
+
+def reference_trials(data, tune, method, kind, alpha, trials, spec):
+    """The per-trial pipeline built from public pieces: split, score, fit, evaluate."""
+    tune_scores = score_matrix(tune.lo, tune.hi, tune.targets, kind)
+    ejc = np.empty(trials)
+    esc = np.empty((trials, data.n_targets))
+    mil = np.empty((trials, data.n_targets))
+    for t in range(trials):
+        cal, test = split_cal_test(data, spec.n_cal, spec.n_test, trial_rng(spec, t))
+        calib = fit_method(
+            method, score_matrix(cal.lo, cal.hi, cal.targets, kind), alpha, kind, tune_scores
+        )
+        test_scores = score_matrix(test.lo, test.hi, test.targets, kind)
+        ejc[t], esc[t], mil[t] = evaluate_calibration(calib, test_scores, test.lo, test.hi)
+    return TrialMetrics(
+        ejc=float(ejc.mean()), esc=esc.mean(axis=0), mil=mil.mean(axis=0),
+        trials=trials, n_test=spec.n_test,
+    )
+
+
+def assert_same_metrics(got, want):
+    assert got.ejc == want.ejc
+    assert np.array_equal(got.esc, want.esc)
+    assert np.array_equal(got.mil, want.mil)
+    assert (got.trials, got.n_test) == (want.trials, want.n_test)
+
+
+@pytest.mark.parametrize("kind", list(ScoreKind))
+@pytest.mark.parametrize("method", list(Method))
+def test_run_trials_equals_the_per_trial_pipeline(method, kind):
+    k = 1 if method is Method.SINGLE else 3
+    data = banded(360, k, seed=30)
+    tune = banded(90, k, seed=31)
+    spec = SplitSpec(seed=32, n_tune=1, n_cal=200, n_test=120)
+    for alpha in (0.3, 0.1):
+        got = run_trials(data, tune, method, kind, alpha, 4, spec)
+        assert_same_metrics(got, reference_trials(data, tune, method, kind, alpha, 4, spec))
+
+
+@pytest.mark.parametrize("method", [Method.MINIMAX, Method.COPULA])
+def test_run_trials_equals_the_pipeline_at_the_rank_extremes(method):
+    data = banded(40, 2, seed=33)
+    tune = banded(60, 2, seed=34)
+    # rank ceil(0.95 * 6) = 6 overflows n_cal = 5: level m, thresholds +inf
+    starved = SplitSpec(seed=35, n_tune=1, n_cal=5, n_test=30)
+    got = run_trials(data, tune, method, ScoreKind.CQR, 0.05, 3, starved)
+    assert_same_metrics(got, reference_trials(data, tune, method, ScoreKind.CQR, 0.05, 3, starved))
+    assert got.ejc == 1.0 and np.all(np.isposinf(got.mil))
+    # every tuning score lies above every pool score: level 0, thresholds -inf
+    far = LabeledSet(
+        features=tune.features, targets=tune.hi + 100.0, lo=tune.lo, hi=tune.hi, role=Role.TUNE
+    )
+    spec = SplitSpec(seed=36, n_tune=1, n_cal=25, n_test=15)
+    got = run_trials(data, far, method, ScoreKind.CQR, 0.2, 3, spec)
+    assert_same_metrics(got, reference_trials(data, far, method, ScoreKind.CQR, 0.2, 3, spec))
+    assert got.ejc == 0.0 and np.all(got.esc == 0.0) and np.all(got.mil == 0.0)
+
+
+@pytest.mark.parametrize("method", [Method.IA, Method.MINIMAX, Method.COPULA])
+def test_run_trials_working_set_does_not_grow_with_trials(method):
+    data = banded(900, 3, seed=37)
+    tune = banded(300, 3, seed=38)
+    spec = SplitSpec(seed=39, n_tune=1, n_cal=600, n_test=300)
+
+    def peak(trials):
+        tracemalloc.start()
+        try:
+            run_trials(data, tune, method, ScoreKind.CQR, 0.1, trials, spec)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(2)  # first-call allocations (caches, lazy imports) stay out of the comparison
+    # Batching trials into (T, n_cal, K) int64 ranks would add 14 KB per trial here.
+    assert abs(peak(50) - peak(5)) < 64 * 1024

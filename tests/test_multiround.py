@@ -7,7 +7,9 @@ import pytest
 
 from mtconf import (
     Calibration,
+    LabeledSet,
     Method,
+    ProtocolResult,
     Role,
     RoundConfig,
     ScoreKind,
@@ -18,8 +20,11 @@ from mtconf import (
     pilot_tau,
     run_protocol,
     run_sc_baseline,
+    split_cal_test,
     sweep_labels,
+    trial_rng,
 )
+from mtconf.calibrate import coverage_mask, interval_array
 from mtconf.multiround import _walk
 from mtconf.scores import score_matrix
 
@@ -161,3 +166,113 @@ def test_sweep_labels_accounting():
 def test_protocol_rejects_mismatched_layout():
     with pytest.raises(ValueError, match="round layout"):
         run_protocol(DATA, TUNE, Method.MINIMAX, 0.1, dataclasses.replace(CFG, rounds=3, sigma=CFG.sigma[:3], rates=CFG.rates[:3]), 2, SPEC)
+
+
+def reference_protocol(data, tune, method, alpha, cfg, trials, spec, kind, per_round, floor=0.0):
+    """The protocol built from public per-trial pieces: split, score, fit, walk."""
+    tune_s = score_matrix(tune.lo, tune.hi, tune.targets, kind)
+    rates = np.asarray(cfg.rates)
+    eac, inv_rate, ejc_all = np.empty(trials), np.empty(trials), np.empty(trials)
+    hist = np.zeros(cfg.rounds, dtype=np.int64)
+    for t in range(trials):
+        cal, test = split_cal_test(data, spec.n_cal, spec.n_test, trial_rng(spec, t))
+        cal_s = score_matrix(cal.lo, cal.hi, cal.targets, kind)
+        if per_round:
+            zetas = np.empty(cfg.n_targets)
+            for b in range(cfg.rounds):
+                cols = slice(b * cfg.tasks, (b + 1) * cfg.tasks)
+                if cfg.tasks == 1:
+                    rcal = fit_method(Method.SINGLE, cal_s[:, cols], alpha, kind)
+                else:
+                    rcal = fit_method(method, cal_s[:, cols], alpha, kind, tune_s[:, cols])
+                zetas[cols] = rcal.margins(cfg.tasks)
+            calib = Calibration(method=method, score_kind=kind, alpha=alpha, per_target_zeta=zetas)
+        else:
+            calib = fit_method(method, cal_s, alpha, kind, tune_s)
+        covered = coverage_mask(score_matrix(test.lo, test.hi, test.targets, kind), calib)
+        ilo, ihi = interval_array(test.lo, test.hi, calib)
+        lengths = ihi - floor if kind.one_sided else np.maximum(0.0, ihi - ilo)
+        accepted, accepted_cov = _walk(lengths, covered, cfg)
+        eac[t] = accepted_cov.mean()
+        inv_rate[t] = np.mean(1.0 / rates[accepted])
+        ejc_all[t] = covered.all(axis=1).mean()
+        hist += np.bincount(accepted, minlength=cfg.rounds)
+    return ProtocolResult(
+        eac=float(eac.mean()), r_avg=float(1.0 / inv_rate.mean()), histogram=hist,
+        ejc_all=float(ejc_all.mean()), trials=trials, n_test=spec.n_test,
+    )
+
+
+def assert_same_protocol(got, want):
+    assert (got.eac, got.r_avg, got.ejc_all) == (want.eac, want.r_avg, want.ejc_all)
+    assert np.array_equal(got.histogram, want.histogram)
+    assert (got.trials, got.n_test) == (want.trials, want.n_test)
+
+
+def staged_rows(n, cfg, seed, role=Role.CAL):
+    """Round-shaped rows whose bands shrink by round and never collapse.
+
+    Clipped ``gen_multiround`` bands can have zero width, which the
+    width-normalized scores refuse; these rows admit every score kind.
+    """
+    rng = np.random.default_rng(seed)
+    scale = np.repeat(np.asarray(cfg.sigma), cfg.tasks)
+    center = rng.normal(size=(n, cfg.n_targets))
+    half = rng.uniform(0.5, 1.5, size=center.shape) * scale
+    targets = center + rng.normal(size=center.shape) * scale
+    return LabeledSet(
+        features=rng.normal(size=n), targets=targets, lo=center - half, hi=center + half, role=role
+    )
+
+
+def assert_protocols_match(data, tune, method, alpha, cfg, trials, spec, kind, floor=0.0):
+    joint = run_protocol(data, tune, method, alpha, cfg, trials, spec, kind, floor)
+    want = reference_protocol(data, tune, method, alpha, cfg, trials, spec, kind, False, floor)
+    assert_same_protocol(joint, want)
+    sc = run_sc_baseline(data, tune, alpha, cfg, trials, spec, kind, method, floor)
+    want = reference_protocol(data, tune, method, alpha, cfg, trials, spec, kind, True, floor)
+    assert_same_protocol(sc, want)
+    return joint, sc
+
+
+@pytest.mark.parametrize("kind", list(ScoreKind))
+@pytest.mark.parametrize("tasks", [1, 3])
+@pytest.mark.parametrize("method", [Method.IA, Method.QN_MAX, Method.MINIMAX, Method.COPULA])
+def test_protocols_equal_the_per_trial_pipeline(method, tasks, kind):
+    cfg = dataclasses.replace(CFG, tasks=tasks)
+    data = staged_rows(420, cfg, seed=50)
+    tune = staged_rows(120, cfg, seed=51, role=Role.TUNE)
+    spec = SplitSpec(seed=52, n_tune=1, n_cal=240, n_test=150)
+    floor = -1.0 if kind.one_sided else 0.0
+    rc = dataclasses.replace(cfg, tau=pilot_tau(data, cfg, length_floor=floor))
+    for alpha in (0.2, 0.05):
+        assert_protocols_match(data, tune, method, alpha, rc, 3, spec, kind, floor)
+
+
+def test_single_protocol_equals_the_per_trial_pipeline():
+    cfg1 = RoundConfig(rounds=1, sigma=(0.1,), rates=(1.0,), tau=0.3)
+    data = gen_multiround(300, cfg1, seed=53)
+    tune = gen_multiround(80, cfg1, seed=54)
+    spec = SplitSpec(seed=55, n_tune=1, n_cal=150, n_test=100)
+    got = run_protocol(data, tune, Method.SINGLE, 0.1, cfg1, 4, spec)
+    want = reference_protocol(data, tune, Method.SINGLE, 0.1, cfg1, 4, spec, ScoreKind.CQR, False)
+    assert_same_protocol(got, want)
+
+
+@pytest.mark.parametrize("tasks", [1, 3])
+@pytest.mark.parametrize("method", [Method.MINIMAX, Method.COPULA])
+def test_protocols_equal_the_pipeline_at_the_rank_extremes(method, tasks):
+    cfg = dataclasses.replace(CFG, tasks=tasks)
+    data = staged_rows(60, cfg, seed=56)
+    tune = staged_rows(40, cfg, seed=57, role=Role.TUNE)
+    # rank ceil(0.95 * 6) = 6 overflows n_cal = 5 in every round: thresholds +inf
+    starved = SplitSpec(seed=58, n_tune=1, n_cal=5, n_test=40)
+    joint, sc = assert_protocols_match(data, tune, method, 0.05, cfg, 2, starved, ScoreKind.CQR)
+    assert joint.ejc_all == 1.0 and sc.ejc_all == 1.0
+    # every tuning score lies above every pool score: level 0, thresholds -inf
+    far = LabeledSet(
+        features=tune.features, targets=tune.hi + 100.0, lo=tune.lo, hi=tune.hi, role=Role.TUNE
+    )
+    spec = SplitSpec(seed=59, n_tune=1, n_cal=30, n_test=30)
+    joint, _ = assert_protocols_match(data, far, method, 0.2, cfg, 2, spec, ScoreKind.CQR)
+    assert joint.ejc_all == 0.0
