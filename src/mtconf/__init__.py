@@ -21,7 +21,6 @@ from .calibrate import (
     fit_method,
     interval_array,
     intervals_for,
-    raw_threshold,
 )
 from .core import (
     InsufficientSamplesError,

@@ -34,7 +34,6 @@ from .core import IntervalSet, QuantileRow
 from .scores import (
     ScoreKind,
     _ceil_rank,
-    _floor_rank,
     emp_quantile,
     interval_bounds,
     intervals_from_row,
@@ -81,17 +80,6 @@ class EmpiricalCdf:
 def fit_cdf(tune_scores: np.ndarray) -> EmpiricalCdf:
     """Empirical CDF of one target's tuning scores."""
     return EmpiricalCdf(sorted_samples=np.asarray(tune_scores, dtype=np.float64))
-
-
-def raw_threshold(cdf: EmpiricalCdf, lam: float) -> float:
-    """Largest sample whose CDF value stays at or below ``lam``.
-
-    With m samples this is the floor(lam * m)-th order statistic; -inf when
-    the floor is zero (no sample qualifies) and the maximum sample at lam = 1.
-    """
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError("cumulative level must lie in [0, 1]")
-    return _order_statistic(cdf, _floor_rank(lam * cdf.m))
 
 
 def _order_statistic(cdf: EmpiricalCdf, j: int) -> float:

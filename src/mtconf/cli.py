@@ -20,8 +20,11 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field, fields, replace
+from functools import partial
+from itertools import product
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -29,7 +32,7 @@ from . import __version__
 from .calibrate import Method, fit_method
 from .core import Role, SplitSpec, concat, derive_seed, partition, split_cal_test, trial_rng
 from .evaluate import TrialMetrics, run_trials
-from .multiround import pilot_tau, run_protocol, run_sc_baseline, sweep_labels
+from .multiround import pilot_tau, run_protocol, run_sc_baseline
 from .scores import ScoreKind, score_matrix
 from .synthetic import (
     NoiseKind,
@@ -45,15 +48,6 @@ class ConfigError(ValueError):
     """Malformed configuration; the message names the offending key."""
 
 
-EXPERIMENTS = (
-    "table1",
-    "coverage_sweep",
-    "ntrain_sweep",
-    "ntune_sweep",
-    "multiround",
-    "multiround_labels",
-)
-
 # Method tokens accepted in configs, mapped to (calibration, score kind).
 METHOD_TOKENS: dict[str, tuple[Method, ScoreKind]] = {
     "single": (Method.SINGLE, ScoreKind.CQR),
@@ -64,32 +58,6 @@ METHOD_TOKENS: dict[str, tuple[Method, ScoreKind]] = {
     "copula": (Method.COPULA, ScoreKind.CQR),
     "cqr_minimax": (Method.MINIMAX, ScoreKind.CQR),
     "qn_minimax": (Method.MINIMAX, ScoreKind.QN),
-}
-
-_FULL_BENCH = ("ia", "qn", "cpts", "cqr_minimax", "qn_minimax")
-DEFAULT_METHODS = {
-    "table1": _FULL_BENCH,
-    "coverage_sweep": _FULL_BENCH,
-    "ntrain_sweep": _FULL_BENCH,
-    "ntune_sweep": _FULL_BENCH,
-    "multiround": ("cqr_minimax",),
-    "multiround_labels": ("cqr_minimax",),
-}
-DEFAULT_ALPHAS = {
-    "table1": (0.30, 0.20, 0.10, 0.05),
-    "coverage_sweep": (0.30, 0.25, 0.20, 0.15, 0.10, 0.05),
-    "ntrain_sweep": (0.10,),
-    "ntune_sweep": (0.10,),
-    "multiround": (0.15, 0.10, 0.05),
-    "multiround_labels": (0.10,),
-}
-DEFAULT_DATA = {
-    "table1": dict(n_train=5000, n_tune=5000, n_cal=5000, n_test=2000, trials=500),
-    "coverage_sweep": dict(n_train=5000, n_tune=5000, n_cal=5000, n_test=2000, trials=500),
-    "ntrain_sweep": dict(n_train=5000, n_tune=5000, n_cal=2000, n_test=1000, trials=200),
-    "ntune_sweep": dict(n_train=5000, n_tune=5000, n_cal=2000, n_test=1000, trials=200),
-    "multiround": dict(n_train=0, n_tune=2000, n_cal=2000, n_test=1000, trials=200),
-    "multiround_labels": dict(n_train=0, n_tune=2000, n_cal=2000, n_test=1000, trials=200),
 }
 
 CSV_COLUMNS = (
@@ -110,175 +78,9 @@ CSV_COLUMNS = (
     "sweep_value",
 )
 
-# Experiments that fit quantile models to a training set of 3-target data.
-_FITTED_EXPERIMENTS = ("table1", "coverage_sweep", "ntrain_sweep", "ntune_sweep")
-
 # Below this tuning size the CDF transforms are too coarse to balance
 # per-target coverage; affected rows get a manifest warning.
 UNDER_TUNED = 500
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    experiment: str = "table1"
-    noise: NoiseKind = NoiseKind.INDEPENDENT
-    methods: tuple[str, ...] = _FULL_BENCH
-    alphas: tuple[float, ...] = DEFAULT_ALPHAS["table1"]
-    n_train: int = 5000
-    n_tune: int = 5000
-    n_cal: int = 5000
-    n_test: int = 2000
-    trials: int = 500
-    seed: int = 20250811
-    output_dir: str = "results"
-    threads: int = 1
-    runs: int = 5
-    tau: float | None = None  # None means pilot-chosen per level
-    ntrain_values: tuple[int, ...] = (50, 500, 1000, 2000)
-    ntune_values: tuple[int, ...] = (50, 500, 1000, 2000, 5000, 10000)
-    label_values: tuple[int, ...] = (1, 2, 3, 4, 5)
-    rounds: int = 5
-    tasks: int = 1
-    sigma: tuple[float, ...] = (0.4, 0.2, 0.1, 0.05, 0.02)
-    rates: tuple[float, ...] = (16.0, 8.0, 4.0, 2.0, 1.0)
-    quantile_alpha: float = 0.1
-    n_pred: int = 32
-
-    def __post_init__(self) -> None:
-        if self.experiment not in EXPERIMENTS:
-            raise ConfigError(
-                f"experiment must be one of {', '.join(EXPERIMENTS)}, got {self.experiment!r}"
-            )
-        for token in self.methods:
-            if token not in METHOD_TOKENS:
-                raise ConfigError(f"unknown method {token!r}; known: {', '.join(METHOD_TOKENS)}")
-        if not self.methods:
-            raise ConfigError("methods must not be empty")
-        fits_models = self.experiment in _FITTED_EXPERIMENTS
-        if "single" in self.methods:
-            joint_targets = 3 if fits_models else self.rounds * self.tasks
-            if joint_targets > 1:
-                raise ConfigError(
-                    "method 'single' calibrates exactly one target; this experiment has "
-                    f"{joint_targets} (use ia for per-target calibration)"
-                )
-        for a in self.alphas:
-            if not 0.0 < a < 1.0:
-                raise ConfigError(f"alphas are miscoverage rates in (0, 1), got {a}")
-        if not self.alphas:
-            raise ConfigError("alphas must not be empty")
-        for name in ("n_tune", "n_cal", "n_test", "trials", "threads", "runs"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be at least 1")
-        if self.n_train < 0:
-            raise ConfigError("n_train must not be negative")
-        if fits_models and self.n_train < 1:
-            raise ConfigError(f"n_train must be at least 1: {self.experiment} fits quantile models")
-        for name in ("ntrain_values", "ntune_values", "label_values"):
-            if any(v < 1 for v in getattr(self, name)):
-                raise ConfigError(f"{name} must all be at least 1, got {getattr(self, name)}")
-        for name in ("methods", "alphas", "ntrain_values", "ntune_values", "label_values"):
-            values = getattr(self, name)
-            repeated = sorted({v for v in values if values.count(v) > 1})
-            if repeated:
-                raise ConfigError(f"{name} lists {', '.join(map(str, repeated))} more than once")
-        if self.tau is not None and not self.tau > 0:
-            raise ConfigError("tau must be positive (or omitted for pilot choice)")
-
-    def round_config(self, tau: float) -> RoundConfig:
-        return RoundConfig(
-            rounds=self.rounds, tasks=self.tasks, sigma=self.sigma, rates=self.rates, tau=tau
-        )
-
-
-def _parse_list(text: str, conv, where: str) -> tuple:
-    try:
-        return tuple(conv(part.strip()) for part in text.split(",") if part.strip())
-    except ValueError as err:
-        raise ConfigError(f"{where}: could not parse {text!r}: {err}") from err
-
-
-_KEY_PARSERS = {
-    ("experiment", "experiment"): str,
-    ("experiment", "noise"): lambda v: NoiseKind(v),
-    ("experiment", "methods"): lambda v: _parse_list(v, str, "[experiment] methods"),
-    ("experiment", "alphas"): lambda v: _parse_list(v, float, "[experiment] alphas"),
-    ("experiment", "seed"): int,
-    ("experiment", "output_dir"): str,
-    ("experiment", "threads"): int,
-    ("experiment", "runs"): int,
-    ("experiment", "tau"): lambda v: None if v == "auto" else float(v),
-    ("experiment", "ntrain_values"): lambda v: _parse_list(v, int, "[experiment] ntrain_values"),
-    ("experiment", "ntune_values"): lambda v: _parse_list(v, int, "[experiment] ntune_values"),
-    ("experiment", "label_values"): lambda v: _parse_list(v, int, "[experiment] label_values"),
-    ("data", "n_train"): int,
-    ("data", "n_tune"): int,
-    ("data", "n_cal"): int,
-    ("data", "n_test"): int,
-    ("data", "trials"): int,
-    ("rounds", "rounds"): int,
-    ("rounds", "tasks"): int,
-    ("rounds", "sigma"): lambda v: _parse_list(v, float, "[rounds] sigma"),
-    ("rounds", "rates"): lambda v: _parse_list(v, float, "[rounds] rates"),
-    ("rounds", "tau"): lambda v: None if v == "auto" else float(v),
-    ("rounds", "quantile_alpha"): float,
-    ("rounds", "n_pred"): int,
-}
-
-
-def read_config_file(path: Path) -> dict:
-    """Parse an INI config into a {field: value} dict, diagnosing bad keys."""
-    parser = configparser.ConfigParser()
-    try:
-        with open(path, encoding="utf-8") as fh:
-            parser.read_file(fh)
-    except OSError as err:
-        raise ConfigError(f"cannot read config {path}: {err}") from err
-    except configparser.Error as err:
-        raise ConfigError(f"malformed config {path}: {err}") from err
-    values: dict = {}
-    for section in parser.sections():
-        if section not in ("experiment", "data", "rounds"):
-            raise ConfigError(f"{path}: unknown section [{section}]")
-        for key, raw in parser.items(section):
-            conv = _KEY_PARSERS.get((section, key))
-            if conv is None:
-                raise ConfigError(f"{path}: unknown key {key!r} in [{section}]")
-            try:
-                values[key] = conv(raw)
-            except ConfigError:
-                raise
-            except ValueError as err:
-                raise ConfigError(f"{path}: [{section}] {key}: {err}") from err
-    return values
-
-
-def build_config(file_values: dict, flag_values: dict) -> ExperimentConfig:
-    """Merge file values and flag overrides onto per-experiment defaults."""
-    merged = dict(file_values)
-    merged.update({k: v for k, v in flag_values.items() if v is not None})
-    if merged.get("tau") == "auto":
-        merged["tau"] = None
-    experiment = merged.get("experiment", "table1")
-    if experiment not in EXPERIMENTS:
-        raise ConfigError(
-            f"experiment must be one of {', '.join(EXPERIMENTS)}, got {experiment!r}"
-        )
-    defaults = dict(DEFAULT_DATA[experiment])
-    defaults["methods"] = DEFAULT_METHODS[experiment]
-    defaults["alphas"] = DEFAULT_ALPHAS[experiment]
-    env_threads = os.environ.get("CTOOL_THREADS")
-    if env_threads is not None and "threads" not in merged:
-        try:
-            defaults["threads"] = int(env_threads)
-        except ValueError as err:
-            raise ConfigError(f"CTOOL_THREADS: {err}") from err
-    for key, value in defaults.items():
-        merged.setdefault(key, value)
-    try:
-        return ExperimentConfig(**merged)
-    except TypeError as err:
-        raise ConfigError(str(err)) from err
 
 
 def _fmt(value) -> str:
@@ -295,45 +97,20 @@ def _fmt(value) -> str:
     return f"{value:.6g}"
 
 
-def _base_row(cfg: ExperimentConfig, token: str, alpha: float, n_tune: int | None = None) -> dict:
-    kind = METHOD_TOKENS[token][1].value if token in METHOD_TOKENS else ""
-    return {
-        "experiment": cfg.experiment,
-        "method": token,
-        "score_kind": kind,
-        "alpha": alpha,
-        "target": None,
-        "ejc": None,
-        "esc": None,
-        "mil": None,
-        "eac": None,
-        "r_avg": None,
-        "n_cal": cfg.n_cal,
-        "n_tune": cfg.n_tune if n_tune is None else n_tune,
-        "T": cfg.trials,
-        "seed": cfg.seed,
-        "sweep_value": None,
-    }
-
-
-def _metric_rows(
-    cfg: ExperimentConfig,
-    token: str,
-    alpha: float,
-    ejc: float,
-    esc: np.ndarray,
-    mil: np.ndarray,
-    n_tune: int | None = None,
-    sweep_value=None,
-) -> list[dict]:
-    rows = []
-    for k in range(len(esc)):
-        row = _base_row(cfg, token, alpha, n_tune)
-        row.update(
-            target=k + 1, ejc=ejc, esc=float(esc[k]), mil=float(mil[k]), sweep_value=sweep_value
-        )
-        rows.append(row)
-    return rows
+def _rows(cfg, token, kind, alpha, esc=None, mil=None, protocol=None, **values) -> list[dict]:
+    """The results rows of one cell: one per target given per-target ``esc``
+    and ``mil``, else one, filled from a protocol result if given."""
+    row = dict.fromkeys(CSV_COLUMNS)
+    row.update(
+        experiment=cfg.experiment, method=token, score_kind=kind.value, alpha=alpha,
+        n_cal=cfg.n_cal, n_tune=cfg.n_tune, T=cfg.trials, seed=cfg.seed, **values,
+    )
+    if protocol is not None:
+        row.update(ejc=protocol.ejc_all, eac=protocol.eac, r_avg=protocol.r_avg)
+    if esc is None:
+        return [row]
+    per_target = enumerate(zip(esc, mil), 1)
+    return [dict(row, target=k, esc=float(e), mil=float(m)) for k, (e, m) in per_target]
 
 
 def _parallel(tasks, threads: int) -> list:
@@ -344,39 +121,30 @@ def _parallel(tasks, threads: int) -> list:
         return list(pool.map(lambda task: task(), tasks))
 
 
-def _bench_prep(cfg: ExperimentConfig, alpha: float):
-    """Fixed tune set plus cal/test pool for one level of a benchmark run."""
-    train = gen_synthetic(cfg.n_train, cfg.noise, derive_seed(cfg.seed, 0), role=Role.TRAIN)
-    models = fit_quantile_models(train, alpha)
-    raw = gen_synthetic(
-        cfg.n_tune + cfg.n_cal + cfg.n_test, cfg.noise, derive_seed(cfg.seed, 1), role=Role.CAL
-    )
-    pool = predict_quantiles(models, raw)
-    spec = SplitSpec(seed=cfg.seed, n_tune=cfg.n_tune, n_cal=cfg.n_cal, n_test=cfg.n_test)
-    tune, cal, test = partition(pool, spec)
-    return spec, tune, concat([cal, test], Role.CAL)
+# Runners map a config to (rows, warnings, manifest extras).  They call the trial
+# loops and the pilot's pieces through this module's globals, at call time.
 
 
 def _run_benchmark(cfg: ExperimentConfig) -> tuple[list[dict], list[str], dict]:
-    preps = [_bench_prep(cfg, alpha) for alpha in cfg.alphas]
+    """table1 / coverage_sweep: per level, fit the models, then score a fixed
+    tune set and re-split a fixed cal/test pool."""
+    train = gen_synthetic(cfg.n_train, cfg.noise, derive_seed(cfg.seed, 0), role=Role.TRAIN)
+    raw = gen_synthetic(
+        cfg.n_tune + cfg.n_cal + cfg.n_test, cfg.noise, derive_seed(cfg.seed, 1), role=Role.CAL
+    )
+    spec = SplitSpec(seed=cfg.seed, n_tune=cfg.n_tune, n_cal=cfg.n_cal, n_test=cfg.n_test)
     cells = []
-    for prep, alpha in zip(preps, cfg.alphas):
-        spec, tune, rest = prep
-        for token in cfg.methods:
-            method, kind = METHOD_TOKENS[token]
-            cells.append(
-                lambda spec=spec, tune=tune, rest=rest, method=method, kind=kind, alpha=alpha: run_trials(
-                    rest, tune, method, kind, alpha, cfg.trials, spec
-                )
-            )
-    results = _parallel(cells, cfg.threads)
-    rows: list[dict] = []
-    i = 0
+    # Every level's models are fitted before the first trial loop starts.
     for alpha in cfg.alphas:
-        for token in cfg.methods:
-            m: TrialMetrics = results[i]
-            rows.extend(_metric_rows(cfg, token, alpha, m.ejc, m.esc, m.mil))
-            i += 1
+        tune, cal, test = partition(predict_quantiles(fit_quantile_models(train, alpha), raw), spec)
+        rest = concat([cal, test], Role.CAL)
+        cells += [
+            partial(run_trials, rest, tune, *METHOD_TOKENS[token], alpha, cfg.trials, spec)
+            for token in cfg.methods
+        ]
+    rows: list[dict] = []
+    for (alpha, token), m in zip(product(cfg.alphas, cfg.methods), _parallel(cells, cfg.threads)):
+        rows += _rows(cfg, token, METHOD_TOKENS[token][1], alpha, m.esc, m.mil, ejc=m.ejc)
     return rows, [], {}
 
 
@@ -390,143 +158,310 @@ def _run_size_sweep(cfg: ExperimentConfig, vary: str) -> tuple[list[dict], list[
     rows: list[dict] = []
     warnings: list[str] = []
     for value in values:
-        n_train = value if vary == "n_train" else cfg.n_train
-        n_tune = value if vary == "n_tune" else cfg.n_tune
+        sized = replace(cfg, **{vary: value})
 
-        def one_run(run: int, n_train=n_train, n_tune=n_tune, value=value) -> list[TrialMetrics]:
+        def one_run(run: int, sized=sized, value=value) -> list[TrialMetrics]:
             train = gen_synthetic(
-                n_train, cfg.noise, derive_seed(cfg.seed, 0, value, run), role=Role.TRAIN
+                sized.n_train, cfg.noise, derive_seed(cfg.seed, 0, value, run), role=Role.TRAIN
             )
             models = fit_quantile_models(train, alpha)
             tune = predict_quantiles(
                 models,
                 gen_synthetic(
-                    n_tune, cfg.noise, derive_seed(cfg.seed, 2, value, run), role=Role.TUNE
+                    sized.n_tune, cfg.noise, derive_seed(cfg.seed, 2, value, run), role=Role.TUNE
                 ),
             )
             pool = predict_quantiles(models, raw_pool)
             spec = SplitSpec(
                 seed=derive_seed(cfg.seed, 3, value, run),
-                n_tune=n_tune,
+                n_tune=sized.n_tune,
                 n_cal=cfg.n_cal,
                 n_test=cfg.n_test,
             )
-            out = []
-            for token in cfg.methods:
-                method, kind = METHOD_TOKENS[token]
-                out.append(run_trials(pool, tune, method, kind, alpha, cfg.trials, spec))
-            return out
+            return [
+                run_trials(pool, tune, *METHOD_TOKENS[token], alpha, cfg.trials, spec)
+                for token in cfg.methods
+            ]
 
-        per_run = _parallel(
-            [lambda run=run: one_run(run) for run in range(cfg.runs)], cfg.threads
-        )
+        per_run = _parallel([partial(one_run, run) for run in range(cfg.runs)], cfg.threads)
         for j, token in enumerate(cfg.methods):
+            method, kind = METHOD_TOKENS[token]
             ejc = float(np.mean([res[j].ejc for res in per_run]))
             esc = np.mean([res[j].esc for res in per_run], axis=0)
             mil = np.mean([res[j].mil for res in per_run], axis=0)
-            rows.extend(
-                _metric_rows(cfg, token, alpha, ejc, esc, mil, n_tune=n_tune, sweep_value=value)
-            )
-            method = METHOD_TOKENS[token][0]
-            if n_tune < UNDER_TUNED and method in (Method.MINIMAX, Method.COPULA):
+            rows += _rows(sized, token, kind, alpha, esc, mil, ejc=ejc, sweep_value=value)
+            if sized.n_tune < UNDER_TUNED and method in (Method.MINIMAX, Method.COPULA):
                 warnings.append(
-                    f"{token} at n_tune={n_tune}: under-tuned (below {UNDER_TUNED}); "
+                    f"{token} at n_tune={sized.n_tune}: under-tuned (below {UNDER_TUNED}); "
                     "per-target coverage may be imbalanced"
                 )
     return rows, warnings, {}
 
 
-def _protocol_row(cfg, token, alpha, result, tau, sweep_value=None) -> dict:
-    row = _base_row(cfg, token, alpha)
-    row.update(ejc=result.ejc_all, eac=result.eac, r_avg=result.r_avg, sweep_value=sweep_value)
-    return row
-
-
-def _pilot_tau(cfg, pool, tune, spec, alpha) -> float:
-    """Median conformalized next-to-last-round length on the trial-0 split."""
-    method, kind = METHOD_TOKENS[cfg.methods[0]]
-    base = cfg.round_config(tau=1.0)
-    cal, test = split_cal_test(pool, spec.n_cal, spec.n_test, trial_rng(spec, 0))
-    calib = fit_method(
-        method,
-        score_matrix(cal.lo, cal.hi, cal.targets, kind),
-        alpha,
-        kind,
-        score_matrix(tune.lo, tune.hi, tune.targets, kind),
+def _protocol_setup(cfg: ExperimentConfig):
+    """Split spec, tune set and cal/test pool of a multiround run, and its tau pilot."""
+    spec = SplitSpec(seed=cfg.seed, n_tune=cfg.n_tune, n_cal=cfg.n_cal, n_test=cfg.n_test)
+    base = cfg.round_config(tau=1.0)  # the data and the pilot do not depend on tau
+    data = gen_multiround(
+        spec.total, base, derive_seed(cfg.seed, 10), quantile_alpha=cfg.quantile_alpha,
+        n_pred=cfg.n_pred,
     )
-    return pilot_tau(test, base, calib=calib)
+    tune, cal, test = partition(data, spec)
+    pool = concat([cal, test], Role.CAL)
+
+    def pilot(alpha: float) -> float:
+        """Median conformalized next-to-last-round length on the trial-0 split."""
+        method, kind = METHOD_TOKENS[cfg.methods[0]]
+        cal, test = split_cal_test(pool, spec.n_cal, spec.n_test, trial_rng(spec, 0))
+        calib = fit_method(
+            method,
+            score_matrix(cal.lo, cal.hi, cal.targets, kind),
+            alpha,
+            kind,
+            score_matrix(tune.lo, tune.hi, tune.targets, kind),
+        )
+        return pilot_tau(test, base, calib=calib)
+
+    return spec, tune, pool, pilot
 
 
 def _run_multiround(cfg: ExperimentConfig) -> tuple[list[dict], list[str], dict]:
-    base = cfg.round_config(tau=cfg.tau if cfg.tau is not None else 1.0)
-    data = gen_multiround(
-        cfg.n_tune + cfg.n_cal + cfg.n_test,
-        base,
-        derive_seed(cfg.seed, 10),
-        quantile_alpha=cfg.quantile_alpha,
-        n_pred=cfg.n_pred,
-    )
-    spec = SplitSpec(seed=cfg.seed, n_tune=cfg.n_tune, n_cal=cfg.n_cal, n_test=cfg.n_test)
-    tune, cal, test = partition(data, spec)
-    pool = concat([cal, test], Role.CAL)
+    spec, tune, pool, pilot = _protocol_setup(cfg)
     rows: list[dict] = []
     taus: dict[str, float] = {}
     for alpha in cfg.alphas:
-        tau = cfg.tau if cfg.tau is not None else _pilot_tau(cfg, pool, tune, spec, alpha)
-        taus[_fmt(alpha)] = tau
+        tau = taus[_fmt(alpha)] = pilot(alpha) if cfg.tau is None else cfg.tau
         rc = cfg.round_config(tau=tau)
         for token in cfg.methods:
             method, kind = METHOD_TOKENS[token]
             joint = run_protocol(pool, tune, method, alpha, rc, cfg.trials, spec, kind)
-            rows.append(_protocol_row(cfg, token, alpha, joint, tau))
             sc = run_sc_baseline(pool, tune, alpha, rc, cfg.trials, spec, kind, method)
             sc_token = "sc" if cfg.tasks == 1 else f"sc_{token}"
-            sc_row = _protocol_row(cfg, sc_token, alpha, sc, tau)
-            sc_row["score_kind"] = kind.value
-            rows.append(sc_row)
+            for name, result in ((token, joint), (sc_token, sc)):
+                rows += _rows(cfg, name, kind, alpha, protocol=result)
     return rows, [], {"tau_used": taus}
 
 
 def _run_label_sweep(cfg: ExperimentConfig) -> tuple[list[dict], list[str], dict]:
+    """Every task count draws its data under the same seed; the generator keys
+    its substreams by task, so smaller counts see a prefix of larger ones."""
     alpha = cfg.alphas[0]
-    base = cfg.round_config(tau=cfg.tau if cfg.tau is not None else 1.0)
-    spec = SplitSpec(seed=cfg.seed, n_tune=cfg.n_tune, n_cal=cfg.n_cal, n_test=cfg.n_test)
-    if cfg.tau is None:
-        data = gen_multiround(
-            spec.total, base, derive_seed(cfg.seed, 10), quantile_alpha=cfg.quantile_alpha,
-            n_pred=cfg.n_pred,
-        )
-        tune, cal, test = partition(data, spec)
-        tau = _pilot_tau(cfg, concat([cal, test], Role.CAL), tune, spec, alpha)
-    else:
-        tau = cfg.tau
+    # A pilot runs on the data of the configured task count.
+    tau = _protocol_setup(cfg)[-1](alpha) if cfg.tau is None else cfg.tau
+    results = {}
+    for labels in cfg.label_values:
+        sized = replace(cfg, tasks=labels)
+        spec, tune, pool, _ = _protocol_setup(sized)
+        rc = sized.round_config(tau=tau)
+        for token in cfg.methods:
+            method, kind = METHOD_TOKENS[token]
+            results[token, labels] = run_protocol(
+                pool, tune, method, alpha, rc, cfg.trials, spec, kind
+            )
     rows: list[dict] = []
-    for token in cfg.methods:
-        method, kind = METHOD_TOKENS[token]
-        results = sweep_labels(
-            list(cfg.label_values),
-            replace(base, tau=tau),
-            method,
-            alpha,
-            cfg.trials,
-            spec,
-            derive_seed(cfg.seed, 10),
-            score_kind=kind,
-            quantile_alpha=cfg.quantile_alpha,
-        )
-        for labels, result in zip(cfg.label_values, results):
-            rows.append(_protocol_row(cfg, token, alpha, result, tau, sweep_value=labels))
+    for token, labels in product(cfg.methods, cfg.label_values):
+        kind = METHOD_TOKENS[token][1]
+        rows += _rows(cfg, token, kind, alpha, protocol=results[token, labels], sweep_value=labels)
     return rows, [], {"tau_used": {_fmt(alpha): tau}}
 
 
-_RUNNERS = {
-    "table1": _run_benchmark,
-    "coverage_sweep": _run_benchmark,
-    "ntrain_sweep": lambda cfg: _run_size_sweep(cfg, "n_train"),
-    "ntune_sweep": lambda cfg: _run_size_sweep(cfg, "n_tune"),
-    "multiround": _run_multiround,
-    "multiround_labels": _run_label_sweep,
+class _Experiment(NamedTuple):
+    runner: Callable[[ExperimentConfig], tuple[list[dict], list[str], dict]]
+    fits_models: bool  # to 3-target training data; the multiround ones fit none
+    defaults: dict  # those that differ from ExperimentConfig's, which are table1's
+
+
+_SWEEP = dict(alphas=(0.10,), n_cal=2000, n_test=1000, trials=200)
+_ROUNDS = dict(
+    methods=("cqr_minimax",), n_train=0, n_tune=2000, n_cal=2000, n_test=1000, trials=200
+)
+EXPERIMENTS = {
+    "table1": _Experiment(_run_benchmark, True, {}),
+    "coverage_sweep": _Experiment(
+        _run_benchmark, True, dict(alphas=(0.30, 0.25, 0.20, 0.15, 0.10, 0.05))
+    ),
+    "ntrain_sweep": _Experiment(partial(_run_size_sweep, vary="n_train"), True, _SWEEP),
+    "ntune_sweep": _Experiment(partial(_run_size_sweep, vary="n_tune"), True, _SWEEP),
+    "multiround": _Experiment(_run_multiround, False, dict(_ROUNDS, alphas=(0.15, 0.10, 0.05))),
+    "multiround_labels": _Experiment(_run_label_sweep, False, dict(_ROUNDS, alphas=(0.10,))),
 }
+
+
+def _field(default, parse, sections, flag: str | None = None, **flag_kw):
+    """A config field: default, text parser (of each entry, for a tuple field),
+    INI section(s), and the command line flag with its argparse keywords."""
+    sections = (sections,) if isinstance(sections, str) else sections
+    meta = {"parse": parse, "sections": sections, "flag": flag, "flag_kw": flag_kw}
+    return field(default=default, metadata=meta)
+
+
+@dataclass(frozen=True)
+class ExperimentConfig:
+    # The flagged fields come first, in the order of `ctool run --help`.
+    experiment: str = _field("table1", str, "experiment", "--experiment", choices=EXPERIMENTS)
+    noise: NoiseKind = _field(
+        NoiseKind.INDEPENDENT, NoiseKind, "experiment", "--noise",
+        choices=[n.value for n in NoiseKind],
+    )
+    methods: tuple[str, ...] = _field(
+        ("ia", "qn", "cpts", "cqr_minimax", "qn_minimax"), str, "experiment", "--methods",
+        help="comma list of method tokens",
+    )
+    alphas: tuple[float, ...] = _field(
+        (0.30, 0.20, 0.10, 0.05), float, "experiment", "--alphas",
+        help="comma list of miscoverage rates in (0, 1)",
+    )
+    seed: int = _field(20250811, int, "experiment", "--seed")
+    output_dir: str = _field("results", str, "experiment", "--output-dir")
+    threads: int = _field(1, int, "experiment", "--threads")
+    trials: int = _field(500, int, "data", "--trials")
+    n_train: int = _field(5000, int, "data", "--ntrain", help="training-set size")
+    n_tune: int = _field(5000, int, "data", "--ntune", help="tuning-set size")
+    n_cal: int = _field(5000, int, "data", "--ncal", help="calibration-set size")
+    n_test: int = _field(2000, int, "data", "--ntest", help="test-set size")
+    runs: int = _field(
+        5, int, "experiment", "--runs", help="independent redraws for sweep experiments"
+    )
+    # None means pilot-chosen per level.
+    tau: float | None = _field(
+        None, lambda v: None if v == "auto" else float(v), ("experiment", "rounds"), "--tau",
+        help="stopping threshold, a number or 'auto'",
+    )
+    ntrain_values: tuple[int, ...] = _field((50, 500, 1000, 2000), int, "experiment")
+    ntune_values: tuple[int, ...] = _field((50, 500, 1000, 2000, 5000, 10000), int, "experiment")
+    label_values: tuple[int, ...] = _field((1, 2, 3, 4, 5), int, "experiment")
+    rounds: int = _field(5, int, "rounds")
+    tasks: int = _field(1, int, "rounds")
+    sigma: tuple[float, ...] = _field((0.4, 0.2, 0.1, 0.05, 0.02), float, "rounds")
+    rates: tuple[float, ...] = _field((16.0, 8.0, 4.0, 2.0, 1.0), float, "rounds")
+    quantile_alpha: float = _field(0.1, float, "rounds")
+    n_pred: int = _field(32, int, "rounds")
+
+    def __post_init__(self) -> None:
+        if self.experiment not in EXPERIMENTS:
+            raise ConfigError(
+                f"experiment must be one of {', '.join(EXPERIMENTS)}, got {self.experiment!r}"
+            )
+        for token in self.methods:
+            if token not in METHOD_TOKENS:
+                raise ConfigError(f"unknown method {token!r}; known: {', '.join(METHOD_TOKENS)}")
+        if not self.methods:
+            raise ConfigError("methods must not be empty")
+        try:
+            # The round layout's own checks, tau included (a placeholder when piloted).
+            self.round_config(tau=1.0 if self.tau is None else self.tau)
+        except ValueError as err:
+            raise ConfigError(str(err)) from err
+        fits_models = EXPERIMENTS[self.experiment].fits_models
+        if "single" in self.methods:
+            joint_targets = 3 if fits_models else self.rounds * self.tasks
+            if joint_targets > 1:
+                raise ConfigError(
+                    "method 'single' calibrates exactly one target; this experiment has "
+                    f"{joint_targets} (use ia for per-target calibration)"
+                )
+        qn = [token for token in self.methods if METHOD_TOKENS[token][1].normalized]
+        if qn and not fits_models and 0 in self.sigma:
+            raise ConfigError(
+                f"method {qn[0]!r} divides scores by the quantile band width, which is zero "
+                "in a round with sigma 0; use a CQR method or positive sigma"
+            )
+        for a in self.alphas:
+            if not 0.0 < a < 1.0:
+                raise ConfigError(f"alphas are miscoverage rates in (0, 1), got {a}")
+        if not self.alphas:
+            raise ConfigError("alphas must not be empty")
+        for name in ("n_train", "n_tune", "n_cal", "n_test", "trials", "threads", "runs"):
+            # Only the experiments that fit quantile models need training data.
+            least = 0 if name == "n_train" and not fits_models else 1
+            if getattr(self, name) < least:
+                raise ConfigError(f"{name} must be at least {least}")
+        for name in ("ntrain_values", "ntune_values", "label_values"):
+            if any(v < 1 for v in getattr(self, name)):
+                raise ConfigError(f"{name} must all be at least 1, got {getattr(self, name)}")
+        for name in ("methods", "alphas", "ntrain_values", "ntune_values", "label_values"):
+            values = getattr(self, name)
+            repeated = sorted({v for v in values if values.count(v) > 1})
+            if repeated:
+                raise ConfigError(f"{name} lists {', '.join(map(str, repeated))} more than once")
+
+    def round_config(self, tau: float) -> RoundConfig:
+        return RoundConfig(
+            rounds=self.rounds, tasks=self.tasks, sigma=self.sigma, rates=self.rates, tau=tau
+        )
+
+
+# (INI section, key) -> the config field it sets.
+_INI_KEYS = {
+    (section, f.name): f for f in fields(ExperimentConfig) for section in f.metadata["sections"]
+}
+
+
+def _parse(f, text: str, where: str):
+    """Parse one field's text (a comma list for a tuple field) read from ``where``."""
+    conv = f.metadata["parse"]
+    try:
+        if isinstance(f.default, tuple):
+            return tuple(conv(part.strip()) for part in text.split(",") if part.strip())
+        return conv(text)
+    except ValueError as err:
+        raise ConfigError(f"{where}: could not parse {text!r}: {err}") from err
+
+
+def read_config_file(path: Path) -> dict:
+    """Parse an INI config into a {field: value} dict, diagnosing bad keys."""
+    parser = configparser.ConfigParser()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            parser.read_file(fh)
+    except OSError as err:
+        raise ConfigError(f"cannot read config {path}: {err}") from err
+    except configparser.Error as err:
+        raise ConfigError(f"malformed config {path}: {err}") from err
+    values: dict = {}
+    for section in parser.sections():
+        if not any(section == known for known, _ in _INI_KEYS):
+            raise ConfigError(f"{path}: unknown section [{section}]")
+        for key, raw in parser.items(section):
+            f = _INI_KEYS.get((section, key))
+            if f is None:
+                raise ConfigError(f"{path}: unknown key {key!r} in [{section}]")
+            values[key] = _parse(f, raw, f"{path}: [{section}] {key}")
+    return values
+
+
+def build_config(file_values: dict, flag_values: dict) -> ExperimentConfig:
+    """Merge file values and flag overrides onto per-experiment defaults."""
+    merged = dict(file_values)
+    merged.update({k: v for k, v in flag_values.items() if v is not None})
+    if merged.get("tau") == "auto":
+        merged["tau"] = None
+    # An unknown experiment gets no defaults; ExperimentConfig rejects it.
+    experiment = EXPERIMENTS.get(merged.get("experiment", "table1"))
+    defaults = dict(experiment.defaults) if experiment else {}
+    env_threads = os.environ.get("CTOOL_THREADS")
+    if env_threads is not None and "threads" not in merged:
+        try:
+            defaults["threads"] = int(env_threads)
+        except ValueError as err:
+            raise ConfigError(f"CTOOL_THREADS: {err}") from err
+    for key, value in defaults.items():
+        merged.setdefault(key, value)
+    try:
+        return ExperimentConfig(**merged)
+    except TypeError as err:
+        raise ConfigError(str(err)) from err
+
+
+def _write_atomic(path: Path, write) -> None:
+    """Write ``path`` through a temp file, so a failed run leaves no half-written output."""
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        with open(tmp, "w", newline="", encoding="utf-8") as fh:
+            write(fh)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def _plot_rows(rows: list[dict], x_of, series_of, value_key: str) -> list[dict]:
@@ -535,6 +470,20 @@ def _plot_rows(rows: list[dict], x_of, series_of, value_key: str) -> list[dict]:
         if row.get(value_key) is None:
             continue
         out.append({"x": x_of(row), "series": series_of(row), "value": row[value_key]})
+    return out
+
+
+def _esc_extremes(rows: list[dict], key: str, x_of) -> list[dict]:
+    """Smallest and largest per-target coverage of each method at each ``key`` value."""
+    out = []
+    for row in rows:
+        if row["target"] != 1:
+            continue
+        group = [r["esc"] for r in rows if r["method"] == row["method"] and r[key] == row[key]]
+        for stat in (min, max):
+            out.append(
+                {"x": x_of(row), "series": f"{row['method']}/{stat.__name__}", "value": stat(group)}
+            )
     return out
 
 
@@ -549,92 +498,56 @@ def emit_plotdata(rows: list[dict], outdir: Path) -> list[Path]:
     experiment = rows[0]["experiment"]
     files: dict[str, list[dict]] = {}
     cov = lambda row: 1.0 - row["alpha"]
+    sv = lambda row: row["sweep_value"]
     if experiment in ("table1", "coverage_sweep"):
         first = [r for r in rows if r["target"] == 1]
         files["plot_ejc.csv"] = _plot_rows(first, cov, lambda r: r["method"], "ejc")
-        extremes = []
-        for row in first:
-            group = [
-                r["esc"] for r in rows if r["method"] == row["method"] and r["alpha"] == row["alpha"]
-            ]
-            extremes.append({"x": cov(row), "series": f"{row['method']}/min", "value": min(group)})
-            extremes.append({"x": cov(row), "series": f"{row['method']}/max", "value": max(group)})
-        files["plot_esc_extremes.csv"] = extremes
+        files["plot_esc_extremes.csv"] = _esc_extremes(rows, "alpha", cov)
         files["plot_mil.csv"] = _plot_rows(
             rows, cov, lambda r: f"{r['method']}/t{r['target']}", "mil"
         )
     elif experiment in ("ntrain_sweep", "ntune_sweep"):
-        first = [r for r in rows if r["target"] == 1]
-        extremes = []
-        for row in first:
-            group = [
-                r["esc"]
-                for r in rows
-                if r["method"] == row["method"] and r["sweep_value"] == row["sweep_value"]
-            ]
-            x = row["sweep_value"]
-            extremes.append({"x": x, "series": f"{row['method']}/min", "value": min(group)})
-            extremes.append({"x": x, "series": f"{row['method']}/max", "value": max(group)})
-        files["plot_esc_extremes.csv"] = extremes
-    elif experiment == "multiround":
-        files["plot_eac.csv"] = _plot_rows(rows, cov, lambda r: r["method"], "eac")
-        files["plot_ravg.csv"] = _plot_rows(rows, cov, lambda r: r["method"], "r_avg")
-    elif experiment == "multiround_labels":
-        sv = lambda row: row["sweep_value"]
-        files["plot_eac.csv"] = _plot_rows(rows, sv, lambda r: r["method"], "eac")
-        files["plot_ravg.csv"] = _plot_rows(rows, sv, lambda r: r["method"], "r_avg")
-    written = []
+        files["plot_esc_extremes.csv"] = _esc_extremes(rows, "sweep_value", sv)
+    else:  # the multiround experiments, over levels or task counts
+        x_of = cov if experiment == "multiround" else sv
+        files["plot_eac.csv"] = _plot_rows(rows, x_of, lambda r: r["method"], "eac")
+        files["plot_ravg.csv"] = _plot_rows(rows, x_of, lambda r: r["method"], "r_avg")
     for name, content in files.items():
-        path = outdir / name
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(("x", "series", "value"))
-            for entry in content:
-                writer.writerow((_fmt(entry["x"]), entry["series"], _fmt(entry["value"])))
-        written.append(path)
-    return written
-
-
-def _config_echo(cfg: ExperimentConfig) -> dict:
-    echo = asdict(cfg)
-    echo["noise"] = cfg.noise.value
-    for key, value in echo.items():
-        if isinstance(value, tuple):
-            echo[key] = list(value)
-    return echo
+        cells = [("x", "series", "value")]
+        cells += [(_fmt(entry["x"]), entry["series"], _fmt(entry["value"])) for entry in content]
+        _write_atomic(outdir / name, lambda fh: csv.writer(fh).writerows(cells))
+    return [outdir / name for name in files]
 
 
 def run(cfg: ExperimentConfig) -> int:
     """Execute one experiment; returns a process exit status."""
     started = time.time()
     outdir = Path(cfg.output_dir)
+    manifest_path = outdir / "manifest.json"
     try:
         outdir.mkdir(parents=True, exist_ok=True)
         probe = outdir / ".write_probe"
         probe.touch()
         probe.unlink()
+        # Written last, the manifest then always describes the outputs beside it.
+        manifest_path.unlink(missing_ok=True)
     except OSError as err:
         print(f"ctool: cannot write to output dir {outdir}: {err}", file=sys.stderr)
         return 1
-    rows, warnings, extras = _RUNNERS[cfg.experiment](cfg)
-    results_path = outdir / "results.csv"
-    with open(results_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_COLUMNS)
-        for row in rows:
-            writer.writerow(tuple(_fmt(row[col]) for col in CSV_COLUMNS))
+    rows, warnings, extras = EXPERIMENTS[cfg.experiment].runner(cfg)
+    cells = [CSV_COLUMNS] + [[_fmt(row[col]) for col in CSV_COLUMNS] for row in rows]
+    _write_atomic(outdir / "results.csv", lambda fh: csv.writer(fh).writerows(cells))
     plot_paths = emit_plotdata(rows, outdir)
     manifest = {
         "version": __version__,
-        "config": _config_echo(cfg),
+        "config": asdict(cfg),
         "warnings": warnings,
         "outputs": ["results.csv"] + [p.name for p in plot_paths],
         "wall_time_s": round(time.time() - started, 3),
     }
     manifest.update(extras)
-    with open(outdir / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+    _write_atomic(manifest_path, lambda fh: fh.write(text))
     for warning in warnings:
         print(f"ctool: warning: {warning}", file=sys.stderr)
     return 0
@@ -647,51 +560,37 @@ def _build_argparser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     runp = sub.add_parser("run", help="run one experiment from a config file and/or flags")
     runp.add_argument("config", nargs="?", default=None, help="INI config path (optional)")
-    runp.add_argument("--experiment", choices=EXPERIMENTS)
-    runp.add_argument("--noise", choices=[n.value for n in NoiseKind])
-    runp.add_argument("--methods", help="comma list of method tokens")
-    runp.add_argument("--alphas", help="comma list of miscoverage rates in (0, 1)")
-    runp.add_argument("--seed", type=int)
-    runp.add_argument("--output-dir")
-    runp.add_argument("--threads", type=int)
-    runp.add_argument("--trials", type=int)
-    runp.add_argument("--ntrain", type=int, help="training-set size")
-    runp.add_argument("--ntune", type=int, help="tuning-set size")
-    runp.add_argument("--ncal", type=int, help="calibration-set size")
-    runp.add_argument("--ntest", type=int, help="test-set size")
-    runp.add_argument("--runs", type=int, help="independent redraws for sweep experiments")
-    runp.add_argument("--tau", help="stopping threshold, a number or 'auto'")
+    for f in fields(ExperimentConfig):
+        if f.metadata["flag"]:
+            runp.add_argument(f.metadata["flag"], **f.metadata["flag_kw"])
     return parser
+
+
+def _flag_values(args: argparse.Namespace) -> dict:
+    """Parsed values of the flags given.  ``--tau auto`` stays "auto", which
+    build_config reads as an override of a file's tau (None means no flag)."""
+    values = {}
+    for f in fields(ExperimentConfig):
+        flag = f.metadata["flag"]
+        raw = getattr(args, flag[2:].replace("-", "_")) if flag else None
+        if raw is not None:
+            values[f.name] = raw if f.name == "tau" and raw == "auto" else _parse(f, raw, flag)
+    return values
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_argparser().parse_args(argv)
     try:
         file_values = read_config_file(Path(args.config)) if args.config else {}
-        flag_values = {
-            "experiment": args.experiment,
-            "noise": NoiseKind(args.noise) if args.noise else None,
-            "methods": _parse_list(args.methods, str, "--methods") if args.methods else None,
-            "alphas": _parse_list(args.alphas, float, "--alphas") if args.alphas else None,
-            "seed": args.seed,
-            "output_dir": args.output_dir,
-            "threads": args.threads,
-            "trials": args.trials,
-            "n_train": args.ntrain,
-            "n_tune": args.ntune,
-            "n_cal": args.ncal,
-            "n_test": args.ntest,
-            "runs": args.runs,
-            "tau": (args.tau if args.tau == "auto" else float(args.tau)) if args.tau else None,
-        }
-        cfg = build_config(file_values, flag_values)
-    except ConfigError as err:
+        cfg = build_config(file_values, _flag_values(args))
+    except ValueError as err:  # ConfigError is one
         print(f"ctool: config error: {err}", file=sys.stderr)
         return 2
+    try:
+        return run(cfg)
     except ValueError as err:
-        print(f"ctool: config error: {err}", file=sys.stderr)
-        return 2
-    return run(cfg)
+        print(f"ctool: run error: {err}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -52,14 +52,6 @@ def _ceil_rank(x: float) -> int:
     return int(math.ceil(x))
 
 
-def _floor_rank(x: float) -> int:
-    """floor(x) with the same integer snapping as _ceil_rank."""
-    nearest = round(x)
-    if abs(x - nearest) < _RANK_EPS * max(1.0, abs(x)):
-        return int(nearest)
-    return int(math.floor(x))
-
-
 def emp_quantile(beta: float, values: np.ndarray) -> float:
     """Order-statistic quantile: the ceil(beta * m)-th smallest of m values.
 

@@ -25,7 +25,6 @@ from mtconf import (
     fit_cdf,
     fit_method,
     intervals_for,
-    raw_threshold,
 )
 from mtconf.calibrate import _rank_levels, interval_array
 
@@ -85,15 +84,6 @@ def test_empirical_cdf_counts():
     assert np.allclose(cdf(np.array([0.5, 2.0])), [0.0, 2 / 3])
     with pytest.raises(ValueError):
         fit_cdf(np.array([]))
-
-
-def test_raw_threshold_cases():
-    cdf = fit_cdf(np.array([1.0, 2.0, 3.0, 4.0]))
-    assert raw_threshold(cdf, 0.5) == 2.0
-    assert math.isinf(raw_threshold(cdf, 0.0)) and raw_threshold(cdf, 0.0) < 0
-    assert raw_threshold(cdf, 1.0) == 4.0
-    with pytest.raises(ValueError):
-        raw_threshold(cdf, 1.1)
 
 
 def test_minimax_k1_covers_the_same_calibration_subset_as_single():

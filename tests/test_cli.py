@@ -2,13 +2,18 @@
 
 import csv
 import json
+import os
 import shutil
 import subprocess
+import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mtconf
+from mtconf import cli
 from mtconf.cli import (
     CSV_COLUMNS,
     ConfigError,
@@ -326,6 +331,26 @@ def test_label_sweep_rows(tmp_path):
     assert [p["x"] for p in plot] == ["1", "2"]
 
 
+def test_label_sweep_draws_with_the_configured_n_pred(tmp_path):
+    blobs = []
+    for n_pred in (8, 32):
+        config = tmp_path / f"n_pred_{n_pred}.ini"
+        config.write_text(
+            "[experiment]\nexperiment = multiround_labels\nlabel_values = 1, 2\n"
+            f"[rounds]\nn_pred = {n_pred}\n"
+        )
+        out = tmp_path / str(n_pred)
+        assert (
+            run_cli(
+                config, "--tau", "0.3", "--trials", "2", "--ntune", "100", "--ncal", "100",
+                "--ntest", "60", "--output-dir", out,
+            )
+            == 0
+        )
+        blobs.append((out / "results.csv").read_bytes())
+    assert blobs[0] != blobs[1]
+
+
 def test_manifest_echo_reproduces_the_run(tmp_path):
     first = tmp_path / "first"
     assert run_cli(*MULTIROUND, "--output-dir", first) == 0
@@ -371,11 +396,144 @@ def test_fmt_cells():
 
 def test_console_script_is_wired():
     exe = shutil.which("ctool")
-    if exe is None:
-        pytest.skip("console script not on PATH")
+    command = [exe] if exe else [sys.executable, "-m", "mtconf.cli"]
+    env = dict(os.environ)
+    src = str(Path(mtconf.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
-        [exe, "run", "--experiment", "table1", "--alphas", "2.0"],
-        capture_output=True, text=True,
+        [*command, "run", "--experiment", "table1", "--alphas", "2.0"],
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 2
     assert "config error" in proc.stderr
+
+
+# Every config field: its INI section, its flag (None if it has none), and a
+# text whose value differs from the default; together they form one valid
+# multiround config.
+FIELDS = {
+    "experiment": ("experiment", "--experiment", "multiround"),
+    "noise": ("experiment", "--noise", "correlated"),
+    "methods": ("experiment", "--methods", "cqr_minimax,ia"),
+    "alphas": ("experiment", "--alphas", "0.2,0.1"),
+    "seed": ("experiment", "--seed", "7"),
+    "output_dir": ("experiment", "--output-dir", "elsewhere"),
+    "threads": ("experiment", "--threads", "2"),
+    "runs": ("experiment", "--runs", "2"),
+    "tau": ("experiment", "--tau", "0.5"),
+    "ntrain_values": ("experiment", None, "5,9"),
+    "ntune_values": ("experiment", None, "60,70"),
+    "label_values": ("experiment", None, "2,3"),
+    "n_train": ("data", "--ntrain", "10"),
+    "n_tune": ("data", "--ntune", "40"),
+    "n_cal": ("data", "--ncal", "30"),
+    "n_test": ("data", "--ntest", "20"),
+    "trials": ("data", "--trials", "3"),
+    "rounds": ("rounds", None, "3"),
+    "tasks": ("rounds", None, "2"),
+    "sigma": ("rounds", None, "0.3,0.2,0.1"),
+    "rates": ("rounds", None, "4,2,1"),
+    "quantile_alpha": ("rounds", None, "0.2"),
+    "n_pred": ("rounds", None, "8"),
+}
+
+
+def write_ini(path, names):
+    sections: dict[str, list[str]] = {}
+    for name in names:
+        section, _, text = FIELDS[name]
+        sections.setdefault(section, []).append(f"{name} = {text}")
+    path.write_text("".join(f"[{s}]\n" + "\n".join(lines) + "\n" for s, lines in sections.items()))
+    return path
+
+
+def test_every_field_reads_the_same_from_its_ini_key_and_its_flag(tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("CTOOL_THREADS", raising=False)
+    monkeypatch.chdir(tmp_path)
+    assert set(FIELDS) == set(asdict(ExperimentConfig()))
+    flagged = [name for name, (_, flag, _) in FIELDS.items() if flag]
+    with pytest.raises(SystemExit):
+        main(["run", "--help"])
+    shown = {word.strip(",[]") for word in capsys.readouterr().out.split() if word.startswith("--")}
+    assert shown == {FIELDS[name][1] for name in flagged} | {"--help"}
+
+    assert run_cli(write_ini(tmp_path / "all.ini", FIELDS)) == 0
+    by_file = json.loads((tmp_path / "elsewhere" / "manifest.json").read_text())["config"]
+    results = (tmp_path / "elsewhere" / "results.csv").read_bytes()
+    flags = [arg for name in flagged for arg in FIELDS[name][1:]]
+    unflagged = [name for name in FIELDS if name not in flagged]
+    assert run_cli(write_ini(tmp_path / "rest.ini", unflagged), *flags) == 0
+    by_flag = json.loads((tmp_path / "elsewhere" / "manifest.json").read_text())["config"]
+    assert by_flag == by_file
+    assert (tmp_path / "elsewhere" / "results.csv").read_bytes() == results
+
+    defaults = asdict(build_config({"experiment": "multiround"}, {}))
+    defaults["experiment"] = ExperimentConfig().experiment
+    for name, value in by_file.items():
+        assert value != defaults[name], name
+    assert read_config_file(write_ini(tmp_path / "tau.ini", ["tau"]))["tau"] == 0.5
+    (tmp_path / "rounds_tau.ini").write_text("[rounds]\ntau = 0.5\n")
+    assert read_config_file(tmp_path / "rounds_tau.ini")["tau"] == 0.5
+
+
+def test_tau_auto_flag_overrides_the_file_through_main(tmp_path):
+    config = tmp_path / "fixed.ini"
+    config.write_text("[experiment]\ntau = 0.5\n")
+    out = tmp_path / "res"
+    assert run_cli(config, *MULTIROUND, "--tau", "auto", "--output-dir", out) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"]["tau"] is None
+    assert manifest["tau_used"]["0.1"] != 0.5
+
+
+@pytest.mark.parametrize(
+    "ini, message",
+    [
+        ("[rounds]\nrounds = 3\n", "sigma and rates need one entry per round"),
+        ("[rounds]\ntasks = 0\n", "rounds and tasks must be positive"),
+        (
+            "[experiment]\nmethods = qn_minimax\n[rounds]\nsigma = 0.4, 0.2, 0.1, 0.05, 0\n",
+            "method 'qn_minimax' divides scores by the quantile band width",
+        ),
+    ],
+)
+def test_bad_round_layouts_are_config_errors(tmp_path, capsys, ini, message):
+    config = tmp_path / "rounds.ini"
+    config.write_text(ini)
+    out = tmp_path / "res"
+    assert run_cli(config, *MULTIROUND, "--output-dir", out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ctool: config error: ") and message in err and err.count("\n") == 1
+    assert not (out / "results.csv").exists()
+
+
+def test_zero_sigma_is_fine_for_cqr_methods():
+    cfg = ExperimentConfig(
+        experiment="multiround", methods=("cqr_minimax",), sigma=(0.4, 0.2, 0.1, 0.05, 0.0)
+    )
+    assert cfg.sigma[-1] == 0.0
+
+
+def test_runner_value_errors_are_run_errors(tmp_path, capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("no trials today")
+
+    monkeypatch.setattr(cli, "run_trials", broken)
+    out = tmp_path / "res"
+    assert run_cli(*BENCH, "--output-dir", out) == 3
+    assert capsys.readouterr().err == "ctool: run error: no trials today\n"
+    assert not (out / "results.csv").exists()
+
+
+def test_a_failed_rerun_leaves_no_stale_manifest(tmp_path, monkeypatch):
+    out = tmp_path / "res"
+    assert run_cli(*BENCH, "--output-dir", out) == 0
+    assert (out / "manifest.json").exists()
+
+    def broken(rows, outdir):
+        raise ValueError("disk on fire")
+
+    monkeypatch.setattr(cli, "emit_plotdata", broken)
+    assert run_cli(*BENCH, "--seed", "5", "--output-dir", out) == 3
+    assert not (out / "manifest.json").exists()
+    assert sorted(p.name for p in out.iterdir() if p.name.endswith(".tmp")) == []
