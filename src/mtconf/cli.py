@@ -32,7 +32,7 @@ from . import __version__
 from .calibrate import Method, fit_method
 from .core import Role, SplitSpec, concat, derive_seed, partition, split_cal_test, trial_rng
 from .evaluate import TrialMetrics, run_trials
-from .multiround import pilot_tau, run_protocol, run_sc_baseline
+from .multiround import pilot_tau, run_protocol, run_sc_baseline, sweep_labels
 from .scores import ScoreKind, score_matrix
 from .synthetic import (
     NoiseKind,
@@ -161,16 +161,12 @@ def _run_size_sweep(cfg: ExperimentConfig, vary: str) -> tuple[list[dict], list[
         sized = replace(cfg, **{vary: value})
 
         def one_run(run: int, sized=sized, value=value) -> list[TrialMetrics]:
-            train = gen_synthetic(
-                sized.n_train, cfg.noise, derive_seed(cfg.seed, 0, value, run), role=Role.TRAIN
-            )
-            models = fit_quantile_models(train, alpha)
-            tune = predict_quantiles(
-                models,
-                gen_synthetic(
-                    sized.n_tune, cfg.noise, derive_seed(cfg.seed, 2, value, run), role=Role.TUNE
-                ),
-            )
+            def draw(n: int, stream: int, role: Role):
+                seed = derive_seed(cfg.seed, stream, value, run)
+                return gen_synthetic(n, cfg.noise, seed, role=role)
+
+            models = fit_quantile_models(draw(sized.n_train, 0, Role.TRAIN), alpha)
+            tune = predict_quantiles(models, draw(sized.n_tune, 2, Role.TUNE))
             pool = predict_quantiles(models, raw_pool)
             spec = SplitSpec(
                 seed=derive_seed(cfg.seed, 3, value, run),
@@ -243,25 +239,20 @@ def _run_multiround(cfg: ExperimentConfig) -> tuple[list[dict], list[str], dict]
 
 
 def _run_label_sweep(cfg: ExperimentConfig) -> tuple[list[dict], list[str], dict]:
-    """Every task count draws its data under the same seed; the generator keys
-    its substreams by task, so smaller counts see a prefix of larger ones."""
     alpha = cfg.alphas[0]
     # A pilot runs on the data of the configured task count.
     tau = _protocol_setup(cfg)[-1](alpha) if cfg.tau is None else cfg.tau
-    results = {}
-    for labels in cfg.label_values:
-        sized = replace(cfg, tasks=labels)
-        spec, tune, pool, _ = _protocol_setup(sized)
-        rc = sized.round_config(tau=tau)
-        for token in cfg.methods:
-            method, kind = METHOD_TOKENS[token]
-            results[token, labels] = run_protocol(
-                pool, tune, method, alpha, rc, cfg.trials, spec, kind
-            )
+    spec = SplitSpec(seed=cfg.seed, n_tune=cfg.n_tune, n_cal=cfg.n_cal, n_test=cfg.n_test)
     rows: list[dict] = []
-    for token, labels in product(cfg.methods, cfg.label_values):
-        kind = METHOD_TOKENS[token][1]
-        rows += _rows(cfg, token, kind, alpha, protocol=results[token, labels], sweep_value=labels)
+    for token in cfg.methods:
+        method, kind = METHOD_TOKENS[token]
+        results = sweep_labels(
+            list(cfg.label_values), cfg.round_config(tau=tau), method, alpha, cfg.trials, spec,
+            derive_seed(cfg.seed, 10), score_kind=kind, quantile_alpha=cfg.quantile_alpha,
+            n_pred=cfg.n_pred,
+        )
+        for labels, result in zip(cfg.label_values, results):
+            rows += _rows(cfg, token, kind, alpha, protocol=result, sweep_value=labels)
     return rows, [], {"tau_used": {_fmt(alpha): tau}}
 
 
@@ -354,7 +345,9 @@ class ExperimentConfig:
             raise ConfigError(str(err)) from err
         fits_models = EXPERIMENTS[self.experiment].fits_models
         if "single" in self.methods:
-            joint_targets = 3 if fits_models else self.rounds * self.tasks
+            # The label sweep calibrates every task count it lists.
+            swept = self.label_values if self.experiment == "multiround_labels" else ()
+            joint_targets = 3 if fits_models else self.rounds * max((self.tasks, *swept))
             if joint_targets > 1:
                 raise ConfigError(
                     "method 'single' calibrates exactly one target; this experiment has "
@@ -464,26 +457,24 @@ def _write_atomic(path: Path, write) -> None:
         tmp.unlink(missing_ok=True)
 
 
-def _plot_rows(rows: list[dict], x_of, series_of, value_key: str) -> list[dict]:
-    out = []
-    for row in rows:
-        if row.get(value_key) is None:
-            continue
-        out.append({"x": x_of(row), "series": series_of(row), "value": row[value_key]})
-    return out
+# Plot files hold (x, series, value) cells, formatted like the results CSV.
 
 
-def _esc_extremes(rows: list[dict], key: str, x_of) -> list[dict]:
+def _plot_rows(rows: list[dict], x_of, series_of, value_key: str) -> list[tuple]:
+    return [
+        (_fmt(x_of(row)), series_of(row), _fmt(row[value_key]))
+        for row in rows
+        if row[value_key] is not None
+    ]
+
+
+def _esc_extremes(rows: list[dict], key: str, x_of) -> list[tuple]:
     """Smallest and largest per-target coverage of each method at each ``key`` value."""
     out = []
-    for row in rows:
-        if row["target"] != 1:
-            continue
-        group = [r["esc"] for r in rows if r["method"] == row["method"] and r[key] == row[key]]
-        for stat in (min, max):
-            out.append(
-                {"x": x_of(row), "series": f"{row['method']}/{stat.__name__}", "value": stat(group)}
-            )
+    for row in (r for r in rows if r["target"] == 1):
+        name = row["method"]
+        group = [r["esc"] for r in rows if r["method"] == name and r[key] == row[key]]
+        out += [(_fmt(x_of(row)), f"{name}/{s.__name__}", _fmt(s(group))) for s in (min, max)]
     return out
 
 
@@ -496,7 +487,7 @@ def emit_plotdata(rows: list[dict], outdir: Path) -> list[Path]:
     if not rows:
         return []
     experiment = rows[0]["experiment"]
-    files: dict[str, list[dict]] = {}
+    files: dict[str, list[tuple]] = {}
     cov = lambda row: 1.0 - row["alpha"]
     sv = lambda row: row["sweep_value"]
     if experiment in ("table1", "coverage_sweep"):
@@ -513,8 +504,7 @@ def emit_plotdata(rows: list[dict], outdir: Path) -> list[Path]:
         files["plot_eac.csv"] = _plot_rows(rows, x_of, lambda r: r["method"], "eac")
         files["plot_ravg.csv"] = _plot_rows(rows, x_of, lambda r: r["method"], "r_avg")
     for name, content in files.items():
-        cells = [("x", "series", "value")]
-        cells += [(_fmt(entry["x"]), entry["series"], _fmt(entry["value"])) for entry in content]
+        cells = [("x", "series", "value"), *content]
         _write_atomic(outdir / name, lambda fh: csv.writer(fh).writerows(cells))
     return [outdir / name for name in files]
 

@@ -214,6 +214,7 @@ def sweep_labels(
     n: int | None = None,
     score_kind: ScoreKind = ScoreKind.CQR,
     quantile_alpha: float = 0.1,
+    n_pred: int = 32,
 ) -> list[ProtocolResult]:
     """Protocol results across task counts with nested draws.
 
@@ -227,7 +228,7 @@ def sweep_labels(
     results = []
     for labels in label_values:
         cfg = replace(base_cfg, tasks=labels)
-        data = gen_multiround(n, cfg, data_seed, quantile_alpha=quantile_alpha)
+        data = gen_multiround(n, cfg, data_seed, quantile_alpha=quantile_alpha, n_pred=n_pred)
         tune, cal, test = partition(data, spec)
         pool = concat([cal, test], Role.CAL)
         results.append(

@@ -507,6 +507,23 @@ def test_bad_round_layouts_are_config_errors(tmp_path, capsys, ini, message):
     assert not (out / "results.csv").exists()
 
 
+def test_single_on_a_label_sweep_is_checked_at_every_task_count(tmp_path, capsys):
+    one_round = dict(methods=("single",), rounds=1, tasks=1, sigma=(0.1,), rates=(1.0,))
+    assert ExperimentConfig(experiment="multiround", **one_round)
+    assert ExperimentConfig(experiment="multiround_labels", label_values=(1,), **one_round)
+    config = tmp_path / "labels.ini"
+    config.write_text(
+        "[experiment]\nexperiment = multiround_labels\nmethods = single\nlabel_values = 1, 2\n"
+        "[rounds]\nrounds = 1\ntasks = 1\nsigma = 0.1\nrates = 1\n"
+    )
+    out = tmp_path / "res"
+    assert run_cli(config, "--trials", "2", "--output-dir", out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ctool: config error: ") and "exactly one target" in err
+    assert "this experiment has 2" in err and err.count("\n") == 1
+    assert not (out / "results.csv").exists()
+
+
 def test_zero_sigma_is_fine_for_cqr_methods():
     cfg = ExperimentConfig(
         experiment="multiround", methods=("cqr_minimax",), sigma=(0.4, 0.2, 0.1, 0.05, 0.0)
