@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 
 import numpy as np
 
@@ -34,7 +35,6 @@ from .core import IntervalSet, QuantileRow
 from .scores import (
     ScoreKind,
     _ceil_rank,
-    emp_quantile,
     interval_bounds,
     intervals_from_row,
 )
@@ -87,11 +87,24 @@ def _order_statistic(cdf: EmpiricalCdf, j: int) -> float:
     return -math.inf if j == 0 else float(cdf.sorted_samples[j - 1])
 
 
-def conservative_level(n: int, alpha: float) -> float:
-    """Finite-sample quantile level ceil((1 - alpha) * (n + 1)) / n."""
+def _conformal_rank(n: int, alpha: float) -> int:
+    """The split-conformal rank ceil((1 - alpha) * (n + 1)) of n calibration scores."""
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
-    return _ceil_rank((1.0 - alpha) * (n + 1)) / n
+    return _ceil_rank((1.0 - alpha) * (n + 1))
+
+
+def _kth_smallest(values: np.ndarray, rank: int):
+    """The rank-th smallest of 1-d ``values``, +inf when rank exceeds their count;
+    every calibration threshold is one, of scores, row maxima or tuning ranks."""
+    if rank > values.size:
+        return math.inf
+    return np.partition(values, rank - 1)[rank - 1]
+
+
+def conservative_level(n: int, alpha: float) -> float:
+    """Finite-sample quantile level ceil((1 - alpha) * (n + 1)) / n."""
+    return _conformal_rank(n, alpha) / n
 
 
 @dataclass(frozen=True)
@@ -153,12 +166,12 @@ def calibrate_single(
 ) -> Calibration:
     """Split conformal threshold for one target.
 
-    The threshold is the ceil((1 - alpha) * (n + 1)) / n empirical quantile
-    of the calibration scores, +inf when that rank exceeds n (alpha too small
-    for the sample size to certify anything).
+    The threshold is the ceil((1 - alpha) * (n + 1))-th smallest calibration
+    score, +inf when that rank exceeds n (alpha too small for the sample size
+    to certify anything).
     """
     scores = _check_scores(scores, 1)
-    lam = emp_quantile(conservative_level(scores.size, alpha), scores)
+    lam = float(_kth_smallest(scores, _conformal_rank(scores.size, alpha)))
     return Calibration(method=Method.SINGLE, score_kind=score_kind, alpha=alpha, lam=lam)
 
 
@@ -171,82 +184,52 @@ def calibrate_ia(
     which yields joint coverage exactly 1 - alpha when the target scores are
     independent and over-covers under positive dependence.
     """
-    scores = _check_scores(scores, 2)
-    n_targets = scores.shape[1]
-    alpha_1 = 1.0 - (1.0 - alpha) ** (1.0 / n_targets)
-    zeta = np.array(
-        [calibrate_single(scores[:, k], alpha_1, score_kind).lam for k in range(n_targets)]
-    )
-    return Calibration(
-        method=Method.IA,
-        score_kind=score_kind,
-        alpha=alpha,
-        per_target_zeta=zeta,
-    )
+    return fit_method(Method.IA, scores, alpha, score_kind)
 
 
 def calibrate_maxscore(
     scores: np.ndarray, alpha: float, score_kind: ScoreKind = ScoreKind.QN
 ) -> Calibration:
     """Single-threshold calibration of the row-wise maximum score."""
-    scores = _check_scores(scores, 2)
-    lam = calibrate_single(scores.max(axis=1), alpha, score_kind).lam
-    return Calibration(method=Method.QN_MAX, score_kind=score_kind, alpha=alpha, lam=lam)
+    return fit_method(Method.QN_MAX, scores, alpha, score_kind)
 
 
-def _fit_cdfs(tune_scores: np.ndarray) -> tuple[EmpiricalCdf, ...]:
-    """One tuning CDF per target column."""
-    return tuple(fit_cdf(tune_scores[:, k]) for k in range(tune_scores.shape[1]))
-
-
-def _tuning_ranks(cdfs: tuple[EmpiricalCdf, ...], scores: np.ndarray) -> np.ndarray:
-    """(n, K) integer ranks: how many tuning scores of each target lie at or below.
-
-    A score's CDF value is its rank over m, so every comparison the CDF
-    methods make on transformed scores is an exact integer comparison here.
-    """
-    ranks = np.empty(scores.shape, dtype=np.intp)
-    for k, cdf in enumerate(cdfs):
-        ranks[:, k] = np.searchsorted(cdf.sorted_samples, scores[:, k], side="right")
-    return ranks
-
-
-def _rank_levels(method: Method, ranks: np.ndarray, m: int, alpha: float) -> np.ndarray:
+def _rank_levels(method: Method, row_max: np.ndarray, m: int, alpha: float, ranks=None) -> np.ndarray:
     """Integer per-target CDF levels j in [0, m] for MINIMAX or COPULA.
 
-    Calibration row i lies in the box of levels j when ranks[i] <= j in every
-    coordinate.  With required = ceil((1 - alpha)(n + 1)), MINIMAX shares one
-    level among all targets: the required-th smallest row maximum, which is
-    the least symmetric box holding ``required`` rows.  COPULA starts from
-    that point and cyclically lowers each coordinate to the required-th
+    Calibration row i lies in the box of levels j when its rank is at most
+    j[k] in every target row k of the (K, n) ``ranks``.  With required =
+    ceil((1 - alpha)(n + 1)), MINIMAX shares one level among all targets (once
+    without ``ranks``): the required-th smallest of the rows' largest ranks
+    ``row_max``, the least symmetric box holding ``required`` rows.  COPULA
+    starts there and cyclically lowers each coordinate to the required-th
     smallest rank among the rows the other coordinates keep inside, a value
     every time attained by some row; coordinates never rise, so the sweep
     ends at a componentwise-minimal box.  A running per-row count of inside
     coordinates tells which rows the others keep.  When ``required`` exceeds
     n no finite level certifies 1 - alpha and every level is m.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in (0, 1)")
-    n, n_targets = ranks.shape
-    required = _ceil_rank((1.0 - alpha) * (n + 1))
+    n = row_max.size
+    required = _conformal_rank(n, alpha)
+    n_targets = 1 if ranks is None else len(ranks)
     if required > n:
         return np.full(n_targets, m)
-    levels = np.full(n_targets, np.partition(ranks.max(axis=1), required - 1)[required - 1])
+    levels = np.full(n_targets, _kth_smallest(row_max, required))
     if method is Method.MINIMAX:
         return levels
-    below = ranks <= levels
-    inside = below.sum(axis=1)
+    below = ranks <= levels[:, None]
+    inside = below.sum(axis=0)
     changed = True
     while changed:
         changed = False
         for k in range(n_targets):
-            others = inside - below[:, k] == n_targets - 1
-            candidate = np.partition(ranks[others, k], required - 1)[required - 1]
+            others = inside - below[k] == n_targets - 1
+            candidate = _kth_smallest(ranks[k][others], required)
             if candidate < levels[k]:
                 levels[k] = candidate
-                inside -= below[:, k]
-                below[:, k] = ranks[:, k] <= candidate
-                inside += below[:, k]
+                inside -= below[k]
+                below[k] = ranks[k] <= candidate
+                inside += below[k]
                 changed = True
     return levels
 
@@ -254,18 +237,20 @@ def _rank_levels(method: Method, ranks: np.ndarray, m: int, alpha: float) -> np.
 def _calibrate_ranks(
     method: Method,
     cdfs: tuple[EmpiricalCdf, ...],
-    ranks: np.ndarray,
+    row_max: np.ndarray,
     alpha: float,
     score_kind: ScoreKind,
+    ranks: np.ndarray | None = None,
 ) -> Calibration:
     """MINIMAX or COPULA calibration from the calibration rows' tuning ranks.
 
-    A level j maps back to the j-th tuning order statistic of its target
-    (-inf at j = 0); level m accepts every transformed score, so it maps to
-    +inf rather than to the largest tuning sample.
+    ``row_max`` holds each row's largest rank and ``ranks`` (COPULA only) all
+    of them.  A level j maps back to the j-th tuning order statistic of its
+    target (-inf at j = 0); level m accepts every transformed score, so it
+    maps to +inf rather than to the largest tuning sample.
     """
     m = cdfs[0].m
-    levels = _rank_levels(method, ranks, m, alpha)
+    levels = np.broadcast_to(_rank_levels(method, row_max, m, alpha, ranks), (len(cdfs),))
     zeta = [math.inf if j == m else _order_statistic(cdf, j) for cdf, j in zip(cdfs, levels)]
     return Calibration(
         method=method,
@@ -276,21 +261,6 @@ def _calibrate_ranks(
         per_target_level=levels / m,
         cdfs=cdfs,
     )
-
-
-def _calibrate_tuned(
-    method: Method,
-    tune_scores: np.ndarray,
-    cal_scores: np.ndarray,
-    alpha: float,
-    score_kind: ScoreKind,
-) -> Calibration:
-    tune_scores = _check_scores(tune_scores, 2)
-    cal_scores = _check_scores(cal_scores, 2)
-    if tune_scores.shape[1] != cal_scores.shape[1]:
-        raise ValueError("tuning and calibration scores disagree on target count")
-    cdfs = _fit_cdfs(tune_scores)
-    return _calibrate_ranks(method, cdfs, _tuning_ranks(cdfs, cal_scores), alpha, score_kind)
 
 
 def calibrate_minimax(
@@ -310,7 +280,7 @@ def calibrate_minimax(
     overflow (too few calibration rows for the level) gives level 1 and
     infinite thresholds.
     """
-    return _calibrate_tuned(Method.MINIMAX, tune_scores, cal_scores, alpha, score_kind)
+    return fit_method(Method.MINIMAX, cal_scores, alpha, score_kind, tune_scores)
 
 
 def calibrate_copula(
@@ -330,7 +300,75 @@ def calibrate_copula(
     ``_rank_levels`` returns a box no single level can shrink, which need
     not have the least sum.
     """
-    return _calibrate_tuned(Method.COPULA, tune_scores, cal_scores, alpha, score_kind)
+    return fit_method(Method.COPULA, cal_scores, alpha, score_kind, tune_scores)
+
+
+@dataclass(frozen=True)
+class _ScoredPool:
+    """What ``method`` reads of a set of scored rows, computed once; a
+    calibration on any subset of the rows gathers from here.
+
+    ``columns`` holds the checked scores target by target, (K, n).  Per
+    column block a calibration may cover (``blocks``), ``row_max[b]`` is each
+    row's largest score (QN_MAX) or tuning rank (MINIMAX, COPULA) in it; the
+    CDF methods keep the tuning ``cdfs`` and COPULA the (K, n) ``ranks``.
+    """
+
+    method: Method
+    score_kind: ScoreKind
+    columns: np.ndarray
+    blocks: tuple[slice, ...]
+    row_max: np.ndarray | None = None
+    cdfs: tuple[EmpiricalCdf, ...] | None = None
+    ranks: np.ndarray | None = None
+
+    def calibrate(self, rows: np.ndarray, alpha: float, block: int = 0) -> Calibration:
+        """Calibrate on rows ``rows`` and the target columns ``blocks[block]``."""
+        method, kind, cols = self.method, self.score_kind, self.blocks[block]
+        n = rows.size
+        rank = _conformal_rank(n, alpha)
+        if self.row_max is None:  # SINGLE or IA: one threshold per target row
+            cal = np.take(self.columns[cols], rows, axis=1)
+            if method is Method.IA:
+                rank = _conformal_rank(n, 1.0 - (1.0 - alpha) ** (1.0 / len(cal)))
+            zeta = np.array([_kth_smallest(col, rank) for col in cal], dtype=np.float64)
+            lam = float(zeta[0]) if method is Method.SINGLE else None
+            return Calibration(method, kind, alpha, lam=lam, per_target_zeta=zeta)
+        row_max = np.take(self.row_max[block], rows)
+        if method is Method.QN_MAX:
+            return Calibration(method, kind, alpha, lam=float(_kth_smallest(row_max, rank)))
+        ranks = None if self.ranks is None else np.take(self.ranks[cols], rows, axis=1)
+        return _calibrate_ranks(method, self.cdfs[cols], row_max, alpha, kind, ranks)
+
+
+def _score_rows(
+    method: Method, score_kind: ScoreKind, scores, tune_scores=None, blocks=(slice(None),)
+) -> _ScoredPool:
+    """Check (n, K) scores once and reduce them to what ``method`` reads."""
+    if not isinstance(method, Method):
+        raise ValueError(f"unknown method {method!r}")
+    scores = _check_scores(scores, 2)
+    if method is Method.SINGLE and any(scores[:, cols].shape[1] != 1 for cols in blocks):
+        raise ValueError("SINGLE calibration applies to exactly one target")
+    columns = np.ascontiguousarray(scores.T)
+    pool = partial(_ScoredPool, method, score_kind, columns, blocks)
+    block_max = lambda rows: np.stack([rows[cols].max(axis=0) for cols in blocks])
+    if method in (Method.SINGLE, Method.IA):
+        return pool()
+    if method is Method.QN_MAX:
+        return pool(block_max(columns))
+    if tune_scores is None:
+        raise ValueError(f"{method.value} calibration needs tuning scores")
+    tune_scores = _check_scores(tune_scores, 2)
+    if tune_scores.shape[1] != scores.shape[1]:
+        raise ValueError("tuning and calibration scores disagree on target count")
+    cdfs = tuple(fit_cdf(col) for col in tune_scores.T)
+    # (K, n) integer ranks: how many tuning scores of each target lie at or
+    # below.  A CDF value is its rank over m, so the CDF methods compare integers.
+    ranks = np.stack(
+        [np.searchsorted(c.sorted_samples, col, side="right") for c, col in zip(cdfs, columns)]
+    )
+    return pool(block_max(ranks), cdfs, ranks if method is Method.COPULA else None)
 
 
 def fit_method(
@@ -341,29 +379,8 @@ def fit_method(
     tune_scores: np.ndarray | None = None,
 ) -> Calibration:
     """Calibrate ``method`` on the given scores; one entry point for harnesses."""
-    if method is Method.SINGLE:
-        cal_scores = _check_scores(cal_scores, 2)
-        if cal_scores.shape[1] != 1:
-            raise ValueError("SINGLE calibration applies to exactly one target")
-        cal = calibrate_single(cal_scores[:, 0], alpha, score_kind)
-        return Calibration(
-            method=Method.SINGLE,
-            score_kind=score_kind,
-            alpha=alpha,
-            lam=cal.lam,
-            per_target_zeta=np.array([cal.lam]),
-        )
-    if method is Method.IA:
-        return calibrate_ia(cal_scores, alpha, score_kind)
-    if method is Method.QN_MAX:
-        return calibrate_maxscore(cal_scores, alpha, score_kind)
-    if tune_scores is None:
-        raise ValueError(f"{method.value} calibration needs tuning scores")
-    if method is Method.MINIMAX:
-        return calibrate_minimax(tune_scores, cal_scores, alpha, score_kind)
-    if method is Method.COPULA:
-        return calibrate_copula(tune_scores, cal_scores, alpha, score_kind)
-    raise ValueError(f"unknown method {method!r}")
+    pool = _score_rows(method, score_kind, cal_scores, tune_scores)
+    return pool.calibrate(np.arange(pool.columns.shape[1]), alpha)
 
 
 def intervals_for(q: QuantileRow, calib: Calibration) -> IntervalSet:

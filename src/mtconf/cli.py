@@ -336,8 +336,6 @@ class ExperimentConfig:
         for token in self.methods:
             if token not in METHOD_TOKENS:
                 raise ConfigError(f"unknown method {token!r}; known: {', '.join(METHOD_TOKENS)}")
-        if not self.methods:
-            raise ConfigError("methods must not be empty")
         try:
             # The round layout's own checks, tau included (a placeholder when piloted).
             self.round_config(tau=1.0 if self.tau is None else self.tau)
@@ -362,8 +360,8 @@ class ExperimentConfig:
         for a in self.alphas:
             if not 0.0 < a < 1.0:
                 raise ConfigError(f"alphas are miscoverage rates in (0, 1), got {a}")
-        if not self.alphas:
-            raise ConfigError("alphas must not be empty")
+        if not 0.0 < self.quantile_alpha < 1.0:
+            raise ConfigError(f"quantile_alpha must lie in (0, 1), got {self.quantile_alpha}")
         for name in ("n_train", "n_tune", "n_cal", "n_test", "trials", "threads", "runs"):
             # Only the experiments that fit quantile models need training data.
             least = 0 if name == "n_train" and not fits_models else 1
@@ -374,6 +372,8 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must all be at least 1, got {getattr(self, name)}")
         for name in ("methods", "alphas", "ntrain_values", "ntune_values", "label_values"):
             values = getattr(self, name)
+            if not values:
+                raise ConfigError(f"{name} must not be empty")
             repeated = sorted({v for v in values if values.count(v) > 1})
             if repeated:
                 raise ConfigError(f"{name} lists {', '.join(map(str, repeated))} more than once")

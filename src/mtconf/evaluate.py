@@ -4,8 +4,9 @@ Each trial re-splits a fixed evaluation pool into calibration and test sets,
 calibrates one method, and records the joint-coverage indicator, per-target
 coverage, and per-target interval lengths averaged over the test set.  The
 tuning set is drawn once outside this module and stays fixed across trials.
-The pool is scored, and ranked in the sorted tuning columns, once per cell;
-a trial only draws its split as row indices and gathers those rows.
+The pool is scored, and ranked in the sorted tuning columns, once per cell,
+together with every other per-cell invariant (row maxima, band-width
+ratios); a trial only draws its split as row indices and gathers those rows.
 
 Per-trial results are written into preallocated arrays indexed by trial and
 reduced with numpy means (pairwise summation), so the reported metrics do not
@@ -17,16 +18,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .calibrate import Calibration, EmpiricalCdf, Method, coverage_mask, fit_method, interval_array
-from .calibrate import _calibrate_ranks, _fit_cdfs, _tuning_ranks
+from .calibrate import Calibration, Method, _score_rows, _ScoredPool
 
-# split_cal_test is imported only for perfbench/layers.py, which times the
-# split layer by rebinding that name in this module.
+# split_cal_test, fit_method, coverage_mask and interval_array are imported
+# only for perfbench/layers.py, which times layers by rebinding those names
+# in this module.
+from .calibrate import coverage_mask, fit_method, interval_array  # noqa: F401
 from .core import LabeledSet, SplitSpec, split_cal_test, split_indices, trial_rng  # noqa: F401
-from .scores import ScoreKind, score_matrix
+from .scores import ScoreKind, _scale_ratios, interval_bounds, score_matrix
 
 
 @dataclass(frozen=True)
@@ -54,56 +57,35 @@ class TrialMetrics:
         object.__setattr__(self, "mil", mil)
 
 
-@dataclass(frozen=True)
-class _ScoredPool:
-    """What every trial of one cell shares, computed once per cell.
-
-    ``scores`` are the pool's (n, K) scores; a trial gathers its rows instead
-    of re-scoring them.  For MINIMAX and COPULA, ``cdfs`` holds the sorted
-    tuning columns and ``ranks`` each pool row's integer rank in them, so a
-    trial calibrates on gathered ranks without sorting or searching.
-    """
-
-    method: Method
-    score_kind: ScoreKind
-    scores: np.ndarray
-    cdfs: tuple[EmpiricalCdf, ...] | None = None
-    ranks: np.ndarray | None = None
-
-    def calibrate(self, rows: np.ndarray, alpha: float, cols: slice = slice(None)) -> Calibration:
-        """Calibrate on pool rows ``rows`` and target columns ``cols``."""
-        if self.ranks is None:
-            return fit_method(self.method, self.scores[rows, cols], alpha, self.score_kind)
-        return _calibrate_ranks(
-            self.method, self.cdfs[cols], self.ranks[rows, cols], alpha, self.score_kind
-        )
-
-
 def _score_pool(
-    data: LabeledSet, tune: LabeledSet, method: Method, score_kind: ScoreKind
+    data: LabeledSet, tune: LabeledSet, method: Method, score_kind: ScoreKind, blocks=(slice(None),)
 ) -> _ScoredPool:
+    """Score the pool, and the tuning set for the CDF methods, once per cell."""
     scores = score_matrix(data.lo, data.hi, data.targets, score_kind)
-    if method not in (Method.MINIMAX, Method.COPULA):
-        return _ScoredPool(method, score_kind, scores)
-    cdfs = _fit_cdfs(score_matrix(tune.lo, tune.hi, tune.targets, score_kind))
-    return _ScoredPool(method, score_kind, scores, cdfs, _tuning_ranks(cdfs, scores))
+    tune_scores = None
+    if method in (Method.MINIMAX, Method.COPULA):
+        tune_scores = score_matrix(tune.lo, tune.hi, tune.targets, score_kind)
+    return _score_rows(method, score_kind, scores, tune_scores, blocks)
 
 
 def evaluate_calibration(
-    calib: Calibration, scores: np.ndarray, lo: np.ndarray, hi: np.ndarray
+    calib: Calibration, columns: np.ndarray, lo: np.ndarray, hi: np.ndarray, ratios=None
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Joint coverage, per-target coverage, and mean lengths on one test set.
 
-    ``scores`` are the test rows' (n, K) scores and ``lo``/``hi`` their
-    quantile bands.
+    ``columns`` are the test rows' scores target by target, (K, n), and
+    ``lo``/``hi`` their (n, K) quantile bands, with width ``ratios`` when
+    given.  Coverage is counted along the target rows; the lengths average
+    over the (n, K) rows, so each target's mean sums in row order.
     """
-    covered = coverage_mask(scores, calib)
-    ilo, ihi = interval_array(lo, hi, calib)
-    lengths = np.maximum(0.0, ihi - ilo)
+    margins = calib.margins(lo.shape[1])
+    covered = columns <= margins[:, None]
+    n = covered.shape[1]
+    ilo, ihi = interval_bounds(lo, hi, margins, calib.score_kind, ratios)
     return (
-        float(covered.all(axis=1).mean()),
-        covered.mean(axis=0),
-        lengths.mean(axis=0),
+        np.count_nonzero(np.logical_and.reduce(covered, axis=0)) / n,
+        covered.sum(axis=1) / n,
+        np.maximum(0.0, ihi - ilo).mean(axis=0),
     )
 
 
@@ -125,15 +107,17 @@ def run_trials(
     if trials < 1:
         raise ValueError("need at least one trial")
     pool = _score_pool(data, tune, method, score_kind)
+    ratios = _scale_ratios(data.lo, data.hi) if score_kind.normalized else None
     n_targets = data.n_targets
     ejc = np.empty(trials)
     esc = np.empty((trials, n_targets))
     mil = np.empty((trials, n_targets))
     for t in range(trials):
         cal, test = split_indices(data.n, spec.n_cal, spec.n_test, trial_rng(spec, t))
-        calib = pool.calibrate(cal, alpha)
+        rows = partial(np.take, indices=test, axis=0)
         ejc[t], esc[t], mil[t] = evaluate_calibration(
-            calib, pool.scores[test], data.lo[test], data.hi[test]
+            pool.calibrate(cal, alpha), np.take(pool.columns, test, axis=1),
+            rows(data.lo), rows(data.hi), ratios if ratios is None else rows(ratios),
         )
     return TrialMetrics(
         ejc=float(ejc.mean()),

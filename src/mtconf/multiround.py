@@ -16,12 +16,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-# fit_method, split_cal_test and score_matrix are imported only for
-# perfbench/layers.py, which times those layers by rebinding them here.
+# fit_method, coverage_mask, interval_array, split_cal_test and score_matrix
+# are imported only for perfbench/layers.py, which times those layers by
+# rebinding them here.
 from .calibrate import Calibration, Method, coverage_mask, fit_method, interval_array  # noqa: F401
 from .core import LabeledSet, Role, SplitSpec, concat, partition, split_cal_test, split_indices, trial_rng  # noqa: F401
 from .evaluate import _score_pool
-from .scores import ScoreKind, score_matrix  # noqa: F401
+from .scores import ScoreKind, _scale_ratios, interval_bounds, score_matrix  # noqa: F401
 from .synthetic import RoundConfig, gen_multiround
 
 
@@ -50,16 +51,15 @@ class ProtocolResult:
         object.__setattr__(self, "histogram", hist)
 
 
-def _stop_lengths(
-    lo: np.ndarray, hi: np.ndarray, calib: Calibration, floor: float
-) -> np.ndarray:
-    """Interval lengths used by the stopping rule, (n, K).
+def _stop_lengths(lo, hi, margins, kind: ScoreKind, floor: float, ratios=None) -> np.ndarray:
+    """Interval lengths used by the stopping rule, in the bands' layout.
 
-    One-sided intervals have no finite length, so the rule measures the upper
-    endpoint against a configured floor instead.
+    ``margins`` (and ``ratios``, which (K, n) bands of normalized kinds need)
+    broadcast against the bands.  One-sided intervals have no finite length,
+    so the rule measures the upper endpoint against a configured floor.
     """
-    ilo, ihi = interval_array(lo, hi, calib)
-    if calib.score_kind.one_sided:
+    ilo, ihi = interval_bounds(lo, hi, margins, kind, ratios)
+    if kind.one_sided:
         return ihi - floor
     return np.maximum(0.0, ihi - ilo)
 
@@ -67,14 +67,15 @@ def _stop_lengths(
 def _walk(
     lengths: np.ndarray, covered: np.ndarray, cfg: RoundConfig
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Accepted round index and accepted-round coverage per test sample."""
-    n = lengths.shape[0]
-    ok = (lengths <= cfg.tau).reshape(n, cfg.rounds, cfg.tasks).all(axis=2)
-    any_ok = ok.any(axis=1)
-    accepted = np.where(any_ok, ok.argmax(axis=1), cfg.rounds - 1)
-    cov_round = covered.reshape(n, cfg.rounds, cfg.tasks).all(axis=2)
-    accepted_cov = cov_round[np.arange(n), accepted]
-    return accepted, accepted_cov
+    """Accepted round index and accepted-round coverage per test sample, from
+    (K, n) target rows; a round holds where all of its task rows do."""
+    n = lengths.shape[1]
+    shape = (cfg.rounds, cfg.tasks, n)
+    ok = np.logical_and.reduce((lengths <= cfg.tau).reshape(shape), axis=1)
+    accepted = np.full(n, cfg.rounds - 1)
+    for b in range(cfg.rounds - 2, -1, -1):
+        accepted[ok[b]] = b
+    return accepted, np.logical_and.reduce(covered.reshape(shape), axis=1)[accepted, np.arange(n)]
 
 
 def _round_slice(cfg: RoundConfig, b: int) -> slice:
@@ -99,33 +100,31 @@ def _protocol_trials(
         raise ValueError("data does not match the round layout")
     # Calibrated round by round, single-task rounds use plain split conformal.
     fit = Method.SINGLE if per_round and cfg.tasks == 1 else method
-    pool = _score_pool(data, tune, fit, score_kind)
+    blocks = tuple(_round_slice(cfg, b) for b in range(cfg.rounds)) if per_round else (slice(None),)
+    pool = _score_pool(data, tune, fit, score_kind, blocks)
+    # A trial gathers (K, n) target rows: scores, bands and the width ratios.
+    stacked = [pool.columns, data.lo.T, data.hi.T]
+    if score_kind.normalized:
+        stacked.append(_scale_ratios(data.lo, data.hi).T)
+    stacked = np.stack(stacked)
     eac = np.empty(trials)
     inv_rate = np.empty(trials)
     ejc_all = np.empty(trials)
     hist = np.zeros(cfg.rounds, dtype=np.int64)
-    rates = np.asarray(cfg.rates, dtype=np.float64)
+    inv_rates = 1.0 / np.asarray(cfg.rates, dtype=np.float64)
+    n = spec.n_test
     for t in range(trials):
         cal, test = split_indices(data.n, spec.n_cal, spec.n_test, trial_rng(spec, t))
-        if per_round:
-            zetas = np.empty(cfg.n_targets)
-            for b in range(cfg.rounds):
-                cols = _round_slice(cfg, b)
-                zetas[cols] = pool.calibrate(cal, alpha, cols).margins(cfg.tasks)
-            calib = Calibration(
-                method=method,
-                score_kind=score_kind,
-                alpha=alpha,
-                per_target_zeta=zetas,
-            )
-        else:
-            calib = pool.calibrate(cal, alpha)
-        covered = coverage_mask(pool.scores[test], calib)
-        lengths = _stop_lengths(data.lo[test], data.hi[test], calib, length_floor)
+        margins = np.empty((cfg.n_targets, 1))
+        for b, cols in enumerate(blocks):
+            margins[cols, 0] = pool.calibrate(cal, alpha, b).margins(len(margins[cols]))
+        scores, lo, hi, *ratios = np.take(stacked, test, axis=2)
+        covered = scores <= margins
+        lengths = _stop_lengths(lo, hi, margins, score_kind, length_floor, *ratios)
         accepted, accepted_cov = _walk(lengths, covered, cfg)
-        eac[t] = accepted_cov.mean()
-        inv_rate[t] = np.mean(1.0 / rates[accepted])
-        ejc_all[t] = covered.all(axis=1).mean()
+        eac[t] = np.count_nonzero(accepted_cov) / n
+        inv_rate[t] = np.mean(inv_rates[accepted])
+        ejc_all[t] = np.count_nonzero(np.logical_and.reduce(covered, axis=0)) / n
         hist += np.bincount(accepted, minlength=cfg.rounds)
     return ProtocolResult(
         eac=float(eac.mean()),
@@ -199,7 +198,8 @@ def pilot_tau(
     if calib is None:
         lengths = data.hi[:, cols] - data.lo[:, cols]
     else:
-        lengths = _stop_lengths(data.lo, data.hi, calib, length_floor)[:, cols]
+        margins = calib.margins(data.n_targets)
+        lengths = _stop_lengths(data.lo, data.hi, margins, calib.score_kind, length_floor)[:, cols]
     return float(np.quantile(lengths.max(axis=1), quantile))
 
 

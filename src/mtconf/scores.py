@@ -188,19 +188,23 @@ def interval_bounds(
     hi: np.ndarray,
     zetas: float | np.ndarray,
     kind: ScoreKind,
+    ratios: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized ``invert_threshold`` over (n, K) quantile arrays.
 
     ``zetas`` is a scalar margin shared by all targets or a (K,) vector of
-    per-target margins, in the score's own domain.
+    per-target margins, in the score's own domain; it broadcasts against the
+    bands.  The normalized kinds divide every finite margin by the band-width
+    ratio, taken from ``ratios`` when given (``_scale_ratios(lo, hi)``
+    otherwise).
     """
     lo = np.asarray(lo, dtype=np.float64)
     hi = np.asarray(hi, dtype=np.float64)
-    margins = np.broadcast_to(np.asarray(zetas, dtype=np.float64), lo.shape).copy()
+    margins = np.asarray(zetas, dtype=np.float64)
     if kind.normalized:
+        scaled = margins / (_scale_ratios(lo, hi) if ratios is None else ratios)
         finite = np.isfinite(margins)
-        ratios = _scale_ratios(lo, hi)
-        margins[finite] = margins[finite] / np.broadcast_to(ratios, lo.shape)[finite]
+        margins = scaled if finite.all() else np.where(finite, scaled, margins)
     out_hi = hi + margins
     if kind.one_sided:
         out_lo = np.full_like(out_hi, -math.inf)

@@ -136,12 +136,24 @@ def fit_quantreg(
     b_acc = 0.0
     n_tail = max(1, hyper.epochs // 4)
     tail_start = hyper.epochs - n_tail + 1
+    # One epoch in preallocated buffers: the prediction, the below-line mask,
+    # and the subgradient's two rows (coeff * u and coeff), summed in one call.
+    n = us.size
+    pred = np.empty(n)
+    below = np.empty(n, dtype=bool)
+    rows = np.empty((2, n))
+    grad, coeff = rows
     for epoch in range(1, hyper.epochs + 1):
-        residual = zs - (w * us + b)
-        coeff = level - (residual < 0.0)
+        np.multiply(us, w, out=pred)
+        np.add(pred, b, out=pred)
+        # For finite doubles, zs - pred < 0 exactly when zs < pred.
+        np.less(zs, pred, out=below)
+        np.subtract(level, below, out=coeff)
+        np.multiply(coeff, us, out=grad)
+        dw, db = np.add.reduce(rows, axis=1) / n
         lr = hyper.step / math.sqrt(epoch)
-        w += lr * float(np.mean(coeff * us))
-        b += lr * float(np.mean(coeff))
+        w += lr * float(dw)
+        b += lr * float(db)
         if epoch >= tail_start:
             w_acc += w
             b_acc += b
@@ -252,6 +264,8 @@ def gen_multiround(
         raise ValueError("need at least one sample")
     if n_pred < 2:
         raise ValueError("need at least two prediction samples per round")
+    if not 0.0 < quantile_alpha < 1.0:
+        raise ValueError("quantile_alpha must lie in (0, 1)")
     truths = np.column_stack(
         [rng_for(seed, 0, l).uniform(0.0, 1.0, size=n) for l in range(cfg.tasks)]
     )

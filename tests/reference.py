@@ -1,0 +1,42 @@
+"""The harness's original evaluation arithmetic, kept as the equivalence oracle.
+
+``tests/test_eval.py`` and ``tests/test_multiround.py`` rebuild the Monte
+Carlo loops from public per-trial pieces and require the library loops to
+return exactly the same numbers.  Their evaluation must not call the code
+under test, so these are test-local copies of the arithmetic as first
+written: short-axis means and ``all`` over (n, K) boolean masks, margins
+expanded to (n, K) before the width ratios divide the finite ones, and the
+reshape-``all`` protocol walk.
+"""
+
+import numpy as np
+
+
+def reference_bounds(lo, hi, zetas, kind):
+    """Interval endpoints for (n, K) bands and scalar or (K,) margins."""
+    margins = np.broadcast_to(np.asarray(zetas, dtype=np.float64), lo.shape).copy()
+    if kind.normalized:
+        widths = hi - lo
+        ratios = widths[:, :1] / widths
+        finite = np.isfinite(margins)
+        margins[finite] = margins[finite] / ratios[finite]
+    out_hi = hi + margins
+    out_lo = np.full_like(out_hi, -np.inf) if kind.one_sided else lo - margins
+    return out_lo, out_hi
+
+
+def reference_evaluation(calib, scores, lo, hi):
+    """Joint coverage, per-target coverage and mean lengths of (n, K) test rows."""
+    covered = scores <= calib.margins(scores.shape[1])
+    ilo, ihi = reference_bounds(lo, hi, calib.margins(lo.shape[1]), calib.score_kind)
+    lengths = np.maximum(0.0, ihi - ilo)
+    return float(covered.all(axis=1).mean()), covered.mean(axis=0), lengths.mean(axis=0)
+
+
+def reference_walk(lengths, covered, cfg):
+    """Accepted round and accepted-round coverage from (n, K) lengths and coverage."""
+    n = lengths.shape[0]
+    ok = (lengths <= cfg.tau).reshape(n, cfg.rounds, cfg.tasks).all(axis=2)
+    accepted = np.where(ok.any(axis=1), ok.argmax(axis=1), cfg.rounds - 1)
+    cov_round = covered.reshape(n, cfg.rounds, cfg.tasks).all(axis=2)
+    return accepted, cov_round[np.arange(n), accepted]

@@ -26,7 +26,8 @@ from mtconf import (
     fit_method,
     intervals_for,
 )
-from mtconf.calibrate import _rank_levels, interval_array
+from mtconf.calibrate import _kth_smallest, _rank_levels, interval_array
+from mtconf.scores import score_matrix
 
 
 def test_single_order_statistic_cases():
@@ -330,7 +331,7 @@ def test_rank_levels_hold_the_conformal_mass_and_are_minimal(table, percent, met
     ranks, m = table
     n, n_targets = ranks.shape
     need = required_rows(percent, n)
-    levels = _rank_levels(method, ranks, m, percent / 100)
+    levels = _rank_levels(method, ranks.max(axis=1), m, percent / 100, ranks.T)
     if need > n:
         assert np.all(levels == m)
         return
@@ -358,8 +359,8 @@ def test_minimax_rank_level_is_monotone_in_alpha(table, a, b):
     ranks, m = table
     small, large = sorted((a, b))
     assert np.all(
-        _rank_levels(Method.MINIMAX, ranks, m, small / 100)
-        >= _rank_levels(Method.MINIMAX, ranks, m, large / 100)
+        _rank_levels(Method.MINIMAX, ranks.max(axis=1), m, small / 100)
+        >= _rank_levels(Method.MINIMAX, ranks.max(axis=1), m, large / 100)
     )
 
 
@@ -381,6 +382,83 @@ def test_copula_levels_are_not_monotone_in_alpha():
     # The descent stops at a componentwise-minimal box, not at the least sum:
     # at alpha = 0.6 it returns (5, 5) though (1, 6) also holds the 5 rows.
     ranks = np.array([(5, 1), (5, 2), (5, 3), (5, 4), (5, 5)] + [(1, 6)] * 6)
-    assert _rank_levels(Method.COPULA, ranks, 6, 0.6).tolist() == [5, 5]
-    assert _rank_levels(Method.COPULA, ranks, 6, 0.55).tolist() == [1, 6]
+    assert _rank_levels(Method.COPULA, ranks.max(axis=1), 6, 0.6, ranks.T).tolist() == [5, 5]
+    assert _rank_levels(Method.COPULA, ranks.max(axis=1), 6, 0.55, ranks.T).tolist() == [1, 6]
     assert rows_inside(ranks, np.array([1, 6])) >= required_rows(60, 11)
+
+
+@given(
+    arrays(np.float64, st.integers(1, 50), elements=st.integers(-8, 8).map(float)),
+    st.integers(1, 60),
+)
+@settings(max_examples=300, deadline=None)
+def test_order_statistic_core_is_the_sorted_entry_or_inf(values, rank):
+    before = values.copy()
+    got = _kth_smallest(values, rank)
+    assert got == (math.inf if rank > values.size else np.sort(values)[rank - 1])
+    assert np.array_equal(values, before)
+    ranks = values.astype(np.int64) + 8
+    if rank <= ranks.size:
+        assert _kth_smallest(ranks, rank) == np.sort(ranks)[rank - 1]
+
+
+@given(
+    arrays(np.float64, st.tuples(st.integers(1, 40), st.integers(1, 4)),
+           elements=st.integers(-6, 6).map(float)),
+    st.integers(1, 99),
+)
+@settings(max_examples=300, deadline=None)
+def test_calibrators_take_the_exact_conformal_rank(scores, percent):
+    alpha = percent / 100
+    n, n_targets = scores.shape
+
+    def order_stat(values, need):
+        return math.inf if need > n else np.sort(values)[need - 1]
+
+    need = required_rows(percent, n)
+    assert calibrate_single(scores[:, 0], alpha).lam == order_stat(scores[:, 0], need)
+    assert calibrate_maxscore(scores, alpha).lam == order_stat(scores.max(axis=1), need)
+    zeta = calibrate_ia(scores, alpha).per_target_zeta
+    # IA's level (1 - alpha)^(1/K) is irrational in general; a float level
+    # within 1e-6 ranks of an integer rank means that integer.
+    x = Fraction((1.0 - alpha) ** (1.0 / n_targets)) * (n + 1)
+    need_1 = round(x) if abs(x - round(x)) < Fraction(1, 10**6) else math.ceil(x)
+    assert zeta.tolist() == [order_stat(scores[:, k], need_1) for k in range(n_targets)]
+
+
+@given(
+    arrays(np.float64, st.tuples(st.integers(1, 40), st.integers(1, 4)),
+           elements=st.integers(-6, 6).map(float)),
+    st.integers(1, 99),
+    st.integers(1, 99),
+)
+@settings(max_examples=200, deadline=None)
+def test_ia_and_maxscore_thresholds_are_monotone_in_alpha(scores, a, b):
+    small, large = sorted((a, b))
+    wide = calibrate_ia(scores, small / 100).per_target_zeta
+    assert np.all(wide >= calibrate_ia(scores, large / 100).per_target_zeta)
+    lam = [calibrate_maxscore(scores, percent / 100).lam for percent in (small, large)]
+    assert lam[0] >= lam[1]
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(list(Method)),
+    st.sampled_from(list(ScoreKind)),
+    st.sampled_from([0.3, 0.1, 0.01]),
+)
+@settings(max_examples=150, deadline=None)
+def test_coverage_mask_agrees_with_interval_array_for_fitted_methods(seed, method, kind, alpha):
+    rng = np.random.default_rng(seed)
+    n_targets = 1 if method is Method.SINGLE else 3
+
+    def draw(n):
+        lo = rng.normal(size=(n, n_targets))
+        hi = lo + rng.uniform(0.1, 2.0, size=lo.shape)
+        return lo, hi, lo + rng.normal(scale=2.0, size=lo.shape)
+
+    cal, tune, (lo, hi, z) = draw(50), draw(40), draw(200)
+    calib = fit_method(method, score_matrix(*cal, kind), alpha, kind, score_matrix(*tune, kind))
+    ilo, ihi = interval_array(lo, hi, calib)
+    covered = coverage_mask(score_matrix(lo, hi, z, kind), calib)
+    assert np.array_equal(covered, (ilo <= z) & (z <= ihi))

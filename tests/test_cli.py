@@ -177,6 +177,22 @@ def test_config_rejects_an_empty_training_set(tmp_path, capsys):
     assert not (tmp_path / "results.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "experiment, key", [("ntrain_sweep", "ntrain_values"), ("ntune_sweep", "ntune_values"),
+                        ("multiround_labels", "label_values")],
+)
+def test_config_rejects_an_empty_sweep_list(tmp_path, capsys, experiment, key):
+    with pytest.raises(ConfigError, match=f"{key} must not be empty"):
+        ExperimentConfig(experiment=experiment, **{key: ()})
+    config = tmp_path / "sweep.ini"
+    config.write_text(f"[experiment]\n{key} =\n")
+    out = tmp_path / "res"
+    assert run_cli(config, "--experiment", experiment, "--output-dir", out) == 2
+    err = capsys.readouterr().err
+    assert err == f"ctool: config error: {key} must not be empty\n"
+    assert not (out / "results.csv").exists()
+
+
 def test_config_rejects_repeated_methods_and_alphas(tmp_path, capsys):
     with pytest.raises(ConfigError, match="methods lists ia more than once"):
         ExperimentConfig(methods=("ia", "qn", "ia"))
@@ -495,6 +511,9 @@ def test_tau_auto_flag_overrides_the_file_through_main(tmp_path):
             "[experiment]\nmethods = qn_minimax\n[rounds]\nsigma = 0.4, 0.2, 0.1, 0.05, 0\n",
             "method 'qn_minimax' divides scores by the quantile band width",
         ),
+        ("[rounds]\nquantile_alpha = 2\n", "quantile_alpha must lie in (0, 1), got 2.0"),
+        ("[rounds]\nquantile_alpha = -0.5\n", "quantile_alpha must lie in (0, 1), got -0.5"),
+        ("[rounds]\nquantile_alpha = 0\n", "quantile_alpha must lie in (0, 1), got 0.0"),
     ],
 )
 def test_bad_round_layouts_are_config_errors(tmp_path, capsys, ini, message):

@@ -24,6 +24,7 @@ from mtconf import (
 )
 from mtconf.evaluate import evaluate_calibration
 from mtconf.scores import score_matrix
+from reference import reference_evaluation
 
 
 def banded(n, k, seed, role=Role.CAL):
@@ -56,7 +57,7 @@ def test_evaluate_calibration_hand_case():
         per_target_zeta=np.array([0.0, 0.0]),
     )
     scores = score_matrix(data.lo, data.hi, data.targets, ScoreKind.CQR)
-    ejc, esc, mil = evaluate_calibration(calib, scores, data.lo, data.hi)
+    ejc, esc, mil = evaluate_calibration(calib, scores.T, data.lo, data.hi)
     # rows covered per target: z in [0, 1]
     assert ejc == 0.25
     assert np.allclose(esc, [0.5, 0.75])
@@ -161,7 +162,8 @@ def test_sandwich_holds_for_maxscore_on_exchangeable_rows():
 
 
 def reference_trials(data, tune, method, kind, alpha, trials, spec):
-    """The per-trial pipeline built from public pieces: split, score, fit, evaluate."""
+    """The per-trial pipeline built from public pieces: split, score, fit, and
+    the original evaluation arithmetic."""
     tune_scores = score_matrix(tune.lo, tune.hi, tune.targets, kind)
     ejc = np.empty(trials)
     esc = np.empty((trials, data.n_targets))
@@ -172,7 +174,7 @@ def reference_trials(data, tune, method, kind, alpha, trials, spec):
             method, score_matrix(cal.lo, cal.hi, cal.targets, kind), alpha, kind, tune_scores
         )
         test_scores = score_matrix(test.lo, test.hi, test.targets, kind)
-        ejc[t], esc[t], mil[t] = evaluate_calibration(calib, test_scores, test.lo, test.hi)
+        ejc[t], esc[t], mil[t] = reference_evaluation(calib, test_scores, test.lo, test.hi)
     return TrialMetrics(
         ejc=float(ejc.mean()), esc=esc.mean(axis=0), mil=mil.mean(axis=0),
         trials=trials, n_test=spec.n_test,
@@ -196,6 +198,22 @@ def test_run_trials_equals_the_per_trial_pipeline(method, kind):
     for alpha in (0.3, 0.1):
         got = run_trials(data, tune, method, kind, alpha, 4, spec)
         assert_same_metrics(got, reference_trials(data, tune, method, kind, alpha, 4, spec))
+
+
+@pytest.mark.parametrize("kind", [ScoreKind.CQR, ScoreKind.QN])
+@pytest.mark.parametrize("method", [Method.IA, Method.QN_MAX, Method.MINIMAX, Method.COPULA])
+def test_run_trials_equals_the_per_trial_pipeline_at_size(method, kind):
+    # a thousand test rows on three targets, then fifteen targets
+    data = banded(2600, 3, seed=60)
+    tune = banded(800, 3, seed=61)
+    spec = SplitSpec(seed=62, n_tune=1, n_cal=1500, n_test=1000)
+    got = run_trials(data, tune, method, kind, 0.1, 3, spec)
+    assert_same_metrics(got, reference_trials(data, tune, method, kind, 0.1, 3, spec))
+    data = banded(700, 15, seed=63)
+    tune = banded(300, 15, seed=64)
+    spec = SplitSpec(seed=65, n_tune=1, n_cal=400, n_test=300)
+    got = run_trials(data, tune, method, kind, 0.05, 3, spec)
+    assert_same_metrics(got, reference_trials(data, tune, method, kind, 0.05, 3, spec))
 
 
 @pytest.mark.parametrize("method", [Method.MINIMAX, Method.COPULA])

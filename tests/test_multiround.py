@@ -24,9 +24,9 @@ from mtconf import (
     sweep_labels,
     trial_rng,
 )
-from mtconf.calibrate import coverage_mask, interval_array
 from mtconf.multiround import _walk
 from mtconf.scores import score_matrix
+from reference import reference_bounds, reference_walk
 
 
 CFG = RoundConfig()
@@ -87,7 +87,7 @@ def test_walk_takes_the_first_round_that_fits():
             [True, True, True, True, True, True],
         ]
     )
-    accepted, accepted_cov = _walk(lengths, covered, cfg)
+    accepted, accepted_cov = _walk(lengths.T, covered.T, cfg)
     assert accepted.tolist() == [2, 1, 2]
     assert accepted_cov.tolist() == [False, False, True]
 
@@ -99,7 +99,7 @@ def test_walk_accepted_round_is_monotone_in_the_threshold():
     cfg = RoundConfig()
     previous = np.full(60, -1)
     for tau in (0.8, 0.4, 0.2, 0.1, 0.05):
-        accepted, _ = _walk(lengths, covered, dataclasses.replace(cfg, tau=tau))
+        accepted, _ = _walk(lengths.T, covered.T, dataclasses.replace(cfg, tau=tau))
         assert np.all(accepted >= previous)
         previous = accepted
 
@@ -169,7 +169,8 @@ def test_protocol_rejects_mismatched_layout():
 
 
 def reference_protocol(data, tune, method, alpha, cfg, trials, spec, kind, per_round, floor=0.0):
-    """The protocol built from public per-trial pieces: split, score, fit, walk."""
+    """The protocol built from public per-trial pieces: split, score, fit, and
+    the original evaluation arithmetic and walk."""
     tune_s = score_matrix(tune.lo, tune.hi, tune.targets, kind)
     rates = np.asarray(cfg.rates)
     eac, inv_rate, ejc_all = np.empty(trials), np.empty(trials), np.empty(trials)
@@ -189,10 +190,11 @@ def reference_protocol(data, tune, method, alpha, cfg, trials, spec, kind, per_r
             calib = Calibration(method=method, score_kind=kind, alpha=alpha, per_target_zeta=zetas)
         else:
             calib = fit_method(method, cal_s, alpha, kind, tune_s)
-        covered = coverage_mask(score_matrix(test.lo, test.hi, test.targets, kind), calib)
-        ilo, ihi = interval_array(test.lo, test.hi, calib)
+        margins = calib.margins(cfg.n_targets)
+        covered = score_matrix(test.lo, test.hi, test.targets, kind) <= margins
+        ilo, ihi = reference_bounds(test.lo, test.hi, margins, kind)
         lengths = ihi - floor if kind.one_sided else np.maximum(0.0, ihi - ilo)
-        accepted, accepted_cov = _walk(lengths, covered, cfg)
+        accepted, accepted_cov = reference_walk(lengths, covered, cfg)
         eac[t] = accepted_cov.mean()
         inv_rate[t] = np.mean(1.0 / rates[accepted])
         ejc_all[t] = covered.all(axis=1).mean()
@@ -247,6 +249,18 @@ def test_protocols_equal_the_per_trial_pipeline(method, tasks, kind):
     rc = dataclasses.replace(cfg, tau=pilot_tau(data, cfg, length_floor=floor))
     for alpha in (0.2, 0.05):
         assert_protocols_match(data, tune, method, alpha, rc, 3, spec, kind, floor)
+
+
+@pytest.mark.parametrize("kind", [ScoreKind.CQR, ScoreKind.QN])
+@pytest.mark.parametrize("method", [Method.IA, Method.QN_MAX, Method.MINIMAX, Method.COPULA])
+def test_protocols_equal_the_per_trial_pipeline_at_size(method, kind):
+    # 5 rounds x 3 tasks = 15 targets, a thousand test rows
+    cfg = dataclasses.replace(CFG, tasks=3)
+    data = staged_rows(2600, cfg, seed=66)
+    tune = staged_rows(600, cfg, seed=67, role=Role.TUNE)
+    spec = SplitSpec(seed=68, n_tune=1, n_cal=1500, n_test=1000)
+    rc = dataclasses.replace(cfg, tau=pilot_tau(data, cfg))
+    assert_protocols_match(data, tune, method, 0.1, rc, 3, spec, kind)
 
 
 def test_single_protocol_equals_the_per_trial_pipeline():

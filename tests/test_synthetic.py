@@ -1,5 +1,7 @@
 """Synthetic generators and the pinball-loss quantile fits."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -114,6 +116,40 @@ def test_fit_quantreg_hits_the_target_exceedance_fraction():
     assert below == pytest.approx(0.25, abs=0.03)
 
 
+def first_written_quantreg(train, k, level, hyper=FitConfig()):
+    """``fit_quantreg``'s descent as first written, one temporary per step."""
+    u, z = train.features, train.targets[:, k]
+    u_mean, u_sd = float(u.mean()), float(u.std())
+    z_mean, z_sd = float(z.mean()), float(z.std())
+    u_sd = u_sd if u_sd > 1e-12 else 1.0
+    z_sd = z_sd if z_sd > 1e-12 else 1.0
+    us = (u - u_mean) / u_sd
+    zs = (z - z_mean) / z_sd
+    w = b = w_acc = b_acc = 0.0
+    n_tail = max(1, hyper.epochs // 4)
+    for epoch in range(1, hyper.epochs + 1):
+        residual = zs - (w * us + b)
+        coeff = level - (residual < 0.0)
+        lr = hyper.step / math.sqrt(epoch)
+        w += lr * float(np.mean(coeff * us))
+        b += lr * float(np.mean(coeff))
+        if epoch >= hyper.epochs - n_tail + 1:
+            w_acc += w
+            b_acc += b
+    w, b = w_acc / n_tail, b_acc / n_tail
+    return z_sd * w / u_sd, z_mean + z_sd * (b - w * u_mean / u_sd)
+
+
+@pytest.mark.parametrize("noise", list(NoiseKind))
+@pytest.mark.parametrize("n", [1, 2, 7, 50, 129, 5000])
+def test_fit_quantreg_is_bit_identical_to_the_first_written_descent(n, noise):
+    train = gen_synthetic(n, noise, seed=24 + n)
+    hyper = FitConfig() if n < 5000 else FitConfig(epochs=300)
+    for k, level in ((0, 0.05), (1, 0.5), (2, 0.975)):
+        model = fit_quantreg(train, k, level, hyper)
+        assert (model.weight, model.bias) == first_written_quantreg(train, k, level, hyper)
+
+
 def test_fit_config_validation():
     with pytest.raises(ValueError):
         FitConfig(epochs=0)
@@ -213,3 +249,6 @@ def test_gen_multiround_input_validation():
         gen_multiround(0, RoundConfig(), seed=1)
     with pytest.raises(ValueError):
         gen_multiround(10, RoundConfig(), seed=1, n_pred=1)
+    for quantile_alpha in (0.0, 2.0, -0.5):
+        with pytest.raises(ValueError, match="quantile_alpha"):
+            gen_multiround(10, RoundConfig(), seed=1, quantile_alpha=quantile_alpha)
