@@ -15,18 +15,14 @@ from .calibrate import (
     calibrate_maxscore,
     calibrate_minimax,
     calibrate_single,
-    conservative_level,
     coverage_mask,
     fit_cdf,
     fit_method,
     interval_array,
-    intervals_for,
 )
 from .core import (
     InsufficientSamplesError,
-    IntervalSet,
     LabeledSet,
-    QuantileRow,
     Role,
     SplitSpec,
     concat,
@@ -52,11 +48,6 @@ from .multiround import (
 )
 from .scores import (
     ScoreKind,
-    cqr_score,
-    emp_quantile,
-    invert_threshold,
-    one_sided_score,
-    qn_score,
     score_matrix,
 )
 from .synthetic import (

@@ -31,13 +31,7 @@ from functools import partial
 
 import numpy as np
 
-from .core import IntervalSet, QuantileRow
-from .scores import (
-    ScoreKind,
-    _ceil_rank,
-    interval_bounds,
-    intervals_from_row,
-)
+from .scores import ScoreKind, _ceil_rank, interval_bounds
 
 
 class Method(Enum):
@@ -67,14 +61,6 @@ class EmpiricalCdf:
     def m(self) -> int:
         return self.sorted_samples.size
 
-    def eval(self, zeta) -> np.ndarray | float:
-        """Fraction of samples at or below ``zeta`` (vectorized)."""
-        frac = np.searchsorted(self.sorted_samples, zeta, side="right") / self.m
-        if np.ndim(zeta) == 0:
-            return float(frac)
-        return frac
-
-    __call__ = eval
 
 
 def fit_cdf(tune_scores: np.ndarray) -> EmpiricalCdf:
@@ -102,11 +88,6 @@ def _kth_smallest(values: np.ndarray, rank: int):
     return np.partition(values, rank - 1)[rank - 1]
 
 
-def conservative_level(n: int, alpha: float) -> float:
-    """Finite-sample quantile level ceil((1 - alpha) * (n + 1)) / n."""
-    return _conformal_rank(n, alpha) / n
-
-
 @dataclass(frozen=True)
 class Calibration:
     """Fitted thresholds for one method, score kind, and level.
@@ -115,8 +96,7 @@ class Calibration:
     and the max-CDF level in [0, 1] for MINIMAX.  ``per_target_zeta`` holds
     raw-score thresholds for every method that has them; infinite entries
     mean the corresponding interval side is uninformative.  ``per_target_level``
-    keeps the COPULA solution in CDF coordinates.  ``cdfs`` are the tuning
-    CDFs for the methods that use them.
+    keeps the COPULA solution in CDF coordinates.
     """
 
     method: Method
@@ -125,7 +105,6 @@ class Calibration:
     lam: float | None = None
     per_target_zeta: np.ndarray | None = None
     per_target_level: np.ndarray | None = None
-    cdfs: tuple[EmpiricalCdf, ...] | None = None
 
     def __post_init__(self) -> None:
         if self.per_target_zeta is not None:
@@ -259,7 +238,6 @@ def _calibrate_ranks(
         lam=float(levels[0]) / m if method is Method.MINIMAX else None,
         per_target_zeta=np.array(zeta),
         per_target_level=levels / m,
-        cdfs=cdfs,
     )
 
 
@@ -383,13 +361,8 @@ def fit_method(
     return pool.calibrate(np.arange(pool.columns.shape[1]), alpha)
 
 
-def intervals_for(q: QuantileRow, calib: Calibration) -> IntervalSet:
-    """Per-target prediction intervals for one quantile row."""
-    return intervals_from_row(q, calib.margins(q.n_targets), calib.score_kind)
-
-
 def interval_array(lo: np.ndarray, hi: np.ndarray, calib: Calibration) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized intervals for (n, K) quantile arrays."""
+    """Per-target prediction intervals (lo, hi), each (n, K), for (n, K) quantile bands."""
     return interval_bounds(lo, hi, calib.margins(np.asarray(lo).shape[1]), calib.score_kind)
 
 

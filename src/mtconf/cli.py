@@ -342,15 +342,14 @@ class ExperimentConfig:
         except ValueError as err:
             raise ConfigError(str(err)) from err
         fits_models = EXPERIMENTS[self.experiment].fits_models
-        if "single" in self.methods:
-            # The label sweep calibrates every task count it lists.
-            swept = self.label_values if self.experiment == "multiround_labels" else ()
-            joint_targets = 3 if fits_models else self.rounds * max((self.tasks, *swept))
-            if joint_targets > 1:
-                raise ConfigError(
-                    "method 'single' calibrates exactly one target; this experiment has "
-                    f"{joint_targets} (use ia for per-target calibration)"
-                )
+        # The label sweep calibrates every task count it lists.
+        swept = self.label_values if self.experiment == "multiround_labels" else ()
+        joint_targets = 3 if fits_models else self.rounds * max((self.tasks, *swept))
+        if "single" in self.methods and joint_targets > 1:
+            raise ConfigError(
+                "method 'single' calibrates exactly one target; this experiment has "
+                f"{joint_targets} (use ia for per-target calibration)"
+            )
         qn = [token for token in self.methods if METHOD_TOKENS[token][1].normalized]
         if qn and not fits_models and 0 in self.sigma:
             raise ConfigError(
@@ -367,6 +366,22 @@ class ExperimentConfig:
             least = 0 if name == "n_train" and not fits_models else 1
             if getattr(self, name) < least:
                 raise ConfigError(f"{name} must be at least {least}")
+        # The largest array a run allocates holds a float per row drawn and per
+        # target, or per prediction sample of a multiround draw.
+        width = joint_targets if fits_models else max(joint_targets, self.n_pred)
+        drawn = self.n_tune + self.n_cal + self.n_test
+        sized = {"ntrain_sweep": self.ntrain_values, "ntune_sweep": self.ntune_values}
+        rows = max(self.n_train if fits_models else 0, drawn, *sized.get(self.experiment, ()))
+        need = rows * width * 8
+        try:
+            memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        except (AttributeError, ValueError, OSError):  # unknown here: no check
+            memory = 0
+        if 0 < memory < need:
+            raise ConfigError(
+                f"the data sizes need a {need / 2**30:.1f} GiB array, more than the "
+                f"{memory / 2**30:.1f} GiB of physical memory"
+            )
         for name in ("ntrain_values", "ntune_values", "label_values"):
             if any(v < 1 for v in getattr(self, name)):
                 raise ConfigError(f"{name} must all be at least 1, got {getattr(self, name)}")
@@ -526,18 +541,22 @@ def run(cfg: ExperimentConfig) -> int:
         return 1
     rows, warnings, extras = EXPERIMENTS[cfg.experiment].runner(cfg)
     cells = [CSV_COLUMNS] + [[_fmt(row[col]) for col in CSV_COLUMNS] for row in rows]
-    _write_atomic(outdir / "results.csv", lambda fh: csv.writer(fh).writerows(cells))
-    plot_paths = emit_plotdata(rows, outdir)
-    manifest = {
-        "version": __version__,
-        "config": asdict(cfg),
-        "warnings": warnings,
-        "outputs": ["results.csv"] + [p.name for p in plot_paths],
-        "wall_time_s": round(time.time() - started, 3),
-    }
-    manifest.update(extras)
-    text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-    _write_atomic(manifest_path, lambda fh: fh.write(text))
+    try:
+        _write_atomic(outdir / "results.csv", lambda fh: csv.writer(fh).writerows(cells))
+        plot_paths = emit_plotdata(rows, outdir)
+        manifest = {
+            "version": __version__,
+            "config": asdict(cfg),
+            "warnings": warnings,
+            "outputs": ["results.csv"] + [p.name for p in plot_paths],
+            "wall_time_s": round(time.time() - started, 3),
+        }
+        manifest.update(extras)
+        text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+        _write_atomic(manifest_path, lambda fh: fh.write(text))
+    except OSError as err:  # a full disk, for one
+        print(f"ctool: cannot write outputs: {err}", file=sys.stderr)
+        return 1
     for warning in warnings:
         print(f"ctool: warning: {warning}", file=sys.stderr)
     return 0

@@ -57,68 +57,6 @@ def trial_rng(spec: "SplitSpec", trial: int) -> np.random.Generator:
 
 
 @dataclass(frozen=True)
-class QuantileRow:
-    """Per-sample lower/upper quantile estimates for each of K targets."""
-
-    lo: np.ndarray
-    hi: np.ndarray
-
-    def __post_init__(self) -> None:
-        lo = np.asarray(self.lo, dtype=np.float64)
-        hi = np.asarray(self.hi, dtype=np.float64)
-        if lo.ndim != 1 or lo.shape != hi.shape:
-            raise ValueError("quantile row needs matching 1-d lo/hi arrays")
-        if lo.size < 1:
-            raise ValueError("quantile row needs at least one target")
-        if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
-            raise ValueError("quantile estimates must be finite")
-        if np.any(lo > hi):
-            raise ValueError("lower quantile exceeds upper; repair crossings first")
-        lo.setflags(write=False)
-        hi.setflags(write=False)
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
-
-    @property
-    def n_targets(self) -> int:
-        return self.lo.size
-
-
-@dataclass(frozen=True)
-class IntervalSet:
-    """One prediction interval per target.
-
-    Endpoints may be infinite (uninformative side).  An inverted pair
-    (lo > hi) encodes the empty interval; ``contains`` is then false for
-    every value and ``lengths`` clamps to zero.
-    """
-
-    lo: np.ndarray
-    hi: np.ndarray
-
-    def __post_init__(self) -> None:
-        lo = np.asarray(self.lo, dtype=np.float64)
-        hi = np.asarray(self.hi, dtype=np.float64)
-        if lo.ndim != 1 or lo.shape != hi.shape:
-            raise ValueError("interval set needs matching 1-d lo/hi arrays")
-        lo.setflags(write=False)
-        hi.setflags(write=False)
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
-
-    @property
-    def n_targets(self) -> int:
-        return self.lo.size
-
-    def contains(self, values: np.ndarray) -> np.ndarray:
-        values = np.asarray(values, dtype=np.float64)
-        return (self.lo <= values) & (values <= self.hi)
-
-    def lengths(self) -> np.ndarray:
-        return np.maximum(0.0, self.hi - self.lo)
-
-
-@dataclass(frozen=True)
 class LabeledSet:
     """A feature/target sample with optional per-target quantile estimates.
 
@@ -172,11 +110,6 @@ class LabeledSet:
     @property
     def has_quantiles(self) -> bool:
         return self.lo is not None
-
-    def quantile_row(self, i: int) -> QuantileRow:
-        if self.lo is None:
-            raise ValueError("no quantile estimates attached to this set")
-        return QuantileRow(lo=self.lo[i], hi=self.hi[i])
 
     def subset(self, indices: np.ndarray, role: Role) -> "LabeledSet":
         indices = np.asarray(indices)

@@ -25,6 +25,7 @@ from mtconf import (
     ScoreKind,
     SplitSpec,
     calibrate_minimax,
+    calibrate_single,
     cholesky3,
     concat,
     coverage_bounds_check,
@@ -44,7 +45,7 @@ from mtconf import (
     sweep_labels,
     trial_rng,
 )
-from mtconf.scores import emp_quantile, interval_bounds, score_matrix
+from mtconf.scores import interval_bounds, score_matrix
 
 SEED = 20250811
 ALPHAS = (0.30, 0.20, 0.10, 0.05)
@@ -332,25 +333,31 @@ def test_criterion_7_early_stopping_protocol():
     assert sweep_cov, [r.eac for r in results]
 
 
-def _quantile_oracle(beta: Fraction, values) -> float:
-    rank = math.ceil(beta * len(values))
+def _quantile_oracle(alpha: Fraction, values) -> float:
+    rank = math.ceil((1 - alpha) * (len(values) + 1))
     if rank > len(values):
         return math.inf
     return float(sorted(values)[rank - 1])
 
 
 def test_criterion_8_micro_oracles():
-    # (a) exhaustive agreement with sort-and-index on small integer multisets
-    betas = [Fraction(i, 20) for i in range(1, 21)] + [Fraction(101, 100), Fraction(6, 5), Fraction(2)]
+    # (a) the split-conformal threshold against exact sort-and-index on every
+    # small integer multiset.  The levels hold 1/(n + 1) for every size n,
+    # where the rank is exactly n, and levels below it, where it overflows.
+    alphas = sorted(
+        {Fraction(i, 20) for i in range(1, 20)}
+        | {Fraction(1, d) for d in range(2, 11)}
+        | {Fraction(1, 100)}
+    )
     mismatch = 0
     cases = 0
     for size in range(1, 9):
         for multiset in combinations_with_replacement(range(1, 6), size):
             values = np.array(multiset, dtype=np.float64)
-            for beta in betas:
+            for alpha in alphas:
                 cases += 1
-                got = emp_quantile(float(beta), values)
-                want = _quantile_oracle(beta, multiset)
+                got = calibrate_single(values, float(alpha)).lam
+                want = _quantile_oracle(alpha, multiset)
                 mismatch += not (got == want or (math.isinf(got) and math.isinf(want)))
     quantile_ok = mismatch == 0
 

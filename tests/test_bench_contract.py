@@ -1,0 +1,78 @@
+"""The names the benchmark under ``perfbench/`` looks up in ``mtconf``.
+
+perfbench times the program by rebinding public names in the modules that
+call them (``layers.TRACED``) and imports library names directly.  A name
+that moves or goes away breaks the benchmark without failing any other test,
+so this file checks that every one still resolves.
+"""
+
+import ast
+import importlib
+import importlib.util
+import inspect
+from dataclasses import fields
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from mtconf import Calibration, Method, ScoreKind, fit_method
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _load_layers():
+    spec = importlib.util.spec_from_file_location("perfbench_layers", PERFBENCH / "layers.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+LAYERS = _load_layers()
+
+
+@pytest.mark.parametrize(
+    "module, name", sorted({site for sites in LAYERS.TRACED.values() for site in sites})
+)
+def test_every_traced_name_resolves(module, name):
+    assert callable(getattr(importlib.import_module(module), name))
+
+
+@pytest.mark.parametrize("name", LAYERS.TRIAL_CALLS)
+def test_trial_calls_take_a_trials_argument(name):
+    cli = importlib.import_module("mtconf.cli")
+    assert "trials" in inspect.signature(getattr(cli, name)).parameters
+
+
+def _mtconf_imports():
+    found = set()
+    for path in sorted(PERFBENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "mtconf":
+                found.update((node.module, alias.name) for alias in node.names)
+    return sorted(found)
+
+
+def test_perfbench_imports_some_mtconf_names():
+    assert len(_mtconf_imports()) >= 10
+
+
+@pytest.mark.parametrize("module, name", _mtconf_imports())
+def test_every_imported_name_resolves(module, name):
+    assert hasattr(importlib.import_module(module), name)
+
+
+def test_calibration_keeps_the_fields_the_benchmark_reads():
+    names = {f.name for f in fields(Calibration)}
+    assert {"per_target_level", "per_target_zeta"} <= names
+    assert callable(Calibration.margins)
+
+
+def test_cdfs_are_built_through_the_module_global(monkeypatch):
+    calibrate = importlib.import_module("mtconf.calibrate")
+    built = []
+    fit_cdf = calibrate.fit_cdf
+    monkeypatch.setattr(calibrate, "fit_cdf", lambda col: built.append(col) or fit_cdf(col))
+    rng = np.random.default_rng(0)
+    fit_method(Method.MINIMAX, rng.normal(size=(30, 2)), 0.1, ScoreKind.CQR, rng.normal(size=(20, 2)))
+    assert len(built) == 2

@@ -13,20 +13,18 @@ from mtconf import (
     Calibration,
     EmpiricalCdf,
     Method,
-    QuantileRow,
     ScoreKind,
     calibrate_copula,
     calibrate_ia,
     calibrate_maxscore,
     calibrate_minimax,
     calibrate_single,
-    conservative_level,
     coverage_mask,
     fit_cdf,
     fit_method,
-    intervals_for,
+    interval_array,
 )
-from mtconf.calibrate import _kth_smallest, _rank_levels, interval_array
+from mtconf.calibrate import _conformal_rank, _kth_smallest, _rank_levels, _score_rows
 from mtconf.scores import score_matrix
 
 
@@ -37,11 +35,28 @@ def test_single_order_statistic_cases():
     assert math.isinf(calibrate_single(np.arange(5.0), 0.1).lam)
 
 
-def test_conservative_level_values():
-    assert conservative_level(99, 0.1) == pytest.approx(90 / 99)
-    assert conservative_level(100, 0.1) > 0.9
-    with pytest.raises(ValueError):
-        conservative_level(10, 0.0)
+def test_conformal_rank_values():
+    assert _conformal_rank(99, 0.1) == 90
+    assert _conformal_rank(100, 0.1) == 91
+    for alpha in (0.0, -0.1, 1.0):
+        with pytest.raises(ValueError):
+            _conformal_rank(10, alpha)
+
+
+def test_conformal_rank_snaps_float_rank_products():
+    # (1 - 0.7) * 10 floats to 3.0000000000000004; a naive ceil would take
+    # the 4th order statistic.
+    assert _conformal_rank(9, 0.7) == 3
+    assert _conformal_rank(19, 0.95) == 1
+    assert _conformal_rank(24, 0.44) == 14
+    assert calibrate_single(np.arange(1.0, 25.0), 0.44).lam == 14.0
+
+
+def test_kth_smallest_direct_cases():
+    values = np.array([4.0, 1.0, 3.0, 2.0])
+    assert _kth_smallest(values, 2) == 2.0
+    assert _kth_smallest(values, 4) == 4.0
+    assert math.isinf(_kth_smallest(values[:2], 3))
 
 
 def test_single_rejects_bad_scores():
@@ -49,6 +64,23 @@ def test_single_rejects_bad_scores():
         calibrate_single(np.array([]), 0.1)
     with pytest.raises(ValueError):
         calibrate_single(np.array([1.0, np.inf]), 0.1)
+    with pytest.raises(ValueError):
+        calibrate_single(np.array([[1.0, 2.0]]), 0.1)
+    for alpha in (0.0, -0.1):
+        with pytest.raises(ValueError):
+            calibrate_single(np.array([1.0]), alpha)
+
+
+@given(
+    st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=1, max_size=40),
+    st.integers(min_value=1, max_value=47),
+)
+@settings(max_examples=300, deadline=None)
+def test_single_threshold_matches_sorted_indexing(values, numerator):
+    alpha = Fraction(numerator, 48)
+    rank = math.ceil((1 - alpha) * (len(values) + 1))
+    got = calibrate_single(np.array(values), float(alpha)).lam
+    assert got == (math.inf if rank > len(values) else sorted(values)[rank - 1])
 
 
 def test_ia_reduces_to_single_for_one_target():
@@ -78,11 +110,12 @@ def test_maxscore_equals_single_on_identical_columns():
 
 
 def test_empirical_cdf_counts():
-    cdf = fit_cdf(np.array([1.0, 2.0, 3.0]))
-    assert cdf.eval(2.0) == pytest.approx(2 / 3)
-    assert cdf.eval(0.5) == 0.0
-    assert cdf.eval(99.0) == 1.0
-    assert np.allclose(cdf(np.array([0.5, 2.0])), [0.0, 2 / 3])
+    cdf = fit_cdf(np.array([3.0, 1.0, 2.0]))
+    assert cdf.m == 3 and cdf.sorted_samples.tolist() == [1.0, 2.0, 3.0]
+    # A calibration score's rank is the count of tuning scores at or below it.
+    cal, tune = np.array([[2.0], [0.5], [99.0]]), np.array([[3.0], [1.0], [2.0]])
+    pool = _score_rows(Method.COPULA, ScoreKind.CQR, cal, tune)
+    assert pool.ranks.tolist() == [[2, 0, 3]]
     with pytest.raises(ValueError):
         fit_cdf(np.array([]))
 
@@ -190,8 +223,8 @@ def test_leave_one_out_coverage_maxscore_two_targets():
     for i in range(n_plus_1):
         rest = np.delete(scores, i, axis=0)
         calib = fit_method(Method.QN_MAX, rest, alpha, ScoreKind.QN)
-        row = QuantileRow(lo=lo[i], hi=hi[i])
-        covered += bool(intervals_for(row, calib).contains(z[i]).all())
+        ilo, ihi = interval_array(lo[i : i + 1], hi[i : i + 1], calib)
+        covered += bool(np.all((ilo <= z[i]) & (z[i] <= ihi)))
     assert covered == math.ceil((1 - alpha) * n_plus_1)
 
 
@@ -254,26 +287,27 @@ def test_ia_k1_intervals_match_single_conformal():
     scores = score_matrix(lo, hi, z, ScoreKind.CQR)
     ia = fit_method(Method.IA, scores, 0.2, ScoreKind.CQR)
     single = fit_method(Method.SINGLE, scores, 0.2, ScoreKind.CQR)
-    row = QuantileRow(lo=lo[0], hi=hi[0])
-    got = intervals_for(row, ia)
-    want = intervals_for(row, single)
-    assert np.array_equal(got.lo, want.lo) and np.array_equal(got.hi, want.hi)
+    got, want = interval_array(lo, hi, ia), interval_array(lo, hi, single)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
 def test_interval_array_matches_row_inversion():
-    rng = np.random.default_rng(14)
-    lo = rng.normal(size=(10, 2))
-    hi = lo + rng.uniform(0.2, 2.0, size=(10, 2))
+    lo = np.array([[0.0, 1.0], [-1.0, 2.0]])
+    hi = np.array([[1.0, 2.0], [0.0, 6.0]])
     calib = Calibration(
         method=Method.IA,
         score_kind=ScoreKind.CQR,
         alpha=0.1,
-        per_target_zeta=np.array([0.3, -0.1]),
+        per_target_zeta=np.array([0.25, -0.5]),
     )
     ilo, ihi = interval_array(lo, hi, calib)
-    for i in range(10):
-        ivs = intervals_for(QuantileRow(lo=lo[i], hi=hi[i]), calib)
-        assert np.allclose(ivs.lo, ilo[i]) and np.allclose(ivs.hi, ihi[i])
+    assert ilo.tolist() == [[-0.25, 1.5], [-1.25, 2.5]]
+    assert ihi.tolist() == [[1.25, 1.5], [0.25, 5.5]]
+    # QN divides each margin by the first target's width over the target's own.
+    qn = Calibration(Method.QN_MAX, ScoreKind.QN, 0.1, lam=1.0)
+    ilo, ihi = interval_array(lo, hi, qn)
+    assert ilo.tolist() == [[-1.0, 0.0], [-2.0, -2.0]]
+    assert ihi.tolist() == [[2.0, 3.0], [1.0, 10.0]]
 
 
 def test_single_split_conformal_marginal_coverage():

@@ -1,6 +1,7 @@
 """The ctool runner: config handling, outputs, and determinism."""
 
 import csv
+import errno
 import json
 import os
 import shutil
@@ -573,3 +574,45 @@ def test_a_failed_rerun_leaves_no_stale_manifest(tmp_path, monkeypatch):
     assert run_cli(*BENCH, "--seed", "5", "--output-dir", out) == 3
     assert not (out / "manifest.json").exists()
     assert sorted(p.name for p in out.iterdir() if p.name.endswith(".tmp")) == []
+
+
+def test_a_full_disk_is_a_one_line_error(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "res"
+    assert run_cli(*BENCH, "--output-dir", out) == 0
+
+    def full(path, write):
+        raise OSError(errno.ENOSPC, "No space left on device", str(path))
+
+    monkeypatch.setattr(cli, "_write_atomic", full)
+    assert run_cli(*BENCH, "--seed", "5", "--output-dir", out) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("ctool: cannot write outputs: ") and err.count("\n") == 1
+    assert "No space left on device" in err
+    assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        {"experiment": "multiround", "n_test": 100_000_000},
+        {"experiment": "table1", "n_train": 10**12},
+        {"experiment": "multiround", "n_pred": 10**10},
+        {"experiment": "ntune_sweep", "ntune_values": (50, 10**12)},
+    ],
+)
+def test_oversized_runs_are_config_errors_before_allocating(flags):
+    # Only the config is built: a run without the check would try to allocate.
+    with pytest.raises(ConfigError, match="GiB of physical memory"):
+        build_config({}, flags)
+
+
+def test_the_memory_check_reads_physical_memory(monkeypatch):
+    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 100}  # 400 KiB
+    monkeypatch.setattr(cli.os, "sysconf", pages.__getitem__)
+    # table1's defaults draw 12000 rows of 3 targets: 288000 bytes.
+    assert build_config({}, {"experiment": "table1"})
+    with pytest.raises(ConfigError, match="GiB array"):
+        build_config({}, {"experiment": "table1", "n_test": 10000})
+    # Without sysconf there is nothing to compare against, and no check.
+    monkeypatch.setattr(cli.os, "sysconf", pages.__getattribute__)
+    assert build_config({}, {"experiment": "table1", "n_test": 10**12})

@@ -5,9 +5,7 @@ import pytest
 
 from mtconf import (
     InsufficientSamplesError,
-    IntervalSet,
     LabeledSet,
-    QuantileRow,
     Role,
     SplitSpec,
     concat,
@@ -122,18 +120,13 @@ def test_labeled_set_accepts_1d_targets():
     assert data.n_targets == 1
 
 
-def test_subset_and_quantile_row():
+def test_subset_gathers_rows_and_quantiles():
     data = toy_set(n=6, k=2, quantiles=True)
     sub = data.subset(np.array([4, 1]), Role.TEST)
     assert sub.n == 2 and sub.role is Role.TEST and sub.has_quantiles
     assert np.array_equal(sub.features, data.features[[4, 1]])
-    row = data.quantile_row(3)
-    assert isinstance(row, QuantileRow)
-    assert np.array_equal(row.lo, data.lo[3])
-    assert row.n_targets == 2
-    bare = toy_set(quantiles=False)
-    with pytest.raises(ValueError, match="no quantile"):
-        bare.quantile_row(0)
+    assert np.array_equal(sub.lo, data.lo[[4, 1]]) and np.array_equal(sub.hi, data.hi[[4, 1]])
+    assert sub.n_targets == 2
 
 
 def test_concat_stacks_and_rejects_mixed_quantiles():
@@ -146,25 +139,6 @@ def test_concat_stacks_and_rejects_mixed_quantiles():
         concat([a, toy_set(n=2, seed=3, quantiles=False)], Role.CAL)
     with pytest.raises(ValueError):
         concat([], Role.CAL)
-
-
-def test_quantile_row_validation():
-    with pytest.raises(ValueError, match="lower quantile exceeds"):
-        QuantileRow(lo=np.array([1.0]), hi=np.array([0.0]))
-    with pytest.raises(ValueError, match="finite"):
-        QuantileRow(lo=np.array([np.inf]), hi=np.array([np.inf]))
-    with pytest.raises(ValueError):
-        QuantileRow(lo=np.array([0.0, 0.0]), hi=np.array([1.0]))
-
-
-def test_interval_set_contains_lengths_and_empty_encoding():
-    ivs = IntervalSet(lo=np.array([0.0, 2.0, -np.inf]), hi=np.array([1.0, 1.0, np.inf]))
-    inside = ivs.contains(np.array([0.5, 1.5, 123.0]))
-    assert inside.tolist() == [True, False, True]
-    lengths = ivs.lengths()
-    assert lengths[0] == 1.0
-    assert lengths[1] == 0.0  # inverted pair means empty
-    assert np.isinf(lengths[2])
 
 
 def test_split_spec_validates_sizes():

@@ -1,107 +1,53 @@
-"""Score definitions, the order-statistic quantile, and interval inversion."""
+"""Score definitions over (n, K) bands, and interval inversion."""
 
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from mtconf import QuantileRow, ScoreKind
-from mtconf.scores import (
-    cqr_score,
-    emp_quantile,
-    interval_bounds,
-    intervals_from_row,
-    invert_threshold,
-    one_sided_score,
-    qn_score,
-    score_matrix,
-    score_value,
-)
+from mtconf import ScoreKind
+from mtconf.scores import interval_bounds, score_matrix
 
 ALL_KINDS = list(ScoreKind)
 
 
-def test_emp_quantile_direct_cases():
-    assert emp_quantile(0.5, [4, 1, 3, 2]) == 2.0
-    assert emp_quantile(1.0, [4, 1, 3, 2]) == 4.0
-    assert math.isinf(emp_quantile(1.2, [1, 2]))
+def test_cqr_hand_cases():
+    lo, hi = np.zeros((3, 1)), np.ones((3, 1))
+    z = np.array([[2.0], [0.5], [0.0]])
+    assert score_matrix(lo, hi, z, ScoreKind.CQR)[:, 0].tolist() == [1.0, -0.5, 0.0]
 
 
-def test_emp_quantile_rejects_bad_input():
-    with pytest.raises(ValueError):
-        emp_quantile(0.5, [])
-    with pytest.raises(ValueError):
-        emp_quantile(0.0, [1.0])
-    with pytest.raises(ValueError):
-        emp_quantile(-0.1, [1.0])
-    with pytest.raises(ValueError):
-        emp_quantile(0.5, [[1.0, 2.0]])
+def test_qn_reference_target_equals_cqr():
+    lo, hi = np.zeros((1, 2)), np.array([[2.0, 1.0]])
+    z = np.array([[3.0, 2.0]])
+    qn, cqr = (score_matrix(lo, hi, z, kind)[0, 0] for kind in (ScoreKind.QN, ScoreKind.CQR))
+    assert qn == cqr
 
 
-def test_emp_quantile_snaps_float_rank_products():
-    # 0.91 * 100 floats to 91.00000000000001; a naive ceil would take the
-    # 92nd order statistic.
-    values = np.arange(1.0, 101.0)
-    assert emp_quantile(0.91, values) == 91.0
-
-
-@given(
-    st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=1, max_size=40),
-    st.integers(min_value=1, max_value=60),
-)
-@settings(max_examples=300, deadline=None)
-def test_emp_quantile_matches_sorted_indexing(values, numerator):
-    m = len(values)
-    beta = Fraction(numerator, 48)
-    rank = math.ceil(beta * m)
-    got = emp_quantile(float(beta), values)
-    if rank > m:
-        assert math.isinf(got)
-    else:
-        assert got == sorted(values)[rank - 1]
-
-
-def test_cqr_score_cases():
-    q = QuantileRow(lo=np.array([0.0]), hi=np.array([1.0]))
-    assert cqr_score(q, np.array([2.0]), 0) == 1.0
-    assert cqr_score(q, np.array([0.5]), 0) == -0.5
-    assert cqr_score(q, np.array([0.0]), 0) == 0.0
-
-
-def test_qn_score_reference_target_equals_cqr():
-    q = QuantileRow(lo=np.array([0.0, 0.0]), hi=np.array([2.0, 1.0]))
-    z = np.array([3.0, 2.0])
-    assert qn_score(q, z, 0) == cqr_score(q, z, 0)
-
-
-def test_qn_score_hand_value_and_width_scale_invariance():
-    q = QuantileRow(lo=np.array([0.0, 0.0]), hi=np.array([2.0, 1.0]))
-    assert qn_score(q, np.array([3.0, 2.0]), 1) == pytest.approx(2.0)
+def test_qn_hand_value_and_width_scale_invariance():
+    lo = np.zeros((1, 2))
+    narrow = score_matrix(lo, np.array([[2.0, 1.0]]), np.array([[3.0, 2.0]]), ScoreKind.QN)
+    assert narrow[0, 1] == pytest.approx(2.0)
     # Scaling every band width by 10 leaves the ratio unchanged, so a target
     # with the same raw violation gets the same normalized score.
-    wide = QuantileRow(lo=np.array([0.0, 0.0]), hi=np.array([20.0, 10.0]))
-    assert qn_score(wide, np.array([3.0, 11.0]), 1) == pytest.approx(2.0)
+    wide = score_matrix(lo, np.array([[20.0, 10.0]]), np.array([[3.0, 11.0]]), ScoreKind.QN)
+    assert wide[0, 1] == pytest.approx(2.0)
 
 
 def test_zero_width_band_is_rejected_naming_the_target():
-    q = QuantileRow(lo=np.array([0.0, 0.5]), hi=np.array([1.0, 0.5]))
+    lo, hi = np.array([[0.0, 0.5]]), np.array([[1.0, 0.5]])
     with pytest.raises(ValueError, match="target 1"):
-        qn_score(q, np.array([0.0, 0.0]), 1)
+        score_matrix(lo, hi, np.zeros((1, 2)), ScoreKind.QN)
 
 
-def test_one_sided_score_cases():
-    q = QuantileRow(lo=np.array([0.0, 0.0]), hi=np.array([1.0, 1.0]))
-    z = np.array([3.0, 1.0])
-    assert one_sided_score(q, z, 0, ScoreKind.CQR_ONE_SIDED) == 2.0
-    assert one_sided_score(q, z, 1, ScoreKind.CQR_ONE_SIDED) == 0.0
-    assert one_sided_score(q, z, 0, ScoreKind.QN_ONE_SIDED) == one_sided_score(
-        q, z, 0, ScoreKind.CQR_ONE_SIDED
-    )
-    with pytest.raises(ValueError):
-        one_sided_score(q, z, 0, ScoreKind.CQR)
+def test_one_sided_hand_cases():
+    lo, hi = np.zeros((1, 2)), np.ones((1, 2))
+    z = np.array([[3.0, 1.0]])
+    raw = score_matrix(lo, hi, z, ScoreKind.CQR_ONE_SIDED)
+    assert raw[0].tolist() == [2.0, 0.0]
+    assert np.array_equal(score_matrix(lo, hi, z, ScoreKind.QN_ONE_SIDED), raw)
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -113,23 +59,28 @@ def test_score_matrix_matches_scalar_dispatch(kind):
     z = rng.normal(size=(n, k))
     got = score_matrix(lo, hi, z, kind)
     for i in range(n):
-        q = QuantileRow(lo=lo[i], hi=hi[i])
         for j in range(k):
-            assert got[i, j] == pytest.approx(score_value(q, z[i], j, kind), abs=1e-12)
+            want = z[i, j] - hi[i, j]
+            if not kind.one_sided:
+                want = max(lo[i, j] - z[i, j], want)
+            if kind.normalized:
+                want *= (hi[i, 0] - lo[i, 0]) / (hi[i, j] - lo[i, j])
+            assert got[i, j] == pytest.approx(want, abs=1e-12)
 
 
-def test_invert_threshold_cases():
-    q = QuantileRow(lo=np.array([0.0]), hi=np.array([1.0]))
-    assert invert_threshold(q, 0, 0.5, ScoreKind.CQR) == (-0.5, 1.5)
-    assert invert_threshold(q, 0, math.inf, ScoreKind.CQR) == (-math.inf, math.inf)
-    lo, hi = invert_threshold(q, 0, 0.5, ScoreKind.CQR_ONE_SIDED)
-    assert lo == -math.inf and hi == 1.5
+def test_interval_bounds_hand_cases():
+    lo, hi = np.zeros((1, 1)), np.ones((1, 1))
+    ilo, ihi = interval_bounds(lo, hi, 0.5, ScoreKind.CQR)
+    assert (ilo[0, 0], ihi[0, 0]) == (-0.5, 1.5)
+    ilo, ihi = interval_bounds(lo, hi, math.inf, ScoreKind.CQR)
+    assert (ilo[0, 0], ihi[0, 0]) == (-math.inf, math.inf)
+    ilo, ihi = interval_bounds(lo, hi, 0.5, ScoreKind.CQR_ONE_SIDED)
+    assert (ilo[0, 0], ihi[0, 0]) == (-math.inf, 1.5)
 
 
-def test_invert_threshold_negative_margin_can_empty_the_interval():
-    q = QuantileRow(lo=np.array([0.0]), hi=np.array([1.0]))
-    lo, hi = invert_threshold(q, 0, -0.8, ScoreKind.CQR)
-    assert lo > hi
+def test_negative_margin_can_empty_the_interval():
+    ilo, ihi = interval_bounds(np.zeros((1, 1)), np.ones((1, 1)), -0.8, ScoreKind.CQR)
+    assert ilo[0, 0] > ihi[0, 0]
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -152,14 +103,14 @@ def test_score_interval_round_trip(kind):
 )
 @settings(max_examples=300, deadline=None)
 def test_cqr_round_trip_property(lo, width, z, zeta):
-    q = QuantileRow(lo=np.array([lo]), hi=np.array([lo + width]))
-    score = cqr_score(q, np.array([z]), 0)
+    lo, hi, z = np.array([[lo]]), np.array([[lo + width]]), np.array([[z]])
+    score = score_matrix(lo, hi, z, ScoreKind.CQR)[0, 0]
     # cases within rounding distance of the decision boundary can land on
     # either side once zeta is added to an endpoint; skip that null set
-    scale = max(1.0, abs(lo), abs(lo + width), abs(z))
+    scale = max(1.0, abs(lo[0, 0]), abs(hi[0, 0]), abs(z[0, 0]))
     assume(abs(score - zeta) > 1e-12 * scale)
-    ilo, ihi = invert_threshold(q, 0, zeta, ScoreKind.CQR)
-    assert (score <= zeta) == (ilo <= z <= ihi)
+    ilo, ihi = interval_bounds(lo, hi, zeta, ScoreKind.CQR)
+    assert (score <= zeta) == (ilo[0, 0] <= z[0, 0] <= ihi[0, 0])
 
 
 def test_interval_bounds_broadcasts_scalar_and_infinite_margins():
@@ -172,10 +123,10 @@ def test_interval_bounds_broadcasts_scalar_and_infinite_margins():
     assert np.all(ilo[:, 1] == 0.0) and np.all(ihi[:, 1] == 1.0)
 
 
-def test_intervals_from_row_checks_margin_count():
-    q = QuantileRow(lo=np.array([0.0, 0.0]), hi=np.array([1.0, 2.0]))
-    ivs = intervals_from_row(q, np.array([0.5, 0.0]), ScoreKind.CQR)
-    assert ivs.lo.tolist() == [-0.5, 0.0]
-    assert ivs.hi.tolist() == [1.5, 2.0]
-    with pytest.raises(ValueError, match="one margin per target"):
-        intervals_from_row(q, np.array([0.5]), ScoreKind.CQR)
+def test_interval_bounds_takes_one_margin_per_target():
+    lo, hi = np.zeros((1, 2)), np.array([[1.0, 2.0]])
+    ilo, ihi = interval_bounds(lo, hi, np.array([0.5, 0.0]), ScoreKind.CQR)
+    assert ilo[0].tolist() == [-0.5, 0.0]
+    assert ihi[0].tolist() == [1.5, 2.0]
+    with pytest.raises(ValueError):
+        interval_bounds(lo, hi, np.array([0.5, 0.0, 1.0]), ScoreKind.CQR)
