@@ -64,6 +64,9 @@ def test_single_rejects_bad_scores():
         calibrate_single(np.array([]), 0.1)
     with pytest.raises(ValueError):
         calibrate_single(np.array([1.0, np.inf]), 0.1)
+
+
+def test_single_rejects_bad_shape_and_level():
     with pytest.raises(ValueError):
         calibrate_single(np.array([[1.0, 2.0]]), 0.1)
     for alpha in (0.0, -0.1):
