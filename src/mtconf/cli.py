@@ -366,13 +366,15 @@ class ExperimentConfig:
             least = 0 if name == "n_train" and not fits_models else 1
             if getattr(self, name) < least:
                 raise ConfigError(f"{name} must be at least {least}")
-        # The largest array a run allocates holds a float per row drawn and per
-        # target, or per prediction sample of a multiround draw.
+        # The largest arrays a run allocates hold a float per row drawn and per
+        # target, or per prediction sample of a multiround draw; the quantile
+        # fit holds 6 floats per training row and target (3 per fitted line).
         width = joint_targets if fits_models else max(joint_targets, self.n_pred)
-        drawn = self.n_tune + self.n_cal + self.n_test
-        sized = {"ntrain_sweep": self.ntrain_values, "ntune_sweep": self.ntune_values}
-        rows = max(self.n_train if fits_models else 0, drawn, *sized.get(self.experiment, ()))
-        need = rows * width * 8
+        tune_sizes = self.ntune_values if self.experiment == "ntune_sweep" else ()
+        train_sizes = self.ntrain_values if self.experiment == "ntrain_sweep" else ()
+        drawn = max((self.n_tune + self.n_cal + self.n_test, *tune_sizes))
+        trained = max((self.n_train, *train_sizes)) if fits_models else 0
+        need = max(drawn * width, 6 * joint_targets * trained) * 8
         try:
             memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
         except (AttributeError, ValueError, OSError):  # unknown here: no check
@@ -526,7 +528,7 @@ def emit_plotdata(rows: list[dict], outdir: Path) -> list[Path]:
 
 def run(cfg: ExperimentConfig) -> int:
     """Execute one experiment; returns a process exit status."""
-    started = time.time()
+    started = time.perf_counter()
     outdir = Path(cfg.output_dir)
     manifest_path = outdir / "manifest.json"
     try:
@@ -549,7 +551,7 @@ def run(cfg: ExperimentConfig) -> int:
             "config": asdict(cfg),
             "warnings": warnings,
             "outputs": ["results.csv"] + [p.name for p in plot_paths],
-            "wall_time_s": round(time.time() - started, 3),
+            "wall_time_s": round(time.perf_counter() - started, 3),
         }
         manifest.update(extras)
         text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"

@@ -120,59 +120,84 @@ def fit_quantreg(
     below-quantile fraction within a few 1e-3 of the level.  Coefficients are
     mapped back to the original units before returning.
     """
-    if not 0.0 < level < 1.0:
-        raise ValueError("quantile level must lie in (0, 1)")
-    u = train.features
-    z = train.targets[:, k]
-    u_mean, u_sd = float(u.mean()), float(u.std())
-    z_mean, z_sd = float(z.mean()), float(z.std())
-    u_sd = u_sd if u_sd > 1e-12 else 1.0
-    z_sd = z_sd if z_sd > 1e-12 else 1.0
-    us = (u - u_mean) / u_sd
-    zs = (z - z_mean) / z_sd
-    w = 0.0
-    b = 0.0
-    w_acc = 0.0
-    b_acc = 0.0
-    n_tail = max(1, hyper.epochs // 4)
-    tail_start = hyper.epochs - n_tail + 1
-    # One epoch in preallocated buffers: the prediction, the below-line mask,
-    # and the subgradient's two rows (coeff * u and coeff), summed in one call.
-    n = us.size
-    pred = np.empty(n)
-    below = np.empty(n, dtype=bool)
-    rows = np.empty((2, n))
-    grad, coeff = rows
-    for epoch in range(1, hyper.epochs + 1):
-        np.multiply(us, w, out=pred)
-        np.add(pred, b, out=pred)
-        # For finite doubles, zs - pred < 0 exactly when zs < pred.
-        np.less(zs, pred, out=below)
-        np.subtract(level, below, out=coeff)
-        np.multiply(coeff, us, out=grad)
-        dw, db = np.add.reduce(rows, axis=1) / n
-        lr = hyper.step / math.sqrt(epoch)
-        w += lr * float(dw)
-        b += lr * float(db)
-        if epoch >= tail_start:
-            w_acc += w
-            b_acc += b
-    w, b = w_acc / n_tail, b_acc / n_tail
-    weight = z_sd * w / u_sd
-    bias = z_mean + z_sd * (b - w * u_mean / u_sd)
-    return QuantReg(weight=weight, bias=bias, level=level)
+    return _fit_lines(train, [(k, level)], hyper)[0]
 
 
 def fit_quantile_models(
     train: LabeledSet, alpha: float, hyper: FitConfig = FitConfig()
 ) -> list[tuple[QuantReg, QuantReg]]:
-    """Fit the (alpha/2, 1 - alpha/2) model pair for every target."""
-    pairs = []
-    for k in range(train.n_targets):
-        lo = fit_quantreg(train, k, alpha / 2.0, hyper)
-        hi = fit_quantreg(train, k, 1.0 - alpha / 2.0, hyper)
-        pairs.append((lo, hi))
-    return pairs
+    """Fit the (alpha/2, 1 - alpha/2) model pair for every target.
+
+    All 2K lines (K targets) descend together, each exactly as
+    ``fit_quantreg`` would fit it alone: the models are bit-identical to 2K
+    separate fits.  That holds because every step is elementwise IEEE
+    arithmetic on (2K,) coefficient arrays or (2K, n) rows, and each row's
+    subgradient is one ``np.add.reduce`` along a contiguous row, the same
+    pairwise sum as a single line's.  A rewrite that sums in another order or
+    rounds once where this rounds twice changes the bits: ``dot``, ``matmul``
+    or ``einsum`` for the sums, sorting or ``count_nonzero`` for the
+    below-line counts, or testing ``zs - b < us * w`` instead of
+    ``zs < us * w + b``.
+    """
+    levels = (alpha / 2.0, 1.0 - alpha / 2.0)
+    models = _fit_lines(train, [(k, lvl) for k in range(train.n_targets) for lvl in levels], hyper)
+    return list(zip(models[::2], models[1::2]))
+
+
+def _fit_lines(
+    train: LabeledSet, lines: list[tuple[int, float]], hyper: FitConfig
+) -> list[QuantReg]:
+    """``fit_quantreg`` for every (target, level) line, in one descent.
+
+    Holds 3 floats per training row and line: the standardized target, and
+    the line's prediction-then-subgradient and coefficient rows.
+    """
+    if not all(0.0 < level < 1.0 for _, level in lines):
+        raise ValueError("quantile level must lie in (0, 1)")
+    u = train.features
+    u_mean, u_sd = float(u.mean()), float(u.std())
+    u_sd = u_sd if u_sd > 1e-12 else 1.0
+    us = (u - u_mean) / u_sd
+    n, m = us.size, len(lines)
+    zs = np.empty((m, n))
+    z_scales = []
+    for i, (k, _) in enumerate(lines):
+        z = train.targets[:, k]
+        z_mean, z_sd = float(z.mean()), float(z.std())
+        z_sd = z_sd if z_sd > 1e-12 else 1.0
+        zs[i] = (z - z_mean) / z_sd
+        z_scales.append((z_mean, z_sd))
+    levels = np.array([level for _, level in lines])[:, None]
+    w, b = np.zeros(m), np.zeros(m)
+    w_acc, b_acc = np.zeros(m), np.zeros(m)
+    n_tail = max(1, hyper.epochs // 4)
+    tail_start = hyper.epochs - n_tail + 1
+    # One epoch in one (2m, n) buffer: the grad rows first hold the
+    # prediction, then coeff * u; a single reduce sums them and the coeff rows.
+    rows = np.empty((2 * m, n))
+    grad, coeff = rows[:m], rows[m:]
+    for epoch in range(1, hyper.epochs + 1):
+        np.multiply(us, w[:, None], out=grad)
+        np.add(grad, b[:, None], out=grad)
+        # For finite doubles, zs - pred < 0 exactly when zs < pred; the float
+        # out stores the mask as 1.0/0.0.
+        np.less(zs, grad, out=coeff)
+        np.subtract(levels, coeff, out=coeff)
+        np.multiply(coeff, us, out=grad)
+        steps = np.add.reduce(rows, axis=1) / n
+        steps *= hyper.step / math.sqrt(epoch)
+        w += steps[:m]
+        b += steps[m:]
+        if epoch >= tail_start:
+            w_acc += w
+            b_acc += b
+    models = []
+    tails = zip((w_acc / n_tail).tolist(), (b_acc / n_tail).tolist())
+    for (_, level), (z_mean, z_sd), (w, b) in zip(lines, z_scales, tails):
+        weight = z_sd * w / u_sd
+        bias = z_mean + z_sd * (b - w * u_mean / u_sd)
+        models.append(QuantReg(weight=weight, bias=bias, level=level))
+    return models
 
 
 def predict_quantiles(

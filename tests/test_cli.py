@@ -607,12 +607,16 @@ def test_oversized_runs_are_config_errors_before_allocating(flags):
 
 
 def test_the_memory_check_reads_physical_memory(monkeypatch):
-    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 100}  # 400 KiB
+    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 200}  # 819200 bytes
     monkeypatch.setattr(cli.os, "sysconf", pages.__getitem__)
-    # table1's defaults draw 12000 rows of 3 targets: 288000 bytes.
+    # table1's defaults draw 12000 rows of 3 targets (288000 bytes) and fit
+    # 6 lines on 5000 training rows with 3 floats per row each (720000 bytes).
     assert build_config({}, {"experiment": "table1"})
+    with pytest.raises(ConfigError, match="GiB array"):  # 35000 rows drawn: 840000
+        build_config({}, {"experiment": "table1", "n_test": 25000})
+    # 6000 training rows: 864000 bytes in the fit, though the drawn rows still fit.
     with pytest.raises(ConfigError, match="GiB array"):
-        build_config({}, {"experiment": "table1", "n_test": 10000})
+        build_config({}, {"experiment": "table1", "n_train": 6000})
     # Without sysconf there is nothing to compare against, and no check.
     monkeypatch.setattr(cli.os, "sysconf", pages.__getattribute__)
     assert build_config({}, {"experiment": "table1", "n_test": 10**12})

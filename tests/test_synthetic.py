@@ -140,14 +140,35 @@ def first_written_quantreg(train, k, level, hyper=FitConfig()):
     return z_sd * w / u_sd, z_mean + z_sd * (b - w * u_mean / u_sd)
 
 
-@pytest.mark.parametrize("noise", list(NoiseKind))
-@pytest.mark.parametrize("n", [1, 2, 7, 50, 129, 5000])
-def test_fit_quantreg_is_bit_identical_to_the_first_written_descent(n, noise):
+# The constant sets reach the 1e-12 sd fallbacks of the standardization.
+BIT_IDENTITY_CASES = [
+    pytest.param(n, noise, None, id=f"{n}-{noise.value}")
+    for n in (1, 2, 7, 50, 129, 5000)
+    for noise in NoiseKind
+] + [
+    pytest.param(50, NoiseKind.CORRELATED, flat, id=f"50-constant_{flat}")
+    for flat in ("feature", "target")
+]
+
+
+@pytest.mark.parametrize("n, noise, flat", BIT_IDENTITY_CASES)
+def test_fit_quantreg_is_bit_identical_to_the_first_written_descent(n, noise, flat):
     train = gen_synthetic(n, noise, seed=24 + n)
+    features, targets = train.features, train.targets.copy()
+    if flat == "feature":
+        features = np.full(n, 1.5)
+    elif flat == "target":
+        targets[:, 1] = -3.0
+    train = LabeledSet(features=features, targets=targets, role=Role.TRAIN)
     hyper = FitConfig() if n < 5000 else FitConfig(epochs=300)
     for k, level in ((0, 0.05), (1, 0.5), (2, 0.975)):
         model = fit_quantreg(train, k, level, hyper)
         assert (model.weight, model.bias) == first_written_quantreg(train, k, level, hyper)
+    for alpha in (0.05, 0.3):
+        for k, pair in enumerate(fit_quantile_models(train, alpha, hyper)):
+            for model, level in zip(pair, (alpha / 2.0, 1.0 - alpha / 2.0)):
+                assert model.level == level
+                assert (model.weight, model.bias) == first_written_quantreg(train, k, level, hyper)
 
 
 def test_fit_config_validation():
