@@ -5,8 +5,8 @@ key has a default and command line flags override the file.  A run writes
 ``results.csv`` (one row per method, level, and target), ``manifest.json``
 (config echo, version, wall time, warnings), and per-figure ``plot_*.csv``
 files in long x/series/value form.  Identical config plus seed gives a
-byte-identical results CSV, also across thread counts: cells are computed
-from independent seed streams and assembled in a fixed order.
+byte-identical results CSV: cells are computed from independent seed streams
+in a fixed order.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import partial
 from itertools import product
@@ -31,7 +30,7 @@ import numpy as np
 from . import __version__
 from .calibrate import Method, fit_method
 from .core import Role, SplitSpec, concat, derive_seed, partition, split_cal_test, trial_rng
-from .evaluate import TrialMetrics, run_trials
+from .evaluate import run_trials
 from .multiround import pilot_tau, run_protocol, run_sc_baseline, sweep_labels
 from .scores import ScoreKind, score_matrix
 from .synthetic import (
@@ -113,14 +112,6 @@ def _rows(cfg, token, kind, alpha, esc=None, mil=None, protocol=None, **values) 
     return [dict(row, target=k, esc=float(e), mil=float(m)) for k, (e, m) in per_target]
 
 
-def _parallel(tasks, threads: int) -> list:
-    """Run zero-argument callables, preserving order, optionally threaded."""
-    if threads <= 1 or len(tasks) <= 1:
-        return [task() for task in tasks]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(lambda task: task(), tasks))
-
-
 # Runners map a config to (rows, warnings, manifest extras).  They call the trial
 # loops and the pilot's pieces through this module's globals, at call time.
 
@@ -133,17 +124,14 @@ def _run_benchmark(cfg: ExperimentConfig) -> tuple[list[dict], list[str], dict]:
         cfg.n_tune + cfg.n_cal + cfg.n_test, cfg.noise, derive_seed(cfg.seed, 1), role=Role.CAL
     )
     spec = SplitSpec(seed=cfg.seed, n_tune=cfg.n_tune, n_cal=cfg.n_cal, n_test=cfg.n_test)
-    cells = []
     # Every level's models are fitted before the first trial loop starts.
+    pools = []
     for alpha in cfg.alphas:
         tune, cal, test = partition(predict_quantiles(fit_quantile_models(train, alpha), raw), spec)
-        rest = concat([cal, test], Role.CAL)
-        cells += [
-            partial(run_trials, rest, tune, *METHOD_TOKENS[token], alpha, cfg.trials, spec)
-            for token in cfg.methods
-        ]
+        pools.append((alpha, tune, concat([cal, test], Role.CAL)))
     rows: list[dict] = []
-    for (alpha, token), m in zip(product(cfg.alphas, cfg.methods), _parallel(cells, cfg.threads)):
+    for (alpha, tune, rest), token in product(pools, cfg.methods):
+        m = run_trials(rest, tune, *METHOD_TOKENS[token], alpha, cfg.trials, spec)
         rows += _rows(cfg, token, METHOD_TOKENS[token][1], alpha, m.esc, m.mil, ejc=m.ejc)
     return rows, [], {}
 
@@ -152,21 +140,20 @@ def _run_size_sweep(cfg: ExperimentConfig, vary: str) -> tuple[list[dict], list[
     """ntrain_sweep / ntune_sweep: redraw train+tune per run, average runs."""
     alpha = cfg.alphas[0]
     values = cfg.ntrain_values if vary == "n_train" else cfg.ntune_values
-    raw_pool = gen_synthetic(
-        cfg.n_cal + cfg.n_test, cfg.noise, derive_seed(cfg.seed, 1), role=Role.CAL
-    )
+
+    def draw(n: int, role: Role, *path: int):
+        return gen_synthetic(n, cfg.noise, derive_seed(cfg.seed, *path), role=role)
+
+    raw_pool = draw(cfg.n_cal + cfg.n_test, Role.CAL, 1)
     rows: list[dict] = []
     warnings: list[str] = []
     for value in values:
         sized = replace(cfg, **{vary: value})
-
-        def one_run(run: int, sized=sized, value=value) -> list[TrialMetrics]:
-            def draw(n: int, stream: int, role: Role):
-                seed = derive_seed(cfg.seed, stream, value, run)
-                return gen_synthetic(n, cfg.noise, seed, role=role)
-
-            models = fit_quantile_models(draw(sized.n_train, 0, Role.TRAIN), alpha)
-            tune = predict_quantiles(models, draw(sized.n_tune, 2, Role.TUNE))
+        per_run = []
+        for run in range(cfg.runs):
+            # Each run's models are fitted just before its trial loops.
+            models = fit_quantile_models(draw(sized.n_train, Role.TRAIN, 0, value, run), alpha)
+            tune = predict_quantiles(models, draw(sized.n_tune, Role.TUNE, 2, value, run))
             pool = predict_quantiles(models, raw_pool)
             spec = SplitSpec(
                 seed=derive_seed(cfg.seed, 3, value, run),
@@ -174,12 +161,11 @@ def _run_size_sweep(cfg: ExperimentConfig, vary: str) -> tuple[list[dict], list[
                 n_cal=cfg.n_cal,
                 n_test=cfg.n_test,
             )
-            return [
+            cells = [
                 run_trials(pool, tune, *METHOD_TOKENS[token], alpha, cfg.trials, spec)
                 for token in cfg.methods
             ]
-
-        per_run = _parallel([partial(one_run, run) for run in range(cfg.runs)], cfg.threads)
+            per_run.append(cells)
         for j, token in enumerate(cfg.methods):
             method, kind = METHOD_TOKENS[token]
             ejc = float(np.mean([res[j].ejc for res in per_run]))
@@ -361,6 +347,10 @@ class ExperimentConfig:
                 raise ConfigError(f"alphas are miscoverage rates in (0, 1), got {a}")
         if not 0.0 < self.quantile_alpha < 1.0:
             raise ConfigError(f"quantile_alpha must lie in (0, 1), got {self.quantile_alpha}")
+        if self.n_pred < 2:
+            raise ConfigError(f"n_pred must be at least 2 prediction samples, got {self.n_pred}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         for name in ("n_train", "n_tune", "n_cal", "n_test", "trials", "threads", "runs"):
             # Only the experiments that fit quantile models need training data.
             least = 0 if name == "n_train" and not fits_models else 1
@@ -368,13 +358,16 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be at least {least}")
         # The largest arrays a run allocates hold a float per row drawn and per
         # target, or per prediction sample of a multiround draw; the quantile
-        # fit holds 6 floats per training row and target (3 per fitted line).
+        # fit holds 6 floats per training row and target (3 per fitted line);
+        # a cell's per-trial results hold 1 + 2K floats per trial (joint
+        # coverage, then per-target coverage and length), a protocol's 3.
         width = joint_targets if fits_models else max(joint_targets, self.n_pred)
         tune_sizes = self.ntune_values if self.experiment == "ntune_sweep" else ()
         train_sizes = self.ntrain_values if self.experiment == "ntrain_sweep" else ()
         drawn = max((self.n_tune + self.n_cal + self.n_test, *tune_sizes))
         trained = max((self.n_train, *train_sizes)) if fits_models else 0
-        need = max(drawn * width, 6 * joint_targets * trained) * 8
+        per_trial = 1 + 2 * joint_targets if fits_models else 3
+        need = max(drawn * width, 6 * joint_targets * trained, per_trial * self.trials) * 8
         try:
             memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
         except (AttributeError, ValueError, OSError):  # unknown here: no check
@@ -448,13 +441,7 @@ def build_config(file_values: dict, flag_values: dict) -> ExperimentConfig:
         merged["tau"] = None
     # An unknown experiment gets no defaults; ExperimentConfig rejects it.
     experiment = EXPERIMENTS.get(merged.get("experiment", "table1"))
-    defaults = dict(experiment.defaults) if experiment else {}
-    env_threads = os.environ.get("CTOOL_THREADS")
-    if env_threads is not None and "threads" not in merged:
-        try:
-            defaults["threads"] = int(env_threads)
-        except ValueError as err:
-            raise ConfigError(f"CTOOL_THREADS: {err}") from err
+    defaults = experiment.defaults if experiment else {}
     for key, value in defaults.items():
         merged.setdefault(key, value)
     try:

@@ -1,34 +1,43 @@
 """The names the benchmark under ``perfbench/`` looks up in ``mtconf``.
 
 perfbench times the program by rebinding public names in the modules that
-call them (``layers.TRACED``) and imports library names directly.  A name
-that moves or goes away breaks the benchmark without failing any other test,
-so this file checks that every one still resolves.
+call them (``layers.TRACED``), imports library names directly and runs
+``ctool`` with fixed command lines (``workloads.WORKLOADS``).  A name, flag or
+config key that moves or goes away breaks the benchmark without failing any
+other test, so this file checks that every one still resolves.
 """
 
 import ast
 import importlib
 import importlib.util
 import inspect
+import sys
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mtconf import Calibration, Method, ScoreKind, fit_method
+from mtconf import Calibration, Method, ScoreKind, cli, fit_method
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def _load_layers():
-    spec = importlib.util.spec_from_file_location("perfbench_layers", PERFBENCH / "layers.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+def _load_perfbench(name):
+    # perfbench's modules import their siblings by plain name, and its
+    # dataclasses look their module up in sys.modules.
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+        module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.remove(str(PERFBENCH))
     return module
 
 
-LAYERS = _load_layers()
+LAYERS = _load_perfbench("layers")
+WORKLOADS = _load_perfbench("workloads").WORKLOADS
 
 
 @pytest.mark.parametrize(
@@ -60,6 +69,16 @@ def test_perfbench_imports_some_mtconf_names():
 @pytest.mark.parametrize("module, name", _mtconf_imports())
 def test_every_imported_name_resolves(module, name):
     assert hasattr(importlib.import_module(module), name)
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_every_workload_command_line_builds_a_config(tmp_path, name):
+    # Parsed and validated only; nothing runs.
+    args = cli._build_argparser().parse_args(WORKLOADS[name].ctool_argv(1, tmp_path / "out"))
+    file_values = cli.read_config_file(Path(args.config)) if args.config else {}
+    cfg = cli.build_config(file_values, cli._flag_values(args))
+    assert cfg.seed == 1 and cfg.threads == 1 and cfg.output_dir == str(tmp_path / "out")
+    assert bool(args.config) == bool(WORKLOADS[name].ini)
 
 
 def test_calibration_keeps_the_fields_the_benchmark_reads():

@@ -123,15 +123,6 @@ def test_build_config_precedence_and_defaults():
     assert mr.n_train == 0 and mr.alphas == (0.15, 0.10, 0.05)
 
 
-def test_build_config_env_threads(monkeypatch):
-    monkeypatch.setenv("CTOOL_THREADS", "3")
-    assert build_config({}, {}).threads == 3
-    assert build_config({"threads": 2}, {}).threads == 2
-    monkeypatch.setenv("CTOOL_THREADS", "many")
-    with pytest.raises(ConfigError, match="CTOOL_THREADS"):
-        build_config({}, {})
-
-
 def test_build_config_tau_auto_flag_overrides_file():
     cfg = build_config({"tau": 0.5, "experiment": "multiround"}, {"tau": "auto"})
     assert cfg.tau is None
@@ -150,6 +141,8 @@ def test_config_validation_errors():
         ExperimentConfig(experiment="multiround", methods=("cqr_minimax",), tau=-1.0)
     with pytest.raises(ConfigError, match="trials"):
         ExperimentConfig(trials=0)
+    with pytest.raises(ConfigError, match="seed must be non-negative, got -1"):
+        ExperimentConfig(seed=-1)
 
 
 def test_main_rejects_bad_configs(tmp_path, capsys):
@@ -159,6 +152,11 @@ def test_main_rejects_bad_configs(tmp_path, capsys):
     assert "cannot read config" in capsys.readouterr().err
     assert run_cli("--experiment", "table1", "--methods", "single") == 2
     assert "exactly one target" in capsys.readouterr().err
+    out = tmp_path / "res"
+    assert run_cli(*BENCH, "--output-dir", out) == 0
+    assert run_cli(*MULTIROUND, "--seed", "-1", "--output-dir", out) == 2
+    assert capsys.readouterr().err == "ctool: config error: seed must be non-negative, got -1\n"
+    assert (out / "manifest.json").exists()  # the earlier run's outputs stay
 
 
 def test_config_rejects_an_empty_training_set(tmp_path, capsys):
@@ -465,7 +463,6 @@ def write_ini(path, names):
 
 
 def test_every_field_reads_the_same_from_its_ini_key_and_its_flag(tmp_path, monkeypatch, capsys):
-    monkeypatch.delenv("CTOOL_THREADS", raising=False)
     monkeypatch.chdir(tmp_path)
     assert set(FIELDS) == set(asdict(ExperimentConfig()))
     flagged = [name for name, (_, flag, _) in FIELDS.items() if flag]
@@ -515,6 +512,8 @@ def test_tau_auto_flag_overrides_the_file_through_main(tmp_path):
         ("[rounds]\nquantile_alpha = 2\n", "quantile_alpha must lie in (0, 1), got 2.0"),
         ("[rounds]\nquantile_alpha = -0.5\n", "quantile_alpha must lie in (0, 1), got -0.5"),
         ("[rounds]\nquantile_alpha = 0\n", "quantile_alpha must lie in (0, 1), got 0.0"),
+        ("[rounds]\nn_pred = 1\n", "n_pred must be at least 2 prediction samples, got 1"),
+        ("[rounds]\nn_pred = 0\n", "n_pred must be at least 2 prediction samples, got 0"),
     ],
 )
 def test_bad_round_layouts_are_config_errors(tmp_path, capsys, ini, message):
@@ -620,3 +619,41 @@ def test_the_memory_check_reads_physical_memory(monkeypatch):
     # Without sysconf there is nothing to compare against, and no check.
     monkeypatch.setattr(cli.os, "sysconf", pages.__getattribute__)
     assert build_config({}, {"experiment": "table1", "n_test": 10**12})
+
+
+def test_the_memory_check_counts_per_trial_results(monkeypatch):
+    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 200}  # 819200 bytes
+    monkeypatch.setattr(cli.os, "sysconf", pages.__getitem__)
+    # A table1 cell keeps 1 + 2 * 3 floats per trial: 14000 trials take 784000 bytes.
+    assert build_config({}, {"experiment": "table1", "trials": 14000})
+    with pytest.raises(ConfigError, match="GiB array"):  # 840000
+        build_config({}, {"experiment": "table1", "trials": 15000})
+    # A protocol keeps 3 floats per trial, on 120 rows of 32 prediction samples.
+    small = {"experiment": "multiround", "n_tune": 50, "n_cal": 50, "n_test": 20}
+    assert build_config({}, dict(small, trials=34000))  # 816000
+    for trials in (35000, 10**12):
+        with pytest.raises(ConfigError, match="GiB array"):
+            build_config({}, dict(small, trials=trials))
+
+
+def test_models_are_fitted_in_the_order_the_benchmark_times(tmp_path, monkeypatch):
+    """table1 fits every level before its first trial loop; a size sweep fits
+    each run just before that run's trials."""
+    calls = []
+
+    def recorder(name, real):
+        return lambda *args, **kwargs: calls.append(name) or real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "fit_quantile_models", recorder("fit", cli.fit_quantile_models))
+    monkeypatch.setattr(cli, "run_trials", recorder("trials", cli.run_trials))
+    sizes = ("--trials", "2", "--ntrain", "60", "--ntune", "40", "--ncal", "50", "--ntest", "30")
+    table1 = ("--experiment", "table1", "--methods", "qn,ia", "--alphas", "0.2,0.1")
+    assert run_cli(*table1, *sizes, "--output-dir", tmp_path / "t1") == 0
+    assert calls == ["fit", "fit"] + ["trials"] * 4
+
+    calls.clear()
+    config = tmp_path / "sweep.ini"
+    config.write_text("[experiment]\nntune_values = 40, 60\nruns = 2\n")
+    sweep = ("--experiment", "ntune_sweep", "--methods", "qn,ia,cpts")
+    assert run_cli(config, *sweep, *sizes, "--output-dir", tmp_path / "sweep") == 0
+    assert calls == (["fit"] + ["trials"] * 3) * 4  # two sizes, two runs each
