@@ -25,6 +25,7 @@ from .core import (
     LabeledSet,
     Role,
     SplitSpec,
+    TrialSplits,
     concat,
     derive_seed,
     partition,

@@ -6,7 +6,8 @@ key has a default and command line flags override the file.  A run writes
 (config echo, version, wall time, warnings), and per-figure ``plot_*.csv``
 files in long x/series/value form.  Identical config plus seed gives a
 byte-identical results CSV: cells are computed from independent seed streams
-in a fixed order.
+in a fixed order, and the cells that re-split one pool share each trial's
+split (``TrialSplits``).
 """
 
 from __future__ import annotations
@@ -29,7 +30,8 @@ import numpy as np
 
 from . import __version__
 from .calibrate import Method, fit_method
-from .core import Role, SplitSpec, concat, derive_seed, partition, split_cal_test, trial_rng
+from .core import Role, SplitSpec, TrialSplits, concat, derive_seed, partition
+from .core import split_cal_test  # noqa: F401 (perfbench/layers.py rebinds it here)
 from .evaluate import run_trials
 from .multiround import pilot_tau, run_protocol, run_sc_baseline, sweep_labels
 from .scores import ScoreKind, score_matrix
@@ -113,7 +115,14 @@ def _rows(cfg, token, kind, alpha, esc=None, mil=None, protocol=None, **values) 
 
 
 # Runners map a config to (rows, warnings, manifest extras).  They call the trial
-# loops and the pilot's pieces through this module's globals, at call time.
+# loops and the pilot's pieces through this module's globals, at call time, and
+# keep one split table alive at a time.
+
+
+def _splits(cfg: ExperimentConfig) -> TrialSplits:
+    """The split table of a run that re-splits one cal/test pool under the config's seed."""
+    spec = SplitSpec(seed=cfg.seed, n_tune=cfg.n_tune, n_cal=cfg.n_cal, n_test=cfg.n_test)
+    return TrialSplits(spec, cfg.n_cal + cfg.n_test)
 
 
 def _run_benchmark(cfg: ExperimentConfig) -> tuple[list[dict], list[str], dict]:
@@ -123,7 +132,8 @@ def _run_benchmark(cfg: ExperimentConfig) -> tuple[list[dict], list[str], dict]:
     raw = gen_synthetic(
         cfg.n_tune + cfg.n_cal + cfg.n_test, cfg.noise, derive_seed(cfg.seed, 1), role=Role.CAL
     )
-    spec = SplitSpec(seed=cfg.seed, n_tune=cfg.n_tune, n_cal=cfg.n_cal, n_test=cfg.n_test)
+    splits = _splits(cfg)
+    spec = splits.spec
     # Every level's models are fitted before the first trial loop starts.
     pools = []
     for alpha in cfg.alphas:
@@ -131,7 +141,7 @@ def _run_benchmark(cfg: ExperimentConfig) -> tuple[list[dict], list[str], dict]:
         pools.append((alpha, tune, concat([cal, test], Role.CAL)))
     rows: list[dict] = []
     for (alpha, tune, rest), token in product(pools, cfg.methods):
-        m = run_trials(rest, tune, *METHOD_TOKENS[token], alpha, cfg.trials, spec)
+        m = run_trials(rest, tune, *METHOD_TOKENS[token], alpha, cfg.trials, spec, splits=splits)
         rows += _rows(cfg, token, METHOD_TOKENS[token][1], alpha, m.esc, m.mil, ejc=m.ejc)
     return rows, [], {}
 
@@ -161,8 +171,11 @@ def _run_size_sweep(cfg: ExperimentConfig, vary: str) -> tuple[list[dict], list[
                 n_cal=cfg.n_cal,
                 n_test=cfg.n_test,
             )
+            splits = TrialSplits(spec, pool.n)
             cells = [
-                run_trials(pool, tune, *METHOD_TOKENS[token], alpha, cfg.trials, spec)
+                run_trials(
+                    pool, tune, *METHOD_TOKENS[token], alpha, cfg.trials, spec, splits=splits
+                )
                 for token in cfg.methods
             ]
             per_run.append(cells)
@@ -180,9 +193,9 @@ def _run_size_sweep(cfg: ExperimentConfig, vary: str) -> tuple[list[dict], list[
     return rows, warnings, {}
 
 
-def _protocol_setup(cfg: ExperimentConfig):
-    """Split spec, tune set and cal/test pool of a multiround run, and its tau pilot."""
-    spec = SplitSpec(seed=cfg.seed, n_tune=cfg.n_tune, n_cal=cfg.n_cal, n_test=cfg.n_test)
+def _protocol_setup(cfg: ExperimentConfig, splits: TrialSplits):
+    """Tune set and cal/test pool of a multiround run, and its tau pilot."""
+    spec = splits.spec
     base = cfg.round_config(tau=1.0)  # the data and the pilot do not depend on tau
     data = gen_multiround(
         spec.total, base, derive_seed(cfg.seed, 10), quantile_alpha=cfg.quantile_alpha,
@@ -194,7 +207,8 @@ def _protocol_setup(cfg: ExperimentConfig):
     def pilot(alpha: float) -> float:
         """Median conformalized next-to-last-round length on the trial-0 split."""
         method, kind = METHOD_TOKENS[cfg.methods[0]]
-        cal, test = split_cal_test(pool, spec.n_cal, spec.n_test, trial_rng(spec, 0))
+        cal_rows, test_rows = splits[0]
+        cal, test = pool.subset(cal_rows, Role.CAL), pool.subset(test_rows, Role.TEST)
         calib = fit_method(
             method,
             score_matrix(cal.lo, cal.hi, cal.targets, kind),
@@ -204,11 +218,13 @@ def _protocol_setup(cfg: ExperimentConfig):
         )
         return pilot_tau(test, base, calib=calib)
 
-    return spec, tune, pool, pilot
+    return tune, pool, pilot
 
 
 def _run_multiround(cfg: ExperimentConfig) -> tuple[list[dict], list[str], dict]:
-    spec, tune, pool, pilot = _protocol_setup(cfg)
+    splits = _splits(cfg)
+    spec = splits.spec
+    tune, pool, pilot = _protocol_setup(cfg, splits)
     rows: list[dict] = []
     taus: dict[str, float] = {}
     for alpha in cfg.alphas:
@@ -216,8 +232,12 @@ def _run_multiround(cfg: ExperimentConfig) -> tuple[list[dict], list[str], dict]
         rc = cfg.round_config(tau=tau)
         for token in cfg.methods:
             method, kind = METHOD_TOKENS[token]
-            joint = run_protocol(pool, tune, method, alpha, rc, cfg.trials, spec, kind)
-            sc = run_sc_baseline(pool, tune, alpha, rc, cfg.trials, spec, kind, method)
+            joint = run_protocol(
+                pool, tune, method, alpha, rc, cfg.trials, spec, kind, splits=splits
+            )
+            sc = run_sc_baseline(
+                pool, tune, alpha, rc, cfg.trials, spec, kind, method, splits=splits
+            )
             sc_token = "sc" if cfg.tasks == 1 else f"sc_{token}"
             for name, result in ((token, joint), (sc_token, sc)):
                 rows += _rows(cfg, name, kind, alpha, protocol=result)
@@ -226,16 +246,17 @@ def _run_multiround(cfg: ExperimentConfig) -> tuple[list[dict], list[str], dict]
 
 def _run_label_sweep(cfg: ExperimentConfig) -> tuple[list[dict], list[str], dict]:
     alpha = cfg.alphas[0]
-    # A pilot runs on the data of the configured task count.
-    tau = _protocol_setup(cfg)[-1](alpha) if cfg.tau is None else cfg.tau
-    spec = SplitSpec(seed=cfg.seed, n_tune=cfg.n_tune, n_cal=cfg.n_cal, n_test=cfg.n_test)
+    splits = _splits(cfg)
+    # A pilot runs on the data of the configured task count, and every task
+    # count on the same splits.
+    tau = _protocol_setup(cfg, splits)[-1](alpha) if cfg.tau is None else cfg.tau
     rows: list[dict] = []
     for token in cfg.methods:
         method, kind = METHOD_TOKENS[token]
         results = sweep_labels(
-            list(cfg.label_values), cfg.round_config(tau=tau), method, alpha, cfg.trials, spec,
-            derive_seed(cfg.seed, 10), score_kind=kind, quantile_alpha=cfg.quantile_alpha,
-            n_pred=cfg.n_pred,
+            list(cfg.label_values), cfg.round_config(tau=tau), method, alpha, cfg.trials,
+            splits.spec, derive_seed(cfg.seed, 10), score_kind=kind,
+            quantile_alpha=cfg.quantile_alpha, n_pred=cfg.n_pred, splits=splits,
         )
         for labels, result in zip(cfg.label_values, results):
             rows += _rows(cfg, token, kind, alpha, protocol=result, sweep_value=labels)
@@ -360,13 +381,14 @@ class ExperimentConfig:
         # target, or per prediction sample of a multiround draw; the quantile
         # fit holds 6 floats per training row and target (3 per fitted line);
         # a cell's per-trial results hold 1 + 2K floats per trial (joint
-        # coverage, then per-target coverage and length), a protocol's 3.
+        # coverage, then per-target coverage and length), a protocol's 3; and
+        # the split table, one alive at a time, n_cal + n_test int64 per trial.
         width = joint_targets if fits_models else max(joint_targets, self.n_pred)
         tune_sizes = self.ntune_values if self.experiment == "ntune_sweep" else ()
         train_sizes = self.ntrain_values if self.experiment == "ntrain_sweep" else ()
         drawn = max((self.n_tune + self.n_cal + self.n_test, *tune_sizes))
         trained = max((self.n_train, *train_sizes)) if fits_models else 0
-        per_trial = 1 + 2 * joint_targets if fits_models else 3
+        per_trial = max(1 + 2 * joint_targets if fits_models else 3, self.n_cal + self.n_test)
         need = max(drawn * width, 6 * joint_targets * trained, per_trial * self.trials) * 8
         try:
             memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")

@@ -39,8 +39,9 @@ def rng_for(seed: int, *path: int) -> np.random.Generator:
 
     Uses the SeedSequence spawn-key mechanism, so streams for different paths
     are statistically independent and the derivation is order-free: stream
-    (seed, 3) is the same whether or not (seed, 2) was ever created.  That is
-    what makes parallel trials reproducible.
+    (seed, 3) is the same whether or not (seed, 2) was ever created.  So
+    trial t's split depends on nothing but its spec, pool size and t, and
+    every cell on a pool can share it (``TrialSplits``).
     """
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=tuple(path)))
 
@@ -192,3 +193,41 @@ def split_cal_test(data: LabeledSet, n_cal: int, n_test: int, rng: np.random.Gen
     """One random calibration/test re-split of a pooled labeled set."""
     cal_idx, test_idx = split_indices(data.n, n_cal, n_test, rng)
     return data.subset(cal_idx, Role.CAL), data.subset(test_idx, Role.TEST)
+
+
+class TrialSplits:
+    """Every trial's split of one n-row pool under one spec, drawn on first use.
+
+    A split depends only on (spec, n, trial), so the cells that re-split one
+    pool can share a table and draw each trial once between them.  The kept
+    index arrays are read-only: an in-place edit would corrupt every later
+    cell.  A full table holds trials * n int64 indices.
+    """
+
+    def __init__(self, spec: SplitSpec, n: int) -> None:
+        self.spec = spec
+        self.n = n
+        self._drawn: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+    def draw(self, trial: int) -> tuple[np.ndarray, np.ndarray]:
+        """Trial ``trial``'s calibration/test row indices, drawn afresh and not kept."""
+        spec = self.spec
+        return split_indices(self.n, spec.n_cal, spec.n_test, trial_rng(spec, trial))
+
+    def __getitem__(self, trial: int) -> tuple[np.ndarray, np.ndarray]:
+        split = self._drawn.get(trial)
+        if split is None:
+            split = self._drawn[trial] = self.draw(trial)
+            for indices in split:
+                indices.setflags(write=False)
+        return split
+
+
+def split_source(spec: SplitSpec, n: int, splits: TrialSplits | None = None):
+    """A trial loop's trial -> (cal, test) lookup: the shared table's, or,
+    without one, a fresh draw per trial that nothing keeps."""
+    if splits is None:
+        return TrialSplits(spec, n).draw
+    if (splits.spec, splits.n) != (spec, n):
+        raise ValueError(f"the split table re-splits {splits.n} rows under {splits.spec}")
+    return splits.__getitem__

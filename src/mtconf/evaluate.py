@@ -6,12 +6,13 @@ coverage, and per-target interval lengths averaged over the test set.  The
 tuning set is drawn once outside this module and stays fixed across trials.
 The pool is scored, and ranked in the sorted tuning columns, once per cell,
 together with every other per-cell invariant (row maxima, band-width
-ratios); a trial only draws its split as row indices and gathers those rows.
+ratios); a trial only takes its split as row indices and gathers those rows.
+A trial's split depends only on its spec, pool size and index, never on what
+ran before, so every cell on one pool can share it through one
+``TrialSplits`` table.
 
 Per-trial results are written into preallocated arrays indexed by trial and
-reduced with numpy means (pairwise summation), so the reported metrics do not
-depend on any execution order and the harness is safe to parallelize over
-trials or over (method, alpha) cells.
+reduced with numpy means (pairwise summation).
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .calibrate import Calibration, Method, _score_rows, _ScoredPool
 # only for perfbench/layers.py, which times layers by rebinding those names
 # in this module.
 from .calibrate import coverage_mask, fit_method, interval_array  # noqa: F401
-from .core import LabeledSet, SplitSpec, split_cal_test, split_indices, trial_rng  # noqa: F401
+from .core import LabeledSet, SplitSpec, TrialSplits, split_cal_test, split_source  # noqa: F401
 from .scores import ScoreKind, _scale_ratios, interval_bounds, score_matrix
 
 
@@ -75,8 +76,8 @@ def evaluate_calibration(
 
     ``columns`` are the test rows' scores target by target, (K, n), and
     ``lo``/``hi`` their (n, K) quantile bands, with width ``ratios`` when
-    given.  Coverage is counted along the target rows; the lengths average
-    over the (n, K) rows, so each target's mean sums in row order.
+    given.  Coverage is counted along the target rows; each target's mean
+    length sums in row order (``_mean_lengths``).
     """
     margins = calib.margins(lo.shape[1])
     covered = columns <= margins[:, None]
@@ -85,8 +86,23 @@ def evaluate_calibration(
     return (
         np.count_nonzero(np.logical_and.reduce(covered, axis=0)) / n,
         covered.sum(axis=1) / n,
-        np.maximum(0.0, ihi - ilo).mean(axis=0),
+        _mean_lengths(ilo, ihi),
     )
+
+
+def _mean_lengths(ilo: np.ndarray, ihi: np.ndarray) -> np.ndarray:
+    """Per-target mean of the (n, K) interval lengths, bit for bit
+    ``np.maximum(0.0, ihi - ilo).mean(axis=0)``.
+
+    That mean adds each target's lengths one row after another (pairwise
+    only for K = 1, where the column is contiguous); a running sum along the
+    target's (K, n) row does the same additions in the same order, faster.
+    """
+    lengths = ihi - ilo
+    rows = np.maximum(0.0, lengths, out=lengths).T
+    if len(rows) == 1:
+        return rows.mean(axis=1)
+    return np.add.accumulate(rows, axis=1)[:, -1] / rows.shape[1]
 
 
 def run_trials(
@@ -97,15 +113,20 @@ def run_trials(
     alpha: float,
     trials: int,
     spec: SplitSpec,
+    *,
+    splits: TrialSplits | None = None,
 ) -> TrialMetrics:
     """Repeated-split evaluation of one method at one level.
 
     ``data`` is the pooled evaluation set that gets re-split into calibration
     and test sets of sizes ``spec.n_cal`` and ``spec.n_test`` in every trial;
     ``tune`` is the fixed tuning set used by the methods that need one.
+    Trials take their splits from ``splits``, a table shared with the other
+    cells on this pool, or draw each one afresh without it.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
+    split = split_source(spec, data.n, splits)
     pool = _score_pool(data, tune, method, score_kind)
     ratios = _scale_ratios(data.lo, data.hi) if score_kind.normalized else None
     n_targets = data.n_targets
@@ -113,7 +134,7 @@ def run_trials(
     esc = np.empty((trials, n_targets))
     mil = np.empty((trials, n_targets))
     for t in range(trials):
-        cal, test = split_indices(data.n, spec.n_cal, spec.n_test, trial_rng(spec, t))
+        cal, test = split(t)
         rows = partial(np.take, indices=test, axis=0)
         ejc[t], esc[t], mil[t] = evaluate_calibration(
             pool.calibrate(cal, alpha), np.take(pool.columns, test, axis=1),

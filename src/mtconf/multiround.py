@@ -20,7 +20,7 @@ import numpy as np
 # are imported only for perfbench/layers.py, which times those layers by
 # rebinding them here.
 from .calibrate import Calibration, Method, coverage_mask, fit_method, interval_array  # noqa: F401
-from .core import LabeledSet, Role, SplitSpec, concat, partition, split_cal_test, split_indices, trial_rng  # noqa: F401
+from .core import LabeledSet, Role, SplitSpec, TrialSplits, concat, partition, split_cal_test, split_source  # noqa: F401
 from .evaluate import _score_pool
 from .scores import ScoreKind, _scale_ratios, interval_bounds, score_matrix  # noqa: F401
 from .synthetic import RoundConfig, gen_multiround
@@ -93,11 +93,13 @@ def _protocol_trials(
     method: Method,
     per_round: bool,
     length_floor: float,
+    splits: TrialSplits | None,
 ) -> ProtocolResult:
     if trials < 1:
         raise ValueError("need at least one trial")
     if data.n_targets != cfg.n_targets:
         raise ValueError("data does not match the round layout")
+    split = split_source(spec, data.n, splits)
     # Calibrated round by round, single-task rounds use plain split conformal.
     fit = Method.SINGLE if per_round and cfg.tasks == 1 else method
     blocks = tuple(_round_slice(cfg, b) for b in range(cfg.rounds)) if per_round else (slice(None),)
@@ -114,7 +116,7 @@ def _protocol_trials(
     inv_rates = 1.0 / np.asarray(cfg.rates, dtype=np.float64)
     n = spec.n_test
     for t in range(trials):
-        cal, test = split_indices(data.n, spec.n_cal, spec.n_test, trial_rng(spec, t))
+        cal, test = split(t)
         margins = np.empty((cfg.n_targets, 1))
         for b, cols in enumerate(blocks):
             margins[cols, 0] = pool.calibrate(cal, alpha, b).margins(len(margins[cols]))
@@ -146,10 +148,15 @@ def run_protocol(
     spec: SplitSpec,
     score_kind: ScoreKind = ScoreKind.CQR,
     length_floor: float = 0.0,
+    *,
+    splits: TrialSplits | None = None,
 ) -> ProtocolResult:
-    """Early-stopping evaluation with all rounds calibrated jointly."""
+    """Early-stopping evaluation with all rounds calibrated jointly.
+
+    Trials take their splits from ``splits`` when given, as ``run_trials`` does.
+    """
     return _protocol_trials(
-        data, tune, alpha, cfg, trials, spec, score_kind, method, False, length_floor
+        data, tune, alpha, cfg, trials, spec, score_kind, method, False, length_floor, splits
     )
 
 
@@ -163,15 +170,18 @@ def run_sc_baseline(
     score_kind: ScoreKind = ScoreKind.CQR,
     method: Method = Method.MINIMAX,
     length_floor: float = 0.0,
+    *,
+    splits: TrialSplits | None = None,
 ) -> ProtocolResult:
     """Early-stopping evaluation with each round calibrated separately.
 
     Single-task rounds use plain split conformal; multi-task rounds use
     ``method`` per round.  Every round is calibrated at the full level, so
-    any shortfall in ``eac`` is pure length-selection bias.
+    any shortfall in ``eac`` is pure length-selection bias.  ``splits`` is
+    as in ``run_protocol``.
     """
     return _protocol_trials(
-        data, tune, alpha, cfg, trials, spec, score_kind, method, True, length_floor
+        data, tune, alpha, cfg, trials, spec, score_kind, method, True, length_floor, splits
     )
 
 
@@ -215,6 +225,8 @@ def sweep_labels(
     score_kind: ScoreKind = ScoreKind.CQR,
     quantile_alpha: float = 0.1,
     n_pred: int = 32,
+    *,
+    splits: TrialSplits | None = None,
 ) -> list[ProtocolResult]:
     """Protocol results across task counts with nested draws.
 
@@ -222,9 +234,13 @@ def sweep_labels(
     many tasks and fresh data is generated under ``data_seed``; the generator
     keys its substreams by task index, so smaller task counts reuse a prefix
     of the larger ones' draws and the sweep is monotone sample by sample.
+    Every task count re-splits a pool of the same size under ``spec``, so
+    all of them share one split table, ``splits`` when given.
     """
     if n is None:
         n = spec.total
+    if splits is None:
+        splits = TrialSplits(spec, spec.n_cal + spec.n_test)
     results = []
     for labels in label_values:
         cfg = replace(base_cfg, tasks=labels)
@@ -232,6 +248,6 @@ def sweep_labels(
         tune, cal, test = partition(data, spec)
         pool = concat([cal, test], Role.CAL)
         results.append(
-            run_protocol(pool, tune, method, alpha, cfg, trials, spec, score_kind)
+            run_protocol(pool, tune, method, alpha, cfg, trials, spec, score_kind, splits=splits)
         )
     return results

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import mtconf
-from mtconf import cli
+from mtconf import cli, core
 from mtconf.cli import (
     CSV_COLUMNS,
     ConfigError,
@@ -608,14 +608,19 @@ def test_oversized_runs_are_config_errors_before_allocating(flags):
 def test_the_memory_check_reads_physical_memory(monkeypatch):
     pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 200}  # 819200 bytes
     monkeypatch.setattr(cli.os, "sysconf", pages.__getitem__)
+    # One trial keeps the split table (7000 indices, 56000 bytes) out of the way.
     # table1's defaults draw 12000 rows of 3 targets (288000 bytes) and fit
     # 6 lines on 5000 training rows with 3 floats per row each (720000 bytes).
-    assert build_config({}, {"experiment": "table1"})
+    one = {"experiment": "table1", "trials": 1}
+    assert build_config({}, one)
+    assert build_config({}, dict(one, n_test=24000))  # 34000 rows drawn: 816000
     with pytest.raises(ConfigError, match="GiB array"):  # 35000 rows drawn: 840000
-        build_config({}, {"experiment": "table1", "n_test": 25000})
-    # 6000 training rows: 864000 bytes in the fit, though the drawn rows still fit.
+        build_config({}, dict(one, n_test=25000))
+    # 5600 training rows: 806400 bytes in the fit; 6000: 864000, though the
+    # drawn rows still fit.
+    assert build_config({}, dict(one, n_train=5600))
     with pytest.raises(ConfigError, match="GiB array"):
-        build_config({}, {"experiment": "table1", "n_train": 6000})
+        build_config({}, dict(one, n_train=6000))
     # Without sysconf there is nothing to compare against, and no check.
     monkeypatch.setattr(cli.os, "sysconf", pages.__getattribute__)
     assert build_config({}, {"experiment": "table1", "n_test": 10**12})
@@ -624,16 +629,61 @@ def test_the_memory_check_reads_physical_memory(monkeypatch):
 def test_the_memory_check_counts_per_trial_results(monkeypatch):
     pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 200}  # 819200 bytes
     monkeypatch.setattr(cli.os, "sysconf", pages.__getitem__)
-    # A table1 cell keeps 1 + 2 * 3 floats per trial: 14000 trials take 784000 bytes.
-    assert build_config({}, {"experiment": "table1", "trials": 14000})
+    # A table1 cell keeps 1 + 2 * 3 floats per trial: 14000 trials take 784000
+    # bytes.  Five pool rows keep the split table smaller (560000 bytes).
+    tiny_pool = {"experiment": "table1", "n_cal": 3, "n_test": 2}
+    assert build_config({}, dict(tiny_pool, trials=14000))
     with pytest.raises(ConfigError, match="GiB array"):  # 840000
-        build_config({}, {"experiment": "table1", "trials": 15000})
-    # A protocol keeps 3 floats per trial, on 120 rows of 32 prediction samples.
-    small = {"experiment": "multiround", "n_tune": 50, "n_cal": 50, "n_test": 20}
+        build_config({}, dict(tiny_pool, trials=15000))
+    # A protocol keeps 3 floats per trial, on 52 rows of 32 prediction samples,
+    # and a split table of 2 indices per trial.
+    small = {"experiment": "multiround", "n_tune": 50, "n_cal": 1, "n_test": 1}
     assert build_config({}, dict(small, trials=34000))  # 816000
     for trials in (35000, 10**12):
         with pytest.raises(ConfigError, match="GiB array"):
             build_config({}, dict(small, trials=trials))
+
+
+def test_the_memory_check_counts_the_split_table(monkeypatch):
+    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 200}  # 819200 bytes
+    monkeypatch.setattr(cli.os, "sysconf", pages.__getitem__)
+    # table1's 7000-row pool keeps 56000 bytes of indices per trial, one table
+    # at a time: 14 trials take 784000 bytes, 15 take 840000, which nothing
+    # else in the run comes near (the fit's 720000 bytes are the next largest).
+    assert build_config({}, {"experiment": "table1", "trials": 14})
+    with pytest.raises(ConfigError, match="GiB array"):
+        build_config({}, {"experiment": "table1", "trials": 15})
+    # The same holds for a protocol run's one table.
+    small = {"experiment": "multiround", "n_tune": 50, "n_cal": 900, "n_test": 100}
+    assert build_config({}, dict(small, trials=102))  # 816000
+    with pytest.raises(ConfigError, match="GiB array"):
+        build_config({}, dict(small, trials=103))  # 824000
+
+
+def test_each_trial_split_is_drawn_once_per_run(tmp_path, monkeypatch):
+    draws = []
+    split_indices = core.split_indices
+    monkeypatch.setattr(core, "split_indices", lambda *a: draws.append(a) or split_indices(*a))
+    sizes = ("--trials", "3", "--ntrain", "60", "--ntune", "40", "--ncal", "50", "--ntest", "30")
+
+    def count(*args):
+        draws.clear()
+        assert run_cli(*args, *sizes, "--output-dir", tmp_path / "out") == 0
+        return len(draws)
+
+    # table1: 2 levels x 2 methods share one table.
+    assert count("--experiment", "table1", "--methods", "qn,ia", "--alphas", "0.2,0.1") == 3
+    # ntune_sweep: one table per (size, run), shared by its methods.
+    config = tmp_path / "sweep.ini"
+    config.write_text("[experiment]\nntune_values = 40, 60\nruns = 2\n")
+    assert count(config, "--experiment", "ntune_sweep", "--methods", "qn,ia") == 4 * 3
+    # multiround: the pilot's trial-0 split and both protocols at 2 levels.
+    rounds = ("--methods", "cqr_minimax,ia", "--tau", "auto")
+    assert count("--experiment", "multiround", "--alphas", "0.2,0.1", *rounds) == 3
+    # multiround_labels: the pilot and every task count.
+    labels = tmp_path / "labels.ini"
+    labels.write_text("[experiment]\nexperiment = multiround_labels\nlabel_values = 1, 2, 3\n")
+    assert count(labels, *rounds) == 3
 
 
 def test_models_are_fitted_in_the_order_the_benchmark_times(tmp_path, monkeypatch):

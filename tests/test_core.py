@@ -8,6 +8,7 @@ from mtconf import (
     LabeledSet,
     Role,
     SplitSpec,
+    TrialSplits,
     concat,
     derive_seed,
     partition,
@@ -15,6 +16,8 @@ from mtconf import (
     split_cal_test,
     trial_rng,
 )
+from mtconf import core
+from mtconf.core import split_indices, split_source
 
 
 def toy_set(n=10, k=2, seed=0, quantiles=False, role=Role.CAL):
@@ -146,3 +149,40 @@ def test_split_spec_validates_sizes():
         SplitSpec(seed=0, n_tune=0, n_cal=1, n_test=1)
     spec = SplitSpec(seed=0, n_tune=2, n_cal=3, n_test=4)
     assert spec.total == 9
+
+
+def test_trial_splits_draw_each_trial_once_on_first_use(monkeypatch):
+    spec = SplitSpec(seed=7, n_tune=1, n_cal=6, n_test=4)
+    draws = []
+    monkeypatch.setattr(core, "split_indices", lambda *a: draws.append(a) or split_indices(*a))
+    table = TrialSplits(spec, 12)
+    assert draws == []
+    cal, test = table[3]
+    want = split_indices(12, 6, 4, trial_rng(spec, 3))
+    assert np.array_equal(cal, want[0]) and np.array_equal(test, want[1])
+    assert table[3][0] is cal and table[3][1] is test
+    table[0]
+    assert len(draws) == 2
+    # Without a table every lookup draws afresh, and the same indices.
+    fresh = split_source(spec, 12)
+    assert np.array_equal(fresh(3)[0], cal) and fresh(3)[0] is not cal
+    assert len(draws) == 4
+
+
+def test_trial_splits_are_read_only():
+    table = TrialSplits(SplitSpec(seed=8, n_tune=1, n_cal=5, n_test=3), 10)
+    for indices in table[1]:
+        with pytest.raises(ValueError, match="read-only"):
+            indices[0] = 0
+        with pytest.raises(ValueError, match="read-only"):
+            indices.sort()
+
+
+def test_split_source_rejects_a_table_of_another_pool():
+    spec = SplitSpec(seed=9, n_tune=1, n_cal=5, n_test=3)
+    table = TrialSplits(spec, 10)
+    assert split_source(spec, 10, table)(0) is table[0]
+    with pytest.raises(ValueError, match="split table"):
+        split_source(spec, 11, table)
+    with pytest.raises(ValueError, match="split table"):
+        split_source(SplitSpec(seed=10, n_tune=1, n_cal=5, n_test=3), 10, table)

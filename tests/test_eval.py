@@ -15,6 +15,7 @@ from mtconf import (
     ScoreKind,
     SplitSpec,
     TrialMetrics,
+    TrialSplits,
     coverage_bounds_check,
     fit_method,
     mc_slack,
@@ -22,7 +23,7 @@ from mtconf import (
     split_cal_test,
     trial_rng,
 )
-from mtconf.evaluate import evaluate_calibration
+from mtconf.evaluate import _mean_lengths, evaluate_calibration
 from mtconf.scores import score_matrix
 from reference import reference_evaluation
 
@@ -198,6 +199,44 @@ def test_run_trials_equals_the_per_trial_pipeline(method, kind):
     for alpha in (0.3, 0.1):
         got = run_trials(data, tune, method, kind, alpha, 4, spec)
         assert_same_metrics(got, reference_trials(data, tune, method, kind, alpha, 4, spec))
+
+
+@pytest.mark.parametrize("kind", list(ScoreKind))
+@pytest.mark.parametrize("method", list(Method))
+def test_run_trials_on_a_shared_split_table_equals_fresh_draws(method, kind):
+    k = 1 if method is Method.SINGLE else 3
+    data = banded(360, k, seed=40)
+    tune = banded(90, k, seed=41)
+    spec = SplitSpec(seed=42, n_tune=1, n_cal=200, n_test=120)
+    splits = TrialSplits(spec, data.n)
+    # The second cell reuses the first's four splits and draws two more.
+    for alpha, trials in ((0.3, 4), (0.1, 6)):
+        got = run_trials(data, tune, method, kind, alpha, trials, spec, splits=splits)
+        assert_same_metrics(got, run_trials(data, tune, method, kind, alpha, trials, spec))
+
+
+def test_run_trials_rejects_a_split_table_of_another_pool():
+    data = banded(100, 2, seed=43)
+    tune = banded(50, 2, seed=44)
+    spec = SplitSpec(seed=45, n_tune=1, n_cal=60, n_test=30)
+    with pytest.raises(ValueError, match="split table"):
+        run_trials(data, tune, Method.IA, ScoreKind.CQR, 0.1, 2, spec, splits=TrialSplits(spec, 99))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 5, 15])
+def test_mean_lengths_add_like_the_row_mean_bit_for_bit(k):
+    rng = np.random.default_rng(k)
+    for n in (*range(1, 40), 127, 128, 129, 255, 256, 257, 1000, 2000, 4097):
+        ilo = rng.normal(size=(n, k)) * 10.0 ** rng.uniform(-3, 3, size=(n, k))
+        # Cauchy widths: some negative (clipped to 0), a few huge.
+        ihi = ilo + rng.standard_cauchy(size=(n, k))
+        for infinite in (False, True):
+            if infinite:  # starved margins: (-inf, +inf) rows and one-sided bands
+                ihi[rng.random((n, k)) < 0.1] = np.inf
+                ilo[rng.random((n, k)) < 0.1] = -np.inf
+            want = np.maximum(0.0, ihi - ilo).mean(axis=0)
+            got = _mean_lengths(ilo, ihi)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), (n, infinite)
 
 
 @pytest.mark.parametrize("kind", [ScoreKind.CQR, ScoreKind.QN])

@@ -14,6 +14,7 @@ from mtconf import (
     RoundConfig,
     ScoreKind,
     SplitSpec,
+    TrialSplits,
     fit_method,
     gen_multiround,
     mc_slack,
@@ -249,6 +250,28 @@ def test_protocols_equal_the_per_trial_pipeline(method, tasks, kind):
     rc = dataclasses.replace(cfg, tau=pilot_tau(data, cfg, length_floor=floor))
     for alpha in (0.2, 0.05):
         assert_protocols_match(data, tune, method, alpha, rc, 3, spec, kind, floor)
+
+
+@pytest.mark.parametrize("kind", list(ScoreKind))
+@pytest.mark.parametrize(
+    "method, tasks", [(m, t) for m in Method for t in (1, 3) if m is not Method.SINGLE or t == 1]
+)
+def test_protocols_on_a_shared_split_table_equal_fresh_draws(method, tasks, kind):
+    cfg = dataclasses.replace(CFG, tasks=tasks)
+    if method is Method.SINGLE:  # one target: one round of one task
+        cfg = RoundConfig(rounds=1, sigma=(0.1,), rates=(1.0,))
+    data = staged_rows(420, cfg, seed=70)
+    tune = staged_rows(120, cfg, seed=71, role=Role.TUNE)
+    spec = SplitSpec(seed=72, n_tune=1, n_cal=240, n_test=150)
+    floor = -1.0 if kind.one_sided else 0.0
+    rc = dataclasses.replace(cfg, tau=pilot_tau(data, cfg, length_floor=floor))
+    kw = dict(method=method, cfg=rc, spec=spec, score_kind=kind, length_floor=floor)
+    splits = TrialSplits(spec, data.n)
+    # Every cell reuses the splits the cells before it drew, and the last draws one more.
+    for alpha, trials in ((0.2, 2), (0.05, 3)):
+        for run in (run_protocol, run_sc_baseline):
+            got = run(data, tune, alpha=alpha, trials=trials, splits=splits, **kw)
+            assert_same_protocol(got, run(data, tune, alpha=alpha, trials=trials, **kw))
 
 
 @pytest.mark.parametrize("kind", [ScoreKind.CQR, ScoreKind.QN])
