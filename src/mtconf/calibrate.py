@@ -68,11 +68,6 @@ def fit_cdf(tune_scores: np.ndarray) -> EmpiricalCdf:
     return EmpiricalCdf(sorted_samples=np.asarray(tune_scores, dtype=np.float64))
 
 
-def _order_statistic(cdf: EmpiricalCdf, j: int) -> float:
-    """The j-th smallest tuning sample, -inf for j = 0."""
-    return -math.inf if j == 0 else float(cdf.sorted_samples[j - 1])
-
-
 def _conformal_rank(n: int, alpha: float) -> int:
     """The split-conformal rank ceil((1 - alpha) * (n + 1)) of n calibration scores."""
     if not 0.0 < alpha < 1.0:
@@ -181,12 +176,13 @@ def _rank_levels(method: Method, row_max: np.ndarray, m: int, alpha: float, rank
     ceil((1 - alpha)(n + 1)), MINIMAX shares one level among all targets (once
     without ``ranks``): the required-th smallest of the rows' largest ranks
     ``row_max``, the least symmetric box holding ``required`` rows.  COPULA
-    starts there and cyclically lowers each coordinate to the required-th
-    smallest rank among the rows the other coordinates keep inside, a value
-    every time attained by some row; coordinates never rise, so the sweep
-    ends at a componentwise-minimal box.  A running per-row count of inside
-    coordinates tells which rows the others keep.  When ``required`` exceeds
-    n no finite level certifies 1 - alpha and every level is m.
+    starts there and lowers each coordinate in turn to the required-th
+    smallest rank among the rows the other coordinates keep inside (a running
+    per-row count of inside coordinates tells which).  One sweep ends at a
+    componentwise-minimal box: lowering a coordinate only shrinks the row
+    sets the others count, and the required-th smallest over a subset is
+    never smaller, so a second sweep would lower no level.  When
+    ``required`` exceeds n no finite level certifies 1 - alpha: every level is m.
     """
     n = row_max.size
     required = _conformal_rank(n, alpha)
@@ -198,47 +194,15 @@ def _rank_levels(method: Method, row_max: np.ndarray, m: int, alpha: float, rank
         return levels
     below = ranks <= levels[:, None]
     inside = below.sum(axis=0)
-    changed = True
-    while changed:
-        changed = False
-        for k in range(n_targets):
-            others = inside - below[k] == n_targets - 1
-            candidate = _kth_smallest(ranks[k][others], required)
-            if candidate < levels[k]:
-                levels[k] = candidate
-                inside -= below[k]
-                below[k] = ranks[k] <= candidate
-                inside += below[k]
-                changed = True
+    for k in range(n_targets):
+        others = inside - below[k] == n_targets - 1
+        candidate = _kth_smallest(ranks[k][others], required)
+        if candidate < levels[k]:
+            levels[k] = candidate
+            inside -= below[k]
+            below[k] = ranks[k] <= candidate
+            inside += below[k]
     return levels
-
-
-def _calibrate_ranks(
-    method: Method,
-    cdfs: tuple[EmpiricalCdf, ...],
-    row_max: np.ndarray,
-    alpha: float,
-    score_kind: ScoreKind,
-    ranks: np.ndarray | None = None,
-) -> Calibration:
-    """MINIMAX or COPULA calibration from the calibration rows' tuning ranks.
-
-    ``row_max`` holds each row's largest rank and ``ranks`` (COPULA only) all
-    of them.  A level j maps back to the j-th tuning order statistic of its
-    target (-inf at j = 0); level m accepts every transformed score, so it
-    maps to +inf rather than to the largest tuning sample.
-    """
-    m = cdfs[0].m
-    levels = np.broadcast_to(_rank_levels(method, row_max, m, alpha, ranks), (len(cdfs),))
-    zeta = [math.inf if j == m else _order_statistic(cdf, j) for cdf, j in zip(cdfs, levels)]
-    return Calibration(
-        method=method,
-        score_kind=score_kind,
-        alpha=alpha,
-        lam=float(levels[0]) / m if method is Method.MINIMAX else None,
-        per_target_zeta=np.array(zeta),
-        per_target_level=levels / m,
-    )
 
 
 def calibrate_minimax(
@@ -288,8 +252,10 @@ class _ScoredPool:
 
     ``columns`` holds the checked scores target by target, (K, n).  Per
     column block a calibration may cover (``blocks``), ``row_max[b]`` is each
-    row's largest score (QN_MAX) or tuning rank (MINIMAX, COPULA) in it; the
-    CDF methods keep the tuning ``cdfs`` and COPULA the (K, n) ``ranks``.
+    row's largest score (QN_MAX) or tuning rank (MINIMAX, COPULA) in it.  The
+    CDF methods keep each target's threshold at level j in a (K, m + 1)
+    ``table``: the j-th tuning order statistic, -inf at j = 0 and +inf at
+    j = m (every transformed score); COPULA also keeps the (K, n) ``ranks``.
     """
 
     method: Method
@@ -297,26 +263,38 @@ class _ScoredPool:
     columns: np.ndarray
     blocks: tuple[slice, ...]
     row_max: np.ndarray | None = None
-    cdfs: tuple[EmpiricalCdf, ...] | None = None
+    table: np.ndarray | None = None
     ranks: np.ndarray | None = None
 
-    def calibrate(self, rows: np.ndarray, alpha: float, block: int = 0) -> Calibration:
-        """Calibrate on rows ``rows`` and the target columns ``blocks[block]``."""
-        method, kind, cols = self.method, self.score_kind, self.blocks[block]
+    def thresholds(self, rows: np.ndarray, alpha: float, block: int = 0):
+        """The (K,) thresholds of the columns ``blocks[block]`` calibrated on rows
+        ``rows``, and the CDF methods' integer levels (None for the others)."""
+        method, cols = self.method, self.blocks[block]
         n = rows.size
         rank = _conformal_rank(n, alpha)
         if self.row_max is None:  # SINGLE or IA: one threshold per target row
             cal = np.take(self.columns[cols], rows, axis=1)
             if method is Method.IA:
                 rank = _conformal_rank(n, 1.0 - (1.0 - alpha) ** (1.0 / len(cal)))
-            zeta = np.array([_kth_smallest(col, rank) for col in cal], dtype=np.float64)
-            lam = float(zeta[0]) if method is Method.SINGLE else None
-            return Calibration(method, kind, alpha, lam=lam, per_target_zeta=zeta)
+            return np.array([_kth_smallest(col, rank) for col in cal], dtype=np.float64), None
         row_max = np.take(self.row_max[block], rows)
         if method is Method.QN_MAX:
-            return Calibration(method, kind, alpha, lam=float(_kth_smallest(row_max, rank)))
+            return np.full(len(self.columns[cols]), _kth_smallest(row_max, rank), np.float64), None
         ranks = None if self.ranks is None else np.take(self.ranks[cols], rows, axis=1)
-        return _calibrate_ranks(method, self.cdfs[cols], row_max, alpha, kind, ranks)
+        table = self.table[cols]
+        levels = _rank_levels(method, row_max, table.shape[1] - 1, alpha, ranks)
+        return table[np.arange(len(table)), levels], levels
+
+    def calibrate(self, rows: np.ndarray, alpha: float, block: int = 0) -> Calibration:
+        """``thresholds`` as a ``Calibration``, with the CDF methods' levels over m."""
+        method = self.method
+        zeta, levels = self.thresholds(rows, alpha, block)
+        lam = float(zeta[0]) if method in (Method.SINGLE, Method.QN_MAX) else None
+        if levels is not None:
+            levels = np.broadcast_to(levels, zeta.shape) / (self.table.shape[1] - 1)
+            lam = float(levels[0]) if method is Method.MINIMAX else None
+        zeta = None if method is Method.QN_MAX else zeta
+        return Calibration(method, self.score_kind, alpha, lam, zeta, levels)
 
 
 def _score_rows(
@@ -341,12 +319,15 @@ def _score_rows(
     if tune_scores.shape[1] != scores.shape[1]:
         raise ValueError("tuning and calibration scores disagree on target count")
     cdfs = tuple(fit_cdf(col) for col in tune_scores.T)
+    table = np.stack([np.r_[-math.inf, c.sorted_samples[:-1], math.inf] for c in cdfs])
     # (K, n) integer ranks: how many tuning scores of each target lie at or
     # below.  A CDF value is its rank over m, so the CDF methods compare integers.
-    ranks = np.stack(
-        [np.searchsorted(c.sorted_samples, col, side="right") for c, col in zip(cdfs, columns)]
-    )
-    return pool(block_max(ranks), cdfs, ranks if method is Method.COPULA else None)
+    # Needles in sorted order give the same counts, each search starting where the last ended.
+    ranks = np.empty(columns.shape, dtype=np.intp)
+    for c, col, out in zip(cdfs, columns, ranks):
+        order = np.argsort(col)
+        out[order] = np.searchsorted(c.sorted_samples, col[order], side="right")
+    return pool(block_max(ranks), table, ranks if method is Method.COPULA else None)
 
 
 def fit_method(

@@ -33,7 +33,7 @@ from .calibrate import Method, fit_method
 from .core import Role, SplitSpec, TrialSplits, concat, derive_seed, partition
 from .core import split_cal_test  # noqa: F401 (perfbench/layers.py rebinds it here)
 from .evaluate import run_trials
-from .multiround import pilot_tau, run_protocol, run_sc_baseline, sweep_labels
+from .multiround import pilot_tau, run_protocol, run_sc_baseline
 from .scores import ScoreKind, score_matrix
 from .synthetic import (
     NoiseKind,
@@ -247,19 +247,20 @@ def _run_multiround(cfg: ExperimentConfig) -> tuple[list[dict], list[str], dict]
 def _run_label_sweep(cfg: ExperimentConfig) -> tuple[list[dict], list[str], dict]:
     alpha = cfg.alphas[0]
     splits = _splits(cfg)
+    spec = splits.spec
     # A pilot runs on the data of the configured task count, and every task
-    # count on the same splits.
+    # count on the same splits, its data drawn once for every method.
     tau = _protocol_setup(cfg, splits)[-1](alpha) if cfg.tau is None else cfg.tau
-    rows: list[dict] = []
-    for token in cfg.methods:
-        method, kind = METHOD_TOKENS[token]
-        results = sweep_labels(
-            list(cfg.label_values), cfg.round_config(tau=tau), method, alpha, cfg.trials,
-            splits.spec, derive_seed(cfg.seed, 10), score_kind=kind,
-            quantile_alpha=cfg.quantile_alpha, n_pred=cfg.n_pred, splits=splits,
-        )
-        for labels, result in zip(cfg.label_values, results):
-            rows += _rows(cfg, token, kind, alpha, protocol=result, sweep_value=labels)
+    cells = {}
+    for labels in cfg.label_values:
+        sized = replace(cfg, tasks=labels)
+        tune, pool, _ = _protocol_setup(sized, splits)
+        rc = sized.round_config(tau=tau)
+        for token in cfg.methods:
+            method, kind = METHOD_TOKENS[token]
+            res = run_protocol(pool, tune, method, alpha, rc, cfg.trials, spec, kind, splits=splits)
+            cells[token, labels] = _rows(cfg, token, kind, alpha, protocol=res, sweep_value=labels)
+    rows = [row for cell in product(cfg.methods, cfg.label_values) for row in cells[cell]]
     return rows, [], {"tau_used": {_fmt(alpha): tau}}
 
 

@@ -6,10 +6,12 @@ coverage, and per-target interval lengths averaged over the test set.  The
 tuning set is drawn once outside this module and stays fixed across trials.
 The pool is scored, and ranked in the sorted tuning columns, once per cell,
 together with every other per-cell invariant (row maxima, band-width
-ratios); a trial only takes its split as row indices and gathers those rows.
-A trial's split depends only on its spec, pool size and index, never on what
-ran before, so every cell on one pool can share it through one
-``TrialSplits`` table.
+ratios, the CDF methods' per-level threshold table); a trial takes its
+split as row indices, gathers its (K,) margins from that table (no
+``Calibration``) and its test rows, and takes interval lengths in place in
+its own copies of the bands.  A trial's split depends only on its spec, pool
+size and index, never on what ran before, so every cell on one pool can
+share it through one ``TrialSplits`` table.
 
 Per-trial results are written into preallocated arrays indexed by trial and
 reduced with numpy means (pairwise summation).
@@ -30,7 +32,7 @@ from .calibrate import Calibration, Method, _score_rows, _ScoredPool
 # in this module.
 from .calibrate import coverage_mask, fit_method, interval_array  # noqa: F401
 from .core import LabeledSet, SplitSpec, TrialSplits, split_cal_test, split_source  # noqa: F401
-from .scores import ScoreKind, _scale_ratios, interval_bounds, score_matrix
+from .scores import ScoreKind, _scale_ratios, interval_lengths, score_matrix
 
 
 @dataclass(frozen=True)
@@ -76,30 +78,33 @@ def evaluate_calibration(
 
     ``columns`` are the test rows' scores target by target, (K, n), and
     ``lo``/``hi`` their (n, K) quantile bands, with width ``ratios`` when
-    given.  Coverage is counted along the target rows; each target's mean
-    length sums in row order (``_mean_lengths``).
+    given.  The bands are copied, not changed.
     """
-    margins = calib.margins(lo.shape[1])
+    lo, hi = np.array(lo, dtype=np.float64), np.array(hi, dtype=np.float64)
+    return _test_metrics(calib.margins(lo.shape[1]), calib.score_kind, columns, lo, hi, ratios)
+
+
+def _test_metrics(margins, kind: ScoreKind, columns, lo, hi, ratios):
+    """``evaluate_calibration`` from (K,) ``margins`` in the scratch bands
+    ``lo``/``hi``; each target's mean length sums in row order."""
     covered = columns <= margins[:, None]
     n = covered.shape[1]
-    ilo, ihi = interval_bounds(lo, hi, margins, calib.score_kind, ratios)
     return (
         np.count_nonzero(np.logical_and.reduce(covered, axis=0)) / n,
         covered.sum(axis=1) / n,
-        _mean_lengths(ilo, ihi),
+        _mean_lengths(interval_lengths(lo, hi, margins, kind, ratios)),
     )
 
 
-def _mean_lengths(ilo: np.ndarray, ihi: np.ndarray) -> np.ndarray:
-    """Per-target mean of the (n, K) interval lengths, bit for bit
-    ``np.maximum(0.0, ihi - ilo).mean(axis=0)``.
+def _mean_lengths(lengths: np.ndarray) -> np.ndarray:
+    """Per-target mean of (n, K) interval lengths, bit for bit
+    ``lengths.mean(axis=0)``.
 
     That mean adds each target's lengths one row after another (pairwise
     only for K = 1, where the column is contiguous); a running sum along the
     target's (K, n) row does the same additions in the same order, faster.
     """
-    lengths = ihi - ilo
-    rows = np.maximum(0.0, lengths, out=lengths).T
+    rows = lengths.T
     if len(rows) == 1:
         return rows.mean(axis=1)
     return np.add.accumulate(rows, axis=1)[:, -1] / rows.shape[1]
@@ -136,8 +141,8 @@ def run_trials(
     for t in range(trials):
         cal, test = split(t)
         rows = partial(np.take, indices=test, axis=0)
-        ejc[t], esc[t], mil[t] = evaluate_calibration(
-            pool.calibrate(cal, alpha), np.take(pool.columns, test, axis=1),
+        ejc[t], esc[t], mil[t] = _test_metrics(
+            pool.thresholds(cal, alpha)[0], score_kind, np.take(pool.columns, test, axis=1),
             rows(data.lo), rows(data.hi), ratios if ratios is None else rows(ratios),
         )
     return TrialMetrics(
@@ -162,7 +167,9 @@ class CoverageBoundsReport:
 
 
 def mc_slack(alpha: float, trials: int, n_test: int) -> float:
-    """Three-sigma Monte Carlo allowance for an averaged coverage estimate."""
+    """Three-sigma Monte Carlo allowance for an averaged coverage estimate,
+    counting test-set sampling only: a trial's measured standard deviation
+    follows sqrt(alpha (1 - alpha) (1/n_cal + 1/n_test)) (Vovk 2012)."""
     return 3.0 * math.sqrt(alpha * (1.0 - alpha) / (trials * n_test))
 
 
@@ -172,8 +179,9 @@ def coverage_bounds_check(
     """Check ejc against [1 - alpha, 1 - alpha + 1/(n_cal + 1)] with MC slack.
 
     The sandwich holds for exchangeable scores with almost-surely distinct
-    values; the slack widens both sides by three binomial standard errors so
-    a finite harness does not flag ordinary Monte Carlo noise.
+    values; the slack widens both sides by three binomial standard errors of
+    the test draws (``mc_slack``) so a finite harness does not flag ordinary
+    Monte Carlo noise.
     """
     slack = mc_slack(alpha, metrics.trials, metrics.n_test)
     lower = 1.0 - alpha - slack

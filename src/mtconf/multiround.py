@@ -22,7 +22,7 @@ import numpy as np
 from .calibrate import Calibration, Method, coverage_mask, fit_method, interval_array  # noqa: F401
 from .core import LabeledSet, Role, SplitSpec, TrialSplits, concat, partition, split_cal_test, split_source  # noqa: F401
 from .evaluate import _score_pool
-from .scores import ScoreKind, _scale_ratios, interval_bounds, score_matrix  # noqa: F401
+from .scores import ScoreKind, _scale_ratios, interval_lengths, score_matrix  # noqa: F401
 from .synthetic import RoundConfig, gen_multiround
 
 
@@ -52,16 +52,11 @@ class ProtocolResult:
 
 
 def _stop_lengths(lo, hi, margins, kind: ScoreKind, floor: float, ratios=None) -> np.ndarray:
-    """Interval lengths used by the stopping rule, in the bands' layout.
-
-    ``margins`` (and ``ratios``, which (K, n) bands of normalized kinds need)
-    broadcast against the bands.  One-sided intervals have no finite length,
-    so the rule measures the upper endpoint against a configured floor.
-    """
-    ilo, ihi = interval_bounds(lo, hi, margins, kind, ratios)
-    if kind.one_sided:
-        return ihi - floor
-    return np.maximum(0.0, ihi - ilo)
+    """Interval lengths used by the stopping rule, in the bands' layout, from
+    copies of the bands (the protocol's trials take them in place).  One-sided
+    intervals have no finite length, so the rule measures the upper endpoint
+    against a configured floor."""
+    return interval_lengths(np.array(lo), np.array(hi), margins, kind, ratios, floor)
 
 
 def _walk(
@@ -119,10 +114,10 @@ def _protocol_trials(
         cal, test = split(t)
         margins = np.empty((cfg.n_targets, 1))
         for b, cols in enumerate(blocks):
-            margins[cols, 0] = pool.calibrate(cal, alpha, b).margins(len(margins[cols]))
+            margins[cols, 0] = pool.thresholds(cal, alpha, b)[0]
         scores, lo, hi, *ratios = np.take(stacked, test, axis=2)
         covered = scores <= margins
-        lengths = _stop_lengths(lo, hi, margins, score_kind, length_floor, *ratios)
+        lengths = interval_lengths(lo, hi, margins, score_kind, *ratios, floor=length_floor)
         accepted, accepted_cov = _walk(lengths, covered, cfg)
         eac[t] = np.count_nonzero(accepted_cov) / n
         inv_rate[t] = np.mean(inv_rates[accepted])

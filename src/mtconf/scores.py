@@ -114,16 +114,31 @@ def interval_bounds(
     ratio, taken from ``ratios`` when given (``_scale_ratios(lo, hi)``
     otherwise).
     """
-    lo = np.asarray(lo, dtype=np.float64)
-    hi = np.asarray(hi, dtype=np.float64)
-    margins = np.asarray(zetas, dtype=np.float64)
+    lo, hi = np.array(lo, dtype=np.float64), np.array(hi, dtype=np.float64)
+    return _widen(lo, hi, np.asarray(zetas, dtype=np.float64), kind, ratios)
+
+
+def _widen(lo, hi, margins, kind: ScoreKind, ratios=None) -> tuple[np.ndarray, np.ndarray]:
+    """``interval_bounds`` over bands in any layout, written in ``lo``/``hi``."""
     if kind.normalized:
         scaled = margins / (_scale_ratios(lo, hi) if ratios is None else ratios)
         finite = np.isfinite(margins)
         margins = scaled if finite.all() else np.where(finite, scaled, margins)
-    out_hi = hi + margins
+    hi += margins
     if kind.one_sided:
-        out_lo = np.full_like(out_hi, -math.inf)
+        lo.fill(-math.inf)
     else:
-        out_lo = lo - margins
-    return out_lo, out_hi
+        lo -= margins
+    return lo, hi
+
+
+def interval_lengths(lo, hi, margins, kind: ScoreKind, ratios=None, floor=None) -> np.ndarray:
+    """``np.maximum(0.0, ihi - ilo)`` of ``interval_bounds`` in the scratch
+    bands ``lo``/``hi``, same arithmetic; with a ``floor``, one-sided lengths
+    are the upper endpoint less the floor, unclipped."""
+    lo, hi = _widen(lo, hi, margins, kind, ratios)
+    if kind.one_sided and floor is not None:
+        hi -= floor
+        return hi
+    hi -= lo
+    return np.maximum(0.0, hi, out=hi)

@@ -390,6 +390,75 @@ def test_rank_levels_hold_the_conformal_mass_and_are_minimal(table, percent, met
             assert rows_inside(ranks, dropped) < need
 
 
+def looped_copula_levels(ranks, m, alpha):
+    """COPULA's descent on (K, n) ranks with sweeps repeated until one lowers
+    no level, as it ran before stopping after one sweep."""
+    row_max = ranks.max(axis=0)
+    required = _conformal_rank(row_max.size, alpha)
+    if required > row_max.size:
+        return np.full(len(ranks), m)
+    levels = np.full(len(ranks), _kth_smallest(row_max, required))
+    below = ranks <= levels[:, None]
+    inside = below.sum(axis=0)
+    changed = True
+    while changed:
+        changed = False
+        for k in range(len(ranks)):
+            others = inside - below[k] == len(ranks) - 1
+            candidate = _kth_smallest(ranks[k][others], required)
+            if candidate < levels[k]:
+                levels[k] = candidate
+                inside -= below[k]
+                below[k] = ranks[k] <= candidate
+                inside += below[k]
+                changed = True
+    return levels
+
+
+@st.composite
+def wide_rank_tables(draw):
+    """(K, n) tuning ranks in [0, m] with K 1-6, n 1-60 and m 1-40; small m ties."""
+    m = draw(st.integers(1, 40))
+    shape = (draw(st.integers(1, 6)), draw(st.integers(1, 60)))
+    return draw(arrays(np.int64, shape, elements=st.integers(0, m))), m
+
+
+@given(wide_rank_tables(), st.integers(1, 99))
+@settings(max_examples=400, deadline=None)
+def test_copula_descent_needs_one_sweep(table, percent):
+    ranks, m = table
+    alpha = percent / 100
+    levels = _rank_levels(Method.COPULA, ranks.max(axis=0), m, alpha, ranks)
+    assert np.array_equal(levels, looped_copula_levels(ranks, m, alpha))
+    required = _conformal_rank(ranks.shape[1], alpha)
+    if required > ranks.shape[1]:
+        return
+    # A second sweep from the result lowers no coordinate.
+    below = ranks <= levels[:, None]
+    for k in range(len(ranks)):
+        others = np.delete(below, k, axis=0).all(axis=0)
+        assert _kth_smallest(ranks[k][others], required) >= levels[k]
+
+
+@st.composite
+def tied_score_pairs(draw):
+    """(n, K) calibration and (m, K) tuning scores of small integers, so
+    values repeat and pool and tuning values tie."""
+    k = draw(st.integers(1, 4))
+    scores = lambda n: arrays(np.float64, (n, k), elements=st.integers(-6, 6).map(float))
+    return draw(scores(draw(st.integers(1, 60)))), draw(scores(draw(st.integers(1, 30))))
+
+
+@given(tied_score_pairs())
+@settings(max_examples=300, deadline=None)
+def test_pool_ranks_are_the_right_searchsorted_counts(pair):
+    cal, tune = pair
+    want = np.stack([np.searchsorted(np.sort(t), c, side="right") for t, c in zip(tune.T, cal.T)])
+    pool = _score_rows(Method.COPULA, ScoreKind.CQR, cal, tune)
+    assert pool.ranks.dtype == want.dtype and np.array_equal(pool.ranks, want)
+    assert np.array_equal(pool.row_max[0], want.max(axis=0))
+
+
 @given(rank_tables(), st.integers(1, 99), st.integers(1, 99))
 @settings(max_examples=200, deadline=None)
 def test_minimax_rank_level_is_monotone_in_alpha(table, a, b):

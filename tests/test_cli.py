@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import mtconf
-from mtconf import cli, core
+from mtconf import cli, core, multiround
 from mtconf.cli import (
     CSV_COLUMNS,
     ConfigError,
@@ -684,6 +684,23 @@ def test_each_trial_split_is_drawn_once_per_run(tmp_path, monkeypatch):
     labels = tmp_path / "labels.ini"
     labels.write_text("[experiment]\nexperiment = multiround_labels\nlabel_values = 1, 2, 3\n")
     assert count(labels, *rounds) == 3
+
+
+def test_label_sweep_generates_each_task_count_once(tmp_path, monkeypatch):
+    calls = []
+
+    def recording(module):
+        real = module.gen_multiround
+        return lambda n, cfg, *a, **k: calls.append(cfg.tasks) or real(n, cfg, *a, **k)
+
+    for module in (cli, multiround):
+        monkeypatch.setattr(module, "gen_multiround", recording(module))
+    labels = tmp_path / "labels.ini"
+    labels.write_text("[experiment]\nexperiment = multiround_labels\nlabel_values = 1, 2, 3\n")
+    flags = ("--methods", "cqr_minimax,ia", "--trials", "2", "--ntune", "40", "--ncal", "50")
+    assert run_cli(labels, *flags, "--ntest", "30", "--output-dir", tmp_path / "out") == 0
+    # The pilot on the configured task count, then each count once for both methods.
+    assert calls == [1, 1, 2, 3]
 
 
 def test_models_are_fitted_in_the_order_the_benchmark_times(tmp_path, monkeypatch):

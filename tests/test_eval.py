@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from itertools import product
 
 import numpy as np
 import pytest
@@ -24,8 +25,9 @@ from mtconf import (
     trial_rng,
 )
 from mtconf.evaluate import _mean_lengths, evaluate_calibration
-from mtconf.scores import score_matrix
-from reference import reference_evaluation
+from mtconf.multiround import _stop_lengths
+from mtconf.scores import _scale_ratios, interval_lengths, score_matrix
+from reference import reference_bounds, reference_evaluation
 
 
 def banded(n, k, seed, role=Role.CAL):
@@ -235,8 +237,37 @@ def test_mean_lengths_add_like_the_row_mean_bit_for_bit(k):
                 ihi[rng.random((n, k)) < 0.1] = np.inf
                 ilo[rng.random((n, k)) < 0.1] = -np.inf
             want = np.maximum(0.0, ihi - ilo).mean(axis=0)
-            got = _mean_lengths(ilo, ihi)
+            got = _mean_lengths(np.maximum(0.0, ihi - ilo))
             assert got.shape == want.shape and got.tobytes() == want.tobytes(), (n, infinite)
+        # The in-place lengths of every score kind against the reference bounds:
+        # margins finite (Cauchy, so some negative and some emptying the
+        # band), partly +inf, and all +inf.
+        lo = rng.normal(size=(n, k)) * 10.0 ** rng.uniform(-3, 3, size=(n, k))
+        hi = lo + rng.uniform(0.01, 3.0, size=(n, k))
+        finite = rng.standard_cauchy(size=k)
+        partly = np.where(rng.random(k) < 0.5, np.inf, finite)
+        for margins, kind in product((finite, partly, np.full(k, np.inf)), ScoreKind):
+            ratios = _scale_ratios(lo, hi) if kind.normalized else None
+            ilo, ihi = reference_bounds(lo, hi, margins, kind)
+            want = np.maximum(0.0, ihi - ilo).mean(axis=0)
+            got = _mean_lengths(interval_lengths(lo.copy(), hi.copy(), margins, kind, ratios))
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), (n, kind)
+
+
+@pytest.mark.parametrize("kind", list(ScoreKind))
+def test_evaluate_calibration_and_stop_lengths_leave_their_inputs_unchanged(kind):
+    data = banded(60, 3, seed=46)
+    lo, hi, columns = np.array(data.lo), np.array(data.hi), np.array(data.targets.T)
+    ratios = _scale_ratios(lo, hi)
+    zeta = np.array([0.4, -0.3, np.inf])
+    calib = Calibration(method=Method.IA, score_kind=kind, alpha=0.1, per_target_zeta=zeta)
+    inputs = (lo, hi, columns, ratios, lo.T, hi.T, ratios.T)
+    before = [a.copy() for a in inputs]
+    evaluate_calibration(calib, columns, lo, hi)
+    evaluate_calibration(calib, columns, lo, hi, ratios)
+    _stop_lengths(lo, hi, zeta, kind, 0.5)
+    _stop_lengths(lo.T, hi.T, zeta[:, None], kind, 0.5, ratios.T)
+    assert all(np.array_equal(a, b) for a, b in zip(inputs, before))
 
 
 @pytest.mark.parametrize("kind", [ScoreKind.CQR, ScoreKind.QN])

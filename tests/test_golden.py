@@ -1,8 +1,10 @@
 """Golden outputs: small real `ctool` runs whose results.csv must keep its bytes.
 
-Each case runs one experiment at small sizes, with two or three methods and
+Each case runs one experiment at small sizes, with two to five methods and
 T = 20, and compares the sha256 of its ``results.csv`` with the digest
-recorded when the case was added.  A change that moves any printed number
+recorded when the case was added.  Two cases sit at the ends of the CDF
+methods' threshold table: a calibration set too small for the level
+(thresholds +inf) and a 20-row tuning set (levels at m beside finite ones).  A change that moves any printed number
 fails here; a change that alters output on purpose updates the digest and
 says so.  The digests were recorded with numpy 2.4 on x86-64; another numpy
 or BLAS build may legitimately print different last digits.
@@ -49,6 +51,20 @@ CASES = {
          "--seed", "15"),
         "42fddf2220572d7bc04f6775e5e68b36fa4b7d164ba2c4e6d24ab96c9634c57a",
     ),
+    "starved_ncal": (
+        None,
+        ("--experiment", "table1", "--noise", "correlated",
+         "--methods", "ia,qn,cpts,cqr_minimax,qn_minimax", "--alphas", "0.3,0.05",
+         "--ntrain", "400", "--ntune", "300", "--seed", "16", "--ncal", "8"),
+        "ea363379add056f579b73bf7abc8c65ea7fbbf34f6f9e8d338dd7f58e334c74e",
+    ),
+    "coarse_tuning": (
+        None,
+        ("--experiment", "table1", "--noise", "independent",
+         "--methods", "cpts,cqr_minimax,qn_minimax", "--alphas", "0.3,0.1",
+         "--ntrain", "400", "--ntune", "20", "--seed", "17"),
+        "02ad5ba34e0ae1fcb3cdd1dc8ef58ea728440736764e6c79609f84478c6dd444",
+    ),
 }
 
 
@@ -60,6 +76,6 @@ def test_results_csv_keeps_its_golden_digest(name, tmp_path):
         (tmp_path / "run.ini").write_text(ini)
         args.append(str(tmp_path / "run.ini"))
     out = tmp_path / "out"
-    assert main([*args, *flags, *SIZES, "--output-dir", str(out)]) == 0
+    assert main([*args, *SIZES, *flags, "--output-dir", str(out)]) == 0
     got = hashlib.sha256((out / "results.csv").read_bytes()).hexdigest()
     assert got == want, f"{name}: results.csv sha256 {got}"
