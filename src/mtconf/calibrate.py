@@ -75,12 +75,15 @@ def _conformal_rank(n: int, alpha: float) -> int:
     return _ceil_rank((1.0 - alpha) * (n + 1))
 
 
-def _kth_smallest(values: np.ndarray, rank: int):
-    """The rank-th smallest of 1-d ``values``, +inf when rank exceeds their count;
-    every calibration threshold is one, of scores, row maxima or tuning ranks."""
-    if rank > values.size:
+def _kth_smallest(values: np.ndarray, rank: int, scratch: bool = False):
+    """The rank-th smallest along the last axis of ``values``, +inf when rank
+    exceeds their count; every calibration threshold is one, of scores, row
+    maxima or tuning ranks.  A ``scratch`` array is partitioned in place."""
+    if rank > values.shape[-1]:
         return math.inf
-    return np.partition(values, rank - 1)[rank - 1]
+    values = values if scratch else values.copy()
+    values.partition(rank - 1)
+    return values[rank - 1] if values.ndim == 1 else values[:, rank - 1].copy()
 
 
 @dataclass(frozen=True)
@@ -102,20 +105,11 @@ class Calibration:
     per_target_level: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        if self.per_target_zeta is not None:
-            zeta = np.asarray(self.per_target_zeta, dtype=np.float64)
-            zeta.setflags(write=False)
-            object.__setattr__(self, "per_target_zeta", zeta)
-        if self.per_target_level is not None:
-            lev = np.asarray(self.per_target_level, dtype=np.float64)
-            lev.setflags(write=False)
-            object.__setattr__(self, "per_target_level", lev)
-
-    @property
-    def n_targets(self) -> int:
-        if self.per_target_zeta is not None:
-            return self.per_target_zeta.size
-        raise ValueError("scalar calibration has no fixed target count")
+        for name in ("per_target_zeta", "per_target_level"):
+            if getattr(self, name) is not None:
+                values = np.asarray(getattr(self, name), dtype=np.float64)
+                values.setflags(write=False)
+                object.__setattr__(self, name, values)
 
     def margins(self, n_targets: int) -> np.ndarray:
         """Per-target raw-score thresholds, expanded for scalar methods."""
@@ -177,31 +171,33 @@ def _rank_levels(method: Method, row_max: np.ndarray, m: int, alpha: float, rank
     without ``ranks``): the required-th smallest of the rows' largest ranks
     ``row_max``, the least symmetric box holding ``required`` rows.  COPULA
     starts there and lowers each coordinate in turn to the required-th
-    smallest rank among the rows the other coordinates keep inside (a running
-    per-row count of inside coordinates tells which).  One sweep ends at a
-    componentwise-minimal box: lowering a coordinate only shrinks the row
-    sets the others count, and the required-th smallest over a subset is
-    never smaller, so a second sweep would lower no level.  When
-    ``required`` exceeds n no finite level certifies 1 - alpha: every level is m.
+    smallest rank among the rows the other coordinates keep inside (boolean
+    masks: a running AND over those visited, suffix ANDs over the rest).  One
+    sweep ends at a componentwise-minimal box: lowering a coordinate only
+    shrinks the row sets the others count, and the required-th smallest over
+    a subset is never smaller, so a second sweep would lower no level.  When
+    ``required`` exceeds n no finite level certifies 1 - alpha: every level
+    is m.  ``row_max`` is scratch, partitioned in place.
     """
     n = row_max.size
     required = _conformal_rank(n, alpha)
     n_targets = 1 if ranks is None else len(ranks)
     if required > n:
         return np.full(n_targets, m)
-    levels = np.full(n_targets, _kth_smallest(row_max, required))
-    if method is Method.MINIMAX:
+    levels = np.full(n_targets, _kth_smallest(row_max, required, scratch=True))
+    if method is Method.MINIMAX or n_targets == 1:  # one target: its box is row_max's
         return levels
     below = ranks <= levels[:, None]
-    inside = below.sum(axis=0)
-    for k in range(n_targets):
-        others = inside - below[k] == n_targets - 1
-        candidate = _kth_smallest(ranks[k][others], required)
+    kept = np.ones(n, dtype=bool)  # rows kept by every coordinate before k, at its final level
+    later = [kept]  # later[-1 - k]: rows kept by every coordinate after k, at its first level
+    for row in below[:0:-1]:
+        later.append(later[-1] & row)
+    for k, row in enumerate(ranks):
+        candidate = _kth_smallest(row[kept & later[-1 - k]], required, scratch=True)
         if candidate < levels[k]:
             levels[k] = candidate
-            inside -= below[k]
-            below[k] = ranks[k] <= candidate
-            inside += below[k]
+            below[k] = row <= candidate
+        kept = kept & below[k]
     return levels
 
 
@@ -247,8 +243,8 @@ def calibrate_copula(
 
 @dataclass(frozen=True)
 class _ScoredPool:
-    """What ``method`` reads of a set of scored rows, computed once; a
-    calibration on any subset of the rows gathers from here.
+    """What ``method`` reads of a set of scored rows, computed once; ``cell``
+    fixes a cell's rank and slices, and each trial gathers its rows from here.
 
     ``columns`` holds the checked scores target by target, (K, n).  Per
     column block a calibration may cover (``blocks``), ``row_max[b]`` is each
@@ -266,35 +262,38 @@ class _ScoredPool:
     table: np.ndarray | None = None
     ranks: np.ndarray | None = None
 
-    def thresholds(self, rows: np.ndarray, alpha: float, block: int = 0):
-        """The (K,) thresholds of the columns ``blocks[block]`` calibrated on rows
-        ``rows``, and the CDF methods' integer levels (None for the others)."""
+    def cell(self, n: int, alpha: float, block: int = 0):
+        """Calibration of the columns ``blocks[block]`` on ``n`` rows at level
+        ``alpha``, with the rank (IA's root-corrected), slices and overflow
+        (+inf thresholds, levels m) fixed once: a function of the row indices,
+        which gathers them, partitions that copy and returns (K,) thresholds
+        and the CDF methods' integer levels (None for the others)."""
         method, cols = self.method, self.blocks[block]
-        n = rows.size
+        columns = self.columns[cols]
+        n_targets = len(columns)
         rank = _conformal_rank(n, alpha)
+        if method is Method.IA:
+            rank = _conformal_rank(n, 1.0 - (1.0 - alpha) ** (1.0 / n_targets))
+        if rank > n:
+            infinite = np.full(n_targets, math.inf)
+            levels = None if self.table is None else np.full(n_targets, self.table.shape[1] - 1)
+            return lambda rows: (infinite, levels)
         if self.row_max is None:  # SINGLE or IA: one threshold per target row
-            cal = np.take(self.columns[cols], rows, axis=1)
-            if method is Method.IA:
-                rank = _conformal_rank(n, 1.0 - (1.0 - alpha) ** (1.0 / len(cal)))
-            return np.array([_kth_smallest(col, rank) for col in cal], dtype=np.float64), None
-        row_max = np.take(self.row_max[block], rows)
+            return lambda rows: (_kth_smallest(columns.take(rows, axis=1), rank, True), None)
+        row_max = self.row_max[block]
         if method is Method.QN_MAX:
-            return np.full(len(self.columns[cols]), _kth_smallest(row_max, rank), np.float64), None
-        ranks = None if self.ranks is None else np.take(self.ranks[cols], rows, axis=1)
-        table = self.table[cols]
-        levels = _rank_levels(method, row_max, table.shape[1] - 1, alpha, ranks)
-        return table[np.arange(len(table)), levels], levels
-
-    def calibrate(self, rows: np.ndarray, alpha: float, block: int = 0) -> Calibration:
-        """``thresholds`` as a ``Calibration``, with the CDF methods' levels over m."""
-        method = self.method
-        zeta, levels = self.thresholds(rows, alpha, block)
-        lam = float(zeta[0]) if method in (Method.SINGLE, Method.QN_MAX) else None
-        if levels is not None:
-            levels = np.broadcast_to(levels, zeta.shape) / (self.table.shape[1] - 1)
-            lam = float(levels[0]) if method is Method.MINIMAX else None
-        zeta = None if method is Method.QN_MAX else zeta
-        return Calibration(method, self.score_kind, alpha, lam, zeta, levels)
+            return lambda rows: (
+                np.full(n_targets, _kth_smallest(row_max.take(rows), rank, True)), None
+            )
+        table, targets = self.table[cols], np.arange(n_targets)
+        m = table.shape[1] - 1
+        lookup = lambda levels: (table[targets, levels], levels)
+        if method is Method.MINIMAX:
+            return lambda rows: lookup(_rank_levels(method, row_max.take(rows), m, alpha))
+        ranks = self.ranks[cols]
+        return lambda rows: lookup(
+            _rank_levels(method, row_max.take(rows), m, alpha, ranks.take(rows, axis=1))
+        )
 
 
 def _score_rows(
@@ -339,7 +338,14 @@ def fit_method(
 ) -> Calibration:
     """Calibrate ``method`` on the given scores; one entry point for harnesses."""
     pool = _score_rows(method, score_kind, cal_scores, tune_scores)
-    return pool.calibrate(np.arange(pool.columns.shape[1]), alpha)
+    n = pool.columns.shape[1]
+    zeta, levels = pool.cell(n, alpha)(np.arange(n))
+    lam = float(zeta[0]) if method in (Method.SINGLE, Method.QN_MAX) else None
+    if levels is not None:
+        levels = np.broadcast_to(levels, zeta.shape) / (pool.table.shape[1] - 1)
+        lam = float(levels[0]) if method is Method.MINIMAX else None
+    zeta = None if method is Method.QN_MAX else zeta
+    return Calibration(method, score_kind, alpha, lam, zeta, levels)
 
 
 def interval_array(lo: np.ndarray, hi: np.ndarray, calib: Calibration) -> tuple[np.ndarray, np.ndarray]:

@@ -248,15 +248,16 @@ def _run_label_sweep(cfg: ExperimentConfig) -> tuple[list[dict], list[str], dict
     alpha = cfg.alphas[0]
     splits = _splits(cfg)
     spec = splits.spec
-    # A pilot runs on the data of the configured task count, and every task
-    # count on the same splits, its data drawn once for every method.
-    tau = _protocol_setup(cfg, splits)[-1](alpha) if cfg.tau is None else cfg.tau
-    cells = {}
-    for labels in cfg.label_values:
+    # Every task count runs on the same splits, its data drawn once for every
+    # method.  The pilot runs on the configured count's data, drawn first.
+    tau, cells = cfg.tau, {}
+    counts = [cfg.tasks, *cfg.label_values] if tau is None else cfg.label_values
+    for labels in dict.fromkeys(counts):
         sized = replace(cfg, tasks=labels)
-        tune, pool, _ = _protocol_setup(sized, splits)
+        tune, pool, pilot = _protocol_setup(sized, splits)
+        tau = pilot(alpha) if tau is None else tau
         rc = sized.round_config(tau=tau)
-        for token in cfg.methods:
+        for token in cfg.methods if labels in cfg.label_values else ():
             method, kind = METHOD_TOKENS[token]
             res = run_protocol(pool, tune, method, alpha, rc, cfg.trials, spec, kind, splits=splits)
             cells[token, labels] = _rows(cfg, token, kind, alpha, protocol=res, sweep_value=labels)

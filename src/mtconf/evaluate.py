@@ -5,11 +5,12 @@ calibrates one method, and records the joint-coverage indicator, per-target
 coverage, and per-target interval lengths averaged over the test set.  The
 tuning set is drawn once outside this module and stays fixed across trials.
 The pool is scored, and ranked in the sorted tuning columns, once per cell,
-together with every other per-cell invariant (row maxima, band-width
-ratios, the CDF methods' per-level threshold table); a trial takes its
-split as row indices, gathers its (K,) margins from that table (no
-``Calibration``) and its test rows, and takes interval lengths in place in
-its own copies of the bands.  A trial's split depends only on its spec, pool
+together with every other per-cell invariant (row maxima, the CDF methods'
+threshold table, the conformal rank of ``_ScoredPool.cell``, the bands and
+their width ratios as contiguous (K, N) target rows); a trial gathers and
+partitions its calibration rows for (K,) margins (no ``Calibration``),
+gathers its test columns from each target row, and takes interval lengths
+in place in those copies.  A trial's split depends only on its spec, pool
 size and index, never on what ran before, so every cell on one pool can
 share it through one ``TrialSplits`` table.
 
@@ -21,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -52,12 +52,10 @@ class TrialMetrics:
     n_test: int
 
     def __post_init__(self) -> None:
-        esc = np.asarray(self.esc, dtype=np.float64)
-        mil = np.asarray(self.mil, dtype=np.float64)
-        esc.setflags(write=False)
-        mil.setflags(write=False)
-        object.__setattr__(self, "esc", esc)
-        object.__setattr__(self, "mil", mil)
+        for name in ("esc", "mil"):
+            values = np.asarray(getattr(self, name), dtype=np.float64)
+            values.setflags(write=False)
+            object.__setattr__(self, name, values)
 
 
 def _score_pool(
@@ -71,6 +69,15 @@ def _score_pool(
     return _score_rows(method, score_kind, scores, tune_scores, blocks)
 
 
+def _band_rows(lo, hi, kind: ScoreKind, ratios=None) -> list[np.ndarray]:
+    """Copies of (n, K) bands as contiguous (K, n) target rows, with their
+    width ratios (``_scale_ratios`` when not given) for the normalized kinds."""
+    rows = [np.asarray(lo, dtype=np.float64), np.asarray(hi, dtype=np.float64)]
+    if kind.normalized:
+        rows.append(_scale_ratios(*rows) if ratios is None else ratios)
+    return [np.array(np.transpose(r), order="C") for r in rows]
+
+
 def evaluate_calibration(
     calib: Calibration, columns: np.ndarray, lo: np.ndarray, hi: np.ndarray, ratios=None
 ) -> tuple[float, np.ndarray, np.ndarray]:
@@ -80,31 +87,31 @@ def evaluate_calibration(
     ``lo``/``hi`` their (n, K) quantile bands, with width ``ratios`` when
     given.  The bands are copied, not changed.
     """
-    lo, hi = np.array(lo, dtype=np.float64), np.array(hi, dtype=np.float64)
-    return _test_metrics(calib.margins(lo.shape[1]), calib.score_kind, columns, lo, hi, ratios)
+    rows = _band_rows(lo, hi, calib.score_kind, ratios)
+    margins = calib.margins(len(rows[0]))[:, None]
+    return _test_metrics(margins, calib.score_kind, np.asarray(columns), *rows)
 
 
-def _test_metrics(margins, kind: ScoreKind, columns, lo, hi, ratios):
-    """``evaluate_calibration`` from (K,) ``margins`` in the scratch bands
-    ``lo``/``hi``; each target's mean length sums in row order."""
-    covered = columns <= margins[:, None]
+def _test_metrics(margins, kind: ScoreKind, columns, lo, hi, ratios=None):
+    """``evaluate_calibration`` from (K, 1) ``margins`` on (K, n) target rows:
+    scores ``columns``, scratch bands ``lo``/``hi`` and their ``ratios``."""
+    covered = columns <= margins
     n = covered.shape[1]
     return (
         np.count_nonzero(np.logical_and.reduce(covered, axis=0)) / n,
-        covered.sum(axis=1) / n,
+        np.fromiter(map(np.count_nonzero, covered), np.float64, len(covered)) / n,
         _mean_lengths(interval_lengths(lo, hi, margins, kind, ratios)),
     )
 
 
-def _mean_lengths(lengths: np.ndarray) -> np.ndarray:
-    """Per-target mean of (n, K) interval lengths, bit for bit
-    ``lengths.mean(axis=0)``.
+def _mean_lengths(rows: np.ndarray) -> np.ndarray:
+    """Per-target mean of (K, n) interval lengths, bit for bit the (n, K)
+    ``rows.T.mean(axis=0)``.
 
     That mean adds each target's lengths one row after another (pairwise
     only for K = 1, where the column is contiguous); a running sum along the
-    target's (K, n) row does the same additions in the same order, faster.
+    target's contiguous row does the same additions in the same order, faster.
     """
-    rows = lengths.T
     if len(rows) == 1:
         return rows.mean(axis=1)
     return np.add.accumulate(rows, axis=1)[:, -1] / rows.shape[1]
@@ -133,24 +140,17 @@ def run_trials(
         raise ValueError("need at least one trial")
     split = split_source(spec, data.n, splits)
     pool = _score_pool(data, tune, method, score_kind)
-    ratios = _scale_ratios(data.lo, data.hi) if score_kind.normalized else None
-    n_targets = data.n_targets
+    thresholds = pool.cell(spec.n_cal, alpha)
+    rows = [pool.columns, *_band_rows(data.lo, data.hi, score_kind)]
     ejc = np.empty(trials)
-    esc = np.empty((trials, n_targets))
-    mil = np.empty((trials, n_targets))
+    esc, mil = np.empty((trials, data.n_targets)), np.empty((trials, data.n_targets))
     for t in range(trials):
         cal, test = split(t)
-        rows = partial(np.take, indices=test, axis=0)
         ejc[t], esc[t], mil[t] = _test_metrics(
-            pool.thresholds(cal, alpha)[0], score_kind, np.take(pool.columns, test, axis=1),
-            rows(data.lo), rows(data.hi), ratios if ratios is None else rows(ratios),
+            thresholds(cal)[0][:, None], score_kind, *(r.take(test, axis=1) for r in rows)
         )
     return TrialMetrics(
-        ejc=float(ejc.mean()),
-        esc=esc.mean(axis=0),
-        mil=mil.mean(axis=0),
-        trials=trials,
-        n_test=spec.n_test,
+        float(ejc.mean()), esc.mean(axis=0), mil.mean(axis=0), trials=trials, n_test=spec.n_test
     )
 
 

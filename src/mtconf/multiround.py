@@ -21,8 +21,8 @@ import numpy as np
 # rebinding them here.
 from .calibrate import Calibration, Method, coverage_mask, fit_method, interval_array  # noqa: F401
 from .core import LabeledSet, Role, SplitSpec, TrialSplits, concat, partition, split_cal_test, split_source  # noqa: F401
-from .evaluate import _score_pool
-from .scores import ScoreKind, _scale_ratios, interval_lengths, score_matrix  # noqa: F401
+from .evaluate import _band_rows, _score_pool
+from .scores import ScoreKind, interval_lengths, score_matrix  # noqa: F401
 from .synthetic import RoundConfig, gen_multiround
 
 
@@ -99,11 +99,9 @@ def _protocol_trials(
     fit = Method.SINGLE if per_round and cfg.tasks == 1 else method
     blocks = tuple(_round_slice(cfg, b) for b in range(cfg.rounds)) if per_round else (slice(None),)
     pool = _score_pool(data, tune, fit, score_kind, blocks)
+    cells = [(cols, pool.cell(spec.n_cal, alpha, b)) for b, cols in enumerate(blocks)]
     # A trial gathers (K, n) target rows: scores, bands and the width ratios.
-    stacked = [pool.columns, data.lo.T, data.hi.T]
-    if score_kind.normalized:
-        stacked.append(_scale_ratios(data.lo, data.hi).T)
-    stacked = np.stack(stacked)
+    rows = [pool.columns, *_band_rows(data.lo, data.hi, score_kind)]
     eac = np.empty(trials)
     inv_rate = np.empty(trials)
     ejc_all = np.empty(trials)
@@ -113,9 +111,9 @@ def _protocol_trials(
     for t in range(trials):
         cal, test = split(t)
         margins = np.empty((cfg.n_targets, 1))
-        for b, cols in enumerate(blocks):
-            margins[cols, 0] = pool.thresholds(cal, alpha, b)[0]
-        scores, lo, hi, *ratios = np.take(stacked, test, axis=2)
+        for cols, thresholds in cells:
+            margins[cols, 0] = thresholds(cal)[0]
+        scores, lo, hi, *ratios = (r.take(test, axis=1) for r in rows)
         covered = scores <= margins
         lengths = interval_lengths(lo, hi, margins, score_kind, *ratios, floor=length_floor)
         accepted, accepted_cov = _walk(lengths, covered, cfg)
@@ -124,12 +122,8 @@ def _protocol_trials(
         ejc_all[t] = np.count_nonzero(np.logical_and.reduce(covered, axis=0)) / n
         hist += np.bincount(accepted, minlength=cfg.rounds)
     return ProtocolResult(
-        eac=float(eac.mean()),
-        r_avg=float(1.0 / inv_rate.mean()),
-        histogram=hist,
-        ejc_all=float(ejc_all.mean()),
-        trials=trials,
-        n_test=spec.n_test,
+        eac=float(eac.mean()), r_avg=float(1.0 / inv_rate.mean()), histogram=hist,
+        ejc_all=float(ejc_all.mean()), trials=trials, n_test=spec.n_test,
     )
 
 

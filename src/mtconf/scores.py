@@ -50,8 +50,9 @@ def _ceil_rank(x: float) -> int:
     return int(math.ceil(x))
 
 
-def _band_widths(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    widths = hi - lo
+def _scale_ratios(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Width ratio of the first target's band to each target's band."""
+    widths = np.atleast_2d(hi) - np.atleast_2d(lo)
     bad = widths < MIN_BAND_WIDTH
     if np.any(bad):
         k = int(np.argwhere(bad)[0][-1])
@@ -59,12 +60,6 @@ def _band_widths(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
             f"target {k} has a quantile band narrower than {MIN_BAND_WIDTH}; "
             "width-normalized scores are undefined"
         )
-    return widths
-
-
-def _scale_ratios(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Width ratio of the first target's band to each target's band."""
-    widths = _band_widths(np.atleast_2d(lo), np.atleast_2d(hi))
     return widths[:, :1] / widths
 
 

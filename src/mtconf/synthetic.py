@@ -303,10 +303,13 @@ def gen_multiround(
     for b in range(cfg.rounds):
         for l in range(cfg.tasks):
             k = cfg.target_index(b, l)
-            noise = rng_for(seed, 1, b, l).normal(0.0, 1.0, size=(n, n_pred))
-            samples = np.clip(truths[:, [l]] + cfg.sigma[b] * noise, 0.0, 1.0)
-            part = np.partition(samples, (lo_rank - 1, hi_rank - 1), axis=1)
-            lo[:, k] = part[:, lo_rank - 1]
-            hi[:, k] = part[:, hi_rank - 1]
+            # truth + sigma * noise, clipped, in place; one row sort gives both ranks
+            samples = rng_for(seed, 1, b, l).normal(0.0, 1.0, size=(n, n_pred))
+            samples *= cfg.sigma[b]
+            samples += truths[:, [l]]
+            np.clip(samples, 0.0, 1.0, out=samples)
+            samples.sort(axis=1)
+            lo[:, k] = samples[:, lo_rank - 1]
+            hi[:, k] = samples[:, hi_rank - 1]
             targets[:, k] = truths[:, l]
     return LabeledSet(features=np.zeros(n), targets=targets, role=role, lo=lo, hi=hi)

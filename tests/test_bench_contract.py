@@ -95,3 +95,71 @@ def test_cdfs_are_built_through_the_module_global(monkeypatch):
     rng = np.random.default_rng(0)
     fit_method(Method.MINIMAX, rng.normal(size=(30, 2)), 0.1, ScoreKind.CQR, rng.normal(size=(20, 2)))
     assert len(built) == 2
+
+
+@pytest.mark.parametrize(
+    "ini, flags, timed_calls, pilots",
+    [
+        (None, ("--experiment", "table1", "--methods", "ia,qn,cpts", "--alphas", "0.2,0.1"), 6, 0),
+        (
+            "[experiment]\nntune_values = 40, 60\nruns = 2\n",
+            ("--experiment", "ntune_sweep", "--methods", "cqr_minimax,qn"),
+            8,
+            0,
+        ),
+        (
+            "[rounds]\ntasks = 2\n",
+            ("--experiment", "multiround", "--methods", "cqr_minimax,ia", "--alphas", "0.2,0.1"),
+            8,
+            2,
+        ),
+    ],
+)
+def test_per_cell_work_runs_inside_the_timed_trial_calls(
+    tmp_path, monkeypatch, ini, flags, timed_calls, pilots
+):
+    """`trials_per_s` divides trials by the time spent in the calls the benchmark
+    times, so each such call must score its own pool; only the tau pilot's
+    `fit_method` may score rows outside them."""
+    calibrate = importlib.import_module("mtconf.calibrate")
+    evaluate = importlib.import_module("mtconf.evaluate")
+    inside = []  # per timed call, the pools it scored
+    outside = []  # per scoring outside them, whether the pilot's fit_method made it
+    state = {"timed": False, "pilot": False}
+
+    def scoring(real):
+        def wrapped(*args, **kwargs):
+            if state["timed"]:
+                inside[-1] += 1
+            else:
+                outside.append(state["pilot"])
+            return real(*args, **kwargs)
+
+        return wrapped
+
+    def flagged(real, flag):
+        def wrapped(*args, **kwargs):
+            assert not state[flag], f"nested {flag} call"
+            state[flag] = True
+            if flag == "timed":
+                inside.append(0)
+            try:
+                return real(*args, **kwargs)
+            finally:
+                state[flag] = False
+
+        return wrapped
+
+    for module in (calibrate, evaluate):
+        monkeypatch.setattr(module, "_score_rows", scoring(module._score_rows))
+    for name in LAYERS.TRIAL_CALLS:
+        monkeypatch.setattr(cli, name, flagged(getattr(cli, name), "timed"))
+    monkeypatch.setattr(cli, "fit_method", flagged(cli.fit_method, "pilot"))
+    args = ["run"]
+    if ini is not None:
+        (tmp_path / "run.ini").write_text(ini)
+        args.append(str(tmp_path / "run.ini"))
+    sizes = ("--trials", "2", "--ntrain", "60", "--ntune", "40", "--ncal", "50", "--ntest", "30")
+    assert cli.main([*args, *flags, *sizes, "--output-dir", str(tmp_path / "out")]) == 0
+    assert inside == [1] * timed_calls
+    assert outside == [True] * pilots

@@ -568,3 +568,75 @@ def test_coverage_mask_agrees_with_interval_array_for_fitted_methods(seed, metho
     ilo, ihi = interval_array(lo, hi, calib)
     covered = coverage_mask(score_matrix(lo, hi, z, kind), calib)
     assert np.array_equal(covered, (ilo <= z) & (z <= ihi))
+
+
+@st.composite
+def pooled_cells(draw):
+    """A method and score kind, (N, K) pool and (m, K) tuning scores of small
+    integers (ties within and across them), the column blocks, a subset of the
+    pool's rows and a level.  Tuning sometimes lies above every pool score, and
+    small row counts starve the rank."""
+    method = draw(st.sampled_from(list(Method)))
+    kind = draw(st.sampled_from(list(ScoreKind)))
+    k = 1 if method is Method.SINGLE else draw(st.integers(1, 4))
+    blocks = (slice(None),)
+    if k > 1 and draw(st.booleans()):
+        cut = draw(st.integers(1, k - 1))
+        blocks = (slice(0, cut), slice(cut, k))
+    scores = lambda n, lift: arrays(
+        np.float64, (n, k), elements=st.integers(-6, 6).map(lambda v: float(v + lift))
+    )
+    pool = draw(scores(draw(st.integers(1, 60)), 0))
+    tune = draw(scores(draw(st.integers(1, 30)), draw(st.sampled_from([0, 0, 20]))))
+    rows = np.array(draw(st.permutations(range(len(pool))))[: draw(st.integers(1, len(pool)))])
+    return method, kind, pool, tune, blocks, rows, draw(st.integers(1, 99)) / 100
+
+
+def sorted_thresholds(method, cal, tune, alpha):
+    """(K,) thresholds of ``method`` on (n, K) ``cal`` by sorting: the required-th
+    smallest score (per target for SINGLE and IA, of the row maxima for QN_MAX),
+    or for the CDF methods each level's tuning order statistic (-inf at 0 and
+    +inf at m), with the levels from the tuning ranks.  +inf when starved."""
+    n, k = cal.shape
+    level = 1.0 - (1.0 - alpha) ** (1.0 / k) if method is Method.IA else alpha
+    required = _conformal_rank(n, level)
+    if method in (Method.SINGLE, Method.IA, Method.QN_MAX):
+        if required > n:
+            return np.full(k, np.inf)
+        if method is Method.QN_MAX:
+            return np.full(k, np.sort(cal.max(axis=1))[required - 1])
+        return np.sort(cal, axis=0)[required - 1]
+    tune = np.sort(tune, axis=0)
+    ranks = np.stack([np.searchsorted(t, c, side="right") for t, c in zip(tune.T, cal.T)])
+    levels = _rank_levels(method, ranks.max(axis=0), len(tune), alpha, ranks)
+    table = np.vstack([np.full(k, -np.inf), tune[:-1], np.full(k, np.inf)])
+    return table[np.broadcast_to(levels, (k,)), np.arange(k)]
+
+
+@given(pooled_cells())
+@settings(max_examples=400, deadline=None)
+def test_cell_thresholds_equal_fit_method_on_the_gathered_rows(case):
+    method, kind, scores, tune, blocks, rows, alpha = case
+    pool = _score_rows(method, kind, scores, tune, blocks)
+    kept = [None if a is None else a.copy() for a in (pool.columns, pool.row_max, pool.ranks)]
+    for b, cols in enumerate(blocks):
+        margins, levels = pool.cell(rows.size, alpha, b)(rows)
+        cal = scores[rows][:, cols]
+        want = fit_method(method, cal, alpha, kind, tune[:, cols])
+        assert margins.dtype == np.float64
+        assert margins.tobytes() == want.margins(margins.size).tobytes()
+        assert margins.tobytes() == sorted_thresholds(method, cal, tune[:, cols], alpha).tobytes()
+        m = len(tune)
+        if levels is not None:
+            assert np.array_equal(np.broadcast_to(levels, margins.shape) / m, want.per_target_level)
+        n_targets = margins.size
+        required = _conformal_rank(rows.size, alpha)
+        if method is Method.IA:
+            required = _conformal_rank(rows.size, 1.0 - (1.0 - alpha) ** (1.0 / n_targets))
+        if required > rows.size:  # starved: no finite threshold certifies the level
+            assert np.all(margins == np.inf) and (levels is None or np.all(levels == m))
+        elif levels is not None and tune.min() > scores.max():  # every rank is 0
+            assert np.all(margins == -np.inf) and np.all(levels == 0)
+    # A trial partitions its own gathered copies, never the pool.
+    after = (pool.columns, pool.row_max, pool.ranks)
+    assert all(a is None or np.array_equal(a, b) for a, b in zip(kept, after))

@@ -686,7 +686,18 @@ def test_each_trial_split_is_drawn_once_per_run(tmp_path, monkeypatch):
     assert count(labels, *rounds) == 3
 
 
-def test_label_sweep_generates_each_task_count_once(tmp_path, monkeypatch):
+@pytest.mark.parametrize(
+    "counts, extra, want",
+    [
+        # The configured count (1) comes first, its data serving the pilot too.
+        ((1, 2, 3), "", [1, 2, 3]),
+        ((3, 1, 2), "", [1, 3, 2]),
+        # A configured count that is not swept is drawn for the pilot only.
+        ((1, 3), "[rounds]\ntasks = 2\n", [2, 1, 3]),
+        ((1, 3), "tau = 0.2\n[rounds]\ntasks = 2\n", [1, 3]),
+    ],
+)
+def test_label_sweep_generates_each_task_count_once(tmp_path, monkeypatch, counts, extra, want):
     calls = []
 
     def recording(module):
@@ -696,11 +707,17 @@ def test_label_sweep_generates_each_task_count_once(tmp_path, monkeypatch):
     for module in (cli, multiround):
         monkeypatch.setattr(module, "gen_multiround", recording(module))
     labels = tmp_path / "labels.ini"
-    labels.write_text("[experiment]\nexperiment = multiround_labels\nlabel_values = 1, 2, 3\n")
+    label_values = ", ".join(map(str, counts))
+    labels.write_text(
+        f"[experiment]\nexperiment = multiround_labels\nlabel_values = {label_values}\n{extra}"
+    )
     flags = ("--methods", "cqr_minimax,ia", "--trials", "2", "--ntune", "40", "--ncal", "50")
     assert run_cli(labels, *flags, "--ntest", "30", "--output-dir", tmp_path / "out") == 0
-    # The pilot on the configured task count, then each count once for both methods.
-    assert calls == [1, 1, 2, 3]
+    assert calls == want
+    # Rows stay method-major, each method's counts in label_values order.
+    with open(tmp_path / "out" / "results.csv", newline="") as fh:
+        cells = [(row["method"], int(row["sweep_value"])) for row in csv.DictReader(fh)]
+    assert cells == [(m, c) for m in ("cqr_minimax", "ia") for c in counts]
 
 
 def test_models_are_fitted_in_the_order_the_benchmark_times(tmp_path, monkeypatch):

@@ -236,12 +236,16 @@ def test_mean_lengths_add_like_the_row_mean_bit_for_bit(k):
             if infinite:  # starved margins: (-inf, +inf) rows and one-sided bands
                 ihi[rng.random((n, k)) < 0.1] = np.inf
                 ilo[rng.random((n, k)) < 0.1] = -np.inf
-            want = np.maximum(0.0, ihi - ilo).mean(axis=0)
-            got = _mean_lengths(np.maximum(0.0, ihi - ilo))
-            assert got.shape == want.shape and got.tobytes() == want.tobytes(), (n, infinite)
-        # The in-place lengths of every score kind against the reference bounds:
-        # margins finite (Cauchy, so some negative and some emptying the
-        # band), partly +inf, and all +inf.
+            lengths = np.maximum(0.0, ihi - ilo)
+            want = lengths.mean(axis=0).tobytes()
+            # (K, n) target rows, contiguous as the trials keep them and as a view.
+            for rows in (np.ascontiguousarray(lengths.T), lengths.T):
+                got = _mean_lengths(rows)
+                assert got.shape == (k,) and got.tobytes() == want, (n, infinite)
+        # The in-place lengths of every score kind against the reference bounds,
+        # on (n, K) bands and on the (K, n) rows with (K, 1) margins: margins
+        # finite (Cauchy, so some negative and some emptying the band), partly
+        # +inf, and all +inf.
         lo = rng.normal(size=(n, k)) * 10.0 ** rng.uniform(-3, 3, size=(n, k))
         hi = lo + rng.uniform(0.01, 3.0, size=(n, k))
         finite = rng.standard_cauchy(size=k)
@@ -249,17 +253,24 @@ def test_mean_lengths_add_like_the_row_mean_bit_for_bit(k):
         for margins, kind in product((finite, partly, np.full(k, np.inf)), ScoreKind):
             ratios = _scale_ratios(lo, hi) if kind.normalized else None
             ilo, ihi = reference_bounds(lo, hi, margins, kind)
-            want = np.maximum(0.0, ihi - ilo).mean(axis=0)
-            got = _mean_lengths(interval_lengths(lo.copy(), hi.copy(), margins, kind, ratios))
-            assert got.shape == want.shape and got.tobytes() == want.tobytes(), (n, kind)
+            want = np.maximum(0.0, ihi - ilo)
+            got = interval_lengths(lo.copy(), hi.copy(), margins, kind, ratios)
+            assert got.tobytes() == want.tobytes(), (n, kind)
+            rows = interval_lengths(
+                np.array(lo.T, order="C"), np.array(hi.T, order="C"), margins[:, None], kind,
+                None if ratios is None else np.array(ratios.T, order="C"),
+            )
+            assert rows.tobytes() == np.ascontiguousarray(want.T).tobytes(), (n, kind)
+            assert _mean_lengths(rows).tobytes() == want.mean(axis=0).tobytes(), (n, kind)
 
 
+@pytest.mark.parametrize("k", [1, 3])  # one target: (n, 1) and (1, n) share a layout
 @pytest.mark.parametrize("kind", list(ScoreKind))
-def test_evaluate_calibration_and_stop_lengths_leave_their_inputs_unchanged(kind):
-    data = banded(60, 3, seed=46)
+def test_evaluate_calibration_and_stop_lengths_leave_their_inputs_unchanged(kind, k):
+    data = banded(60, k, seed=46)
     lo, hi, columns = np.array(data.lo), np.array(data.hi), np.array(data.targets.T)
     ratios = _scale_ratios(lo, hi)
-    zeta = np.array([0.4, -0.3, np.inf])
+    zeta = np.array([0.4, -0.3, np.inf])[-k:]
     calib = Calibration(method=Method.IA, score_kind=kind, alpha=0.1, per_target_zeta=zeta)
     inputs = (lo, hi, columns, ratios, lo.T, hi.T, ratios.T)
     before = [a.copy() for a in inputs]

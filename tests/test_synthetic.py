@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mtconf import (
     NOISE_COV,
@@ -20,7 +22,8 @@ from mtconf import (
     predict_quantiles,
     regression_mean,
 )
-from mtconf.core import LabeledSet
+from mtconf.core import LabeledSet, rng_for
+from mtconf.scores import _ceil_rank
 
 
 def test_regression_mean_values():
@@ -273,3 +276,43 @@ def test_gen_multiround_input_validation():
     for quantile_alpha in (0.0, 2.0, -0.5):
         with pytest.raises(ValueError, match="quantile_alpha"):
             gen_multiround(10, RoundConfig(), seed=1, quantile_alpha=quantile_alpha)
+
+
+def partition_bands(n, cfg, seed, quantile_alpha, n_pred):
+    """``gen_multiround``'s bands, selected with a two-kth ``np.partition``."""
+    truths = np.column_stack(
+        [rng_for(seed, 0, l).uniform(0.0, 1.0, size=n) for l in range(cfg.tasks)]
+    )
+    lo_rank = _ceil_rank((quantile_alpha / 2.0) * n_pred)
+    hi_rank = _ceil_rank((1.0 - quantile_alpha / 2.0) * n_pred)
+    lo, hi = np.empty((n, cfg.n_targets)), np.empty((n, cfg.n_targets))
+    for b in range(cfg.rounds):
+        for l in range(cfg.tasks):
+            noise = rng_for(seed, 1, b, l).normal(0.0, 1.0, size=(n, n_pred))
+            samples = np.clip(truths[:, [l]] + cfg.sigma[b] * noise, 0.0, 1.0)
+            part = np.partition(samples, (lo_rank - 1, hi_rank - 1), axis=1)
+            lo[:, cfg.target_index(b, l)] = part[:, lo_rank - 1]
+            hi[:, cfg.target_index(b, l)] = part[:, hi_rank - 1]
+    return lo, hi
+
+
+@given(
+    st.integers(1, 40),
+    st.integers(1, 3),
+    st.sampled_from([0.0, 0.05, 0.4, 1e3]),
+    st.booleans(),
+    st.floats(0.001, 0.999),
+    st.integers(2, 64),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=200, deadline=None)
+def test_gen_multiround_bands_equal_the_partition_reference(
+    n, tasks, sigma, quiet_last, quantile_alpha, n_pred, seed
+):
+    # A large sigma clips most samples to 0 or 1, so the sorted rows tie there;
+    # sigma 0 makes every sample its truth.
+    cfg = RoundConfig(rounds=2, tasks=tasks, sigma=(sigma, 0.0 if quiet_last else sigma),
+                      rates=(2.0, 1.0))
+    data = gen_multiround(n, cfg, seed, quantile_alpha=quantile_alpha, n_pred=n_pred)
+    lo, hi = partition_bands(n, cfg, seed, quantile_alpha, n_pred)
+    assert data.lo.tobytes() == lo.tobytes() and data.hi.tobytes() == hi.tobytes()
