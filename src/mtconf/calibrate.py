@@ -80,7 +80,7 @@ def _kth_smallest(values: np.ndarray, rank: int, scratch: bool = False):
     exceeds their count; every calibration threshold is one, of scores, row
     maxima or tuning ranks.  A ``scratch`` array is partitioned in place."""
     if rank > values.shape[-1]:
-        return math.inf
+        return np.full(values.shape[:-1], math.inf)
     values = values if scratch else values.copy()
     values.partition(rank - 1)
     return values[rank - 1] if values.ndim == 1 else values[:, rank - 1].copy()
@@ -110,6 +110,12 @@ class Calibration:
                 values = np.asarray(getattr(self, name), dtype=np.float64)
                 values.setflags(write=False)
                 object.__setattr__(self, name, values)
+
+    @property
+    def n_targets(self) -> int:
+        if self.per_target_zeta is not None:
+            return self.per_target_zeta.size
+        raise ValueError("scalar calibration has no fixed target count")
 
     def margins(self, n_targets: int) -> np.ndarray:
         """Per-target raw-score thresholds, expanded for scalar methods."""
@@ -185,7 +191,7 @@ def _rank_levels(method: Method, row_max: np.ndarray, m: int, alpha: float, rank
     if required > n:
         return np.full(n_targets, m)
     levels = np.full(n_targets, _kth_smallest(row_max, required, scratch=True))
-    if method is Method.MINIMAX or n_targets == 1:  # one target: its box is row_max's
+    if method is Method.MINIMAX:
         return levels
     below = ranks <= levels[:, None]
     kept = np.ones(n, dtype=bool)  # rows kept by every coordinate before k, at its final level
@@ -264,20 +270,16 @@ class _ScoredPool:
 
     def cell(self, n: int, alpha: float, block: int = 0):
         """Calibration of the columns ``blocks[block]`` on ``n`` rows at level
-        ``alpha``, with the rank (IA's root-corrected), slices and overflow
-        (+inf thresholds, levels m) fixed once: a function of the row indices,
-        which gathers them, partitions that copy and returns (K,) thresholds
-        and the CDF methods' integer levels (None for the others)."""
+        ``alpha``, its rank (IA's root-corrected) and slices fixed once: a
+        function of row indices that gathers them, partitions that copy and
+        returns new (K,) thresholds (+inf on rank overflow) and the CDF
+        methods' integer levels ((1,) for MINIMAX, None for the others)."""
         method, cols = self.method, self.blocks[block]
         columns = self.columns[cols]
         n_targets = len(columns)
         rank = _conformal_rank(n, alpha)
         if method is Method.IA:
             rank = _conformal_rank(n, 1.0 - (1.0 - alpha) ** (1.0 / n_targets))
-        if rank > n:
-            infinite = np.full(n_targets, math.inf)
-            levels = None if self.table is None else np.full(n_targets, self.table.shape[1] - 1)
-            return lambda rows: (infinite, levels)
         if self.row_max is None:  # SINGLE or IA: one threshold per target row
             return lambda rows: (_kth_smallest(columns.take(rows, axis=1), rank, True), None)
         row_max = self.row_max[block]

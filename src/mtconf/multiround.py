@@ -102,9 +102,7 @@ def _protocol_trials(
     cells = [(cols, pool.cell(spec.n_cal, alpha, b)) for b, cols in enumerate(blocks)]
     # A trial gathers (K, n) target rows: scores, bands and the width ratios.
     rows = [pool.columns, *_band_rows(data.lo, data.hi, score_kind)]
-    eac = np.empty(trials)
-    inv_rate = np.empty(trials)
-    ejc_all = np.empty(trials)
+    eac, inv_rate, ejc_all = np.empty((3, trials))
     hist = np.zeros(cfg.rounds, dtype=np.int64)
     inv_rates = 1.0 / np.asarray(cfg.rates, dtype=np.float64)
     n = spec.n_test

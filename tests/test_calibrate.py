@@ -278,6 +278,9 @@ def test_calibration_margins_expand_and_validate():
     )
     with pytest.raises(ValueError, match="different target count"):
         fitted.margins(3)
+    assert fitted.n_targets == 2
+    with pytest.raises(ValueError, match="no fixed target count"):
+        calib.n_targets
 
 
 def test_ia_k1_intervals_match_single_conformal():
@@ -620,7 +623,14 @@ def test_cell_thresholds_equal_fit_method_on_the_gathered_rows(case):
     pool = _score_rows(method, kind, scores, tune, blocks)
     kept = [None if a is None else a.copy() for a in (pool.columns, pool.row_max, pool.ranks)]
     for b, cols in enumerate(blocks):
-        margins, levels = pool.cell(rows.size, alpha, b)(rows)
+        thresholds = pool.cell(rows.size, alpha, b)
+        margins, levels = thresholds(rows)
+        # Each trial gets its own arrays, also on rank overflow, and MINIMAX
+        # always shares one level.
+        again = thresholds(rows)
+        assert not np.shares_memory(margins, again[0])
+        assert levels is None or not np.shares_memory(levels, again[1])
+        assert method is not Method.MINIMAX or levels.shape == (1,)
         cal = scores[rows][:, cols]
         want = fit_method(method, cal, alpha, kind, tune[:, cols])
         assert margins.dtype == np.float64
