@@ -216,7 +216,11 @@ def _protocol_setup(cfg: ExperimentConfig, splits: TrialSplits):
             kind,
             score_matrix(tune.lo, tune.hi, tune.targets, kind),
         )
-        return pilot_tau(test, base, calib=calib)
+        try:
+            return pilot_tau(test, base, calib=calib)
+        except ValueError as err:
+            msg = f"{err} at alpha={_fmt(alpha)} with n_cal={spec.n_cal}; set a fixed --tau"
+            raise ValueError(msg) from None
 
     return tune, pool, pilot
 

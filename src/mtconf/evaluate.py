@@ -1,20 +1,18 @@
 """Monte Carlo harness: repeated cal/test splits, coverage and length metrics.
 
 Each trial re-splits a fixed evaluation pool into calibration and test sets,
-calibrates one method, and records the joint-coverage indicator, per-target
-coverage, and per-target interval lengths averaged over the test set.  The
-tuning set is drawn once outside this module and stays fixed across trials.
-The pool is scored, and ranked in the sorted tuning columns, once per cell,
-together with every other per-cell invariant (row maxima, the CDF methods'
+calibrates one method, and measures coverage and interval lengths on the
+test set; the tuning set is drawn once outside this module.  One trial
+engine, ``_trials``, serves ``run_trials`` and ``multiround``'s stopping
+protocols.  Per cell it scores the pool once, ranks it in the sorted tuning
+columns and keeps every other invariant (row maxima, the CDF methods'
 threshold table, the conformal rank of ``_ScoredPool.cell``, the bands and
-their width ratios as contiguous (K, N) target rows); a trial gathers and
-partitions its calibration rows for (K,) margins (no ``Calibration``),
-gathers its test columns from each target row, and takes interval lengths
-in place in those copies.  A trial's split depends only on its spec, pool
-size and index, never on what ran before, so every cell on one pool can
-share it through one ``TrialSplits`` table.
-
-Per-trial results are written into preallocated arrays indexed by trial and
+width ratios as contiguous (K, N) target rows).  A trial then gathers and
+partitions its calibration rows for (K, 1) margins (no ``Calibration``),
+gathers its test columns from each target row, and yields their coverage
+mask and the interval lengths taken in place in those copies.  A trial's
+split depends only on its spec, pool size and index, so every cell on one
+pool can share it through one ``TrialSplits`` table.  Per-trial results are
 reduced with numpy means (pairwise summation).
 """
 
@@ -22,10 +20,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import starmap
 
 import numpy as np
 
-from .calibrate import Calibration, Method, _score_rows, _ScoredPool
+from .calibrate import Calibration, Method, _score_rows
 
 # split_cal_test, fit_method, coverage_mask and interval_array are imported
 # only for perfbench/layers.py, which times layers by rebinding those names
@@ -58,17 +57,6 @@ class TrialMetrics:
             object.__setattr__(self, name, values)
 
 
-def _score_pool(
-    data: LabeledSet, tune: LabeledSet, method: Method, score_kind: ScoreKind, blocks=(slice(None),)
-) -> _ScoredPool:
-    """Score the pool, and the tuning set for the CDF methods, once per cell."""
-    scores = score_matrix(data.lo, data.hi, data.targets, score_kind)
-    tune_scores = None
-    if method in (Method.MINIMAX, Method.COPULA):
-        tune_scores = score_matrix(tune.lo, tune.hi, tune.targets, score_kind)
-    return _score_rows(method, score_kind, scores, tune_scores, blocks)
-
-
 def _band_rows(lo, hi, kind: ScoreKind, ratios=None) -> list[np.ndarray]:
     """Copies of (n, K) bands as contiguous (K, n) target rows, with their
     width ratios (``_scale_ratios`` when not given) for the normalized kinds."""
@@ -87,21 +75,22 @@ def evaluate_calibration(
     ``lo``/``hi`` their (n, K) quantile bands, with width ``ratios`` when
     given.  The bands are copied, not changed.
     """
-    rows = _band_rows(lo, hi, calib.score_kind, ratios)
-    margins = calib.margins(len(rows[0]))[:, None]
-    return _test_metrics(margins, calib.score_kind, np.asarray(columns), *rows)
-
-
-def _test_metrics(margins, kind: ScoreKind, columns, lo, hi, ratios=None):
-    """``evaluate_calibration`` from (K, 1) ``margins`` on (K, n) target rows:
-    scores ``columns``, scratch bands ``lo``/``hi`` and their ``ratios``."""
-    covered = columns <= margins
-    n = covered.shape[1]
-    return (
-        np.count_nonzero(np.logical_and.reduce(covered, axis=0)) / n,
-        np.fromiter(map(np.count_nonzero, covered), np.float64, len(covered)) / n,
-        _mean_lengths(interval_lengths(lo, hi, margins, kind, ratios)),
+    lo, hi, *ratios = _band_rows(lo, hi, calib.score_kind, ratios)
+    margins = calib.margins(len(lo))[:, None]
+    return _test_metrics(
+        np.asarray(columns) <= margins, interval_lengths(lo, hi, margins, calib.score_kind, *ratios)
     )
+
+
+def _joint(covered: np.ndarray) -> float:
+    """Share of the (K, n) coverage mask's test rows covered in every target."""
+    return np.count_nonzero(np.logical_and.reduce(covered, axis=0)) / covered.shape[1]
+
+
+def _test_metrics(covered: np.ndarray, lengths: np.ndarray):
+    """``evaluate_calibration`` from a (K, n) coverage mask and interval lengths."""
+    per_target = np.fromiter(map(np.count_nonzero, covered), np.float64, len(covered))
+    return _joint(covered), per_target / covered.shape[1], _mean_lengths(lengths)
 
 
 def _mean_lengths(rows: np.ndarray) -> np.ndarray:
@@ -115,6 +104,36 @@ def _mean_lengths(rows: np.ndarray) -> np.ndarray:
     if len(rows) == 1:
         return rows.mean(axis=1)
     return np.add.accumulate(rows, axis=1)[:, -1] / rows.shape[1]
+
+
+def _trials(
+    data: LabeledSet, tune: LabeledSet, method: Method, kind: ScoreKind, alpha: float,
+    trials: int, spec: SplitSpec, splits: TrialSplits | None, blocks=(slice(None),), floor=None,
+):
+    """One cell's Monte Carlo trials, lazily: per trial, the test rows' (K, n)
+    coverage mask and interval lengths (``floor`` as in ``interval_lengths``),
+    each column block calibrated on its own.  The checks, the scoring, one
+    ``_ScoredPool.cell`` per block and the (K, N) target rows are done now."""
+    if trials < 1:
+        raise ValueError("need at least one trial")
+    split = split_source(spec, data.n, splits)
+    scores, tune_scores = score_matrix(data.lo, data.hi, data.targets, kind), None
+    if method in (Method.MINIMAX, Method.COPULA):
+        tune_scores = score_matrix(tune.lo, tune.hi, tune.targets, kind)
+    pool = _score_rows(method, kind, scores, tune_scores, blocks)
+    del scores, tune_scores  # freed before the band copies; the pool keeps what trials read
+    cells = [(cols, pool.cell(spec.n_cal, alpha, b)) for b, cols in enumerate(blocks)]
+    rows = [pool.columns, *_band_rows(data.lo, data.hi, kind)]
+    margins = np.empty((data.n_targets, 1))
+
+    def trial(t: int) -> tuple[np.ndarray, np.ndarray]:
+        cal, test = split(t)
+        for cols, thresholds in cells:
+            margins[cols, 0] = thresholds(cal)[0]
+        columns, lo, hi, *ratios = (r.take(test, axis=1) for r in rows)
+        return columns <= margins, interval_lengths(lo, hi, margins, kind, *ratios, floor=floor)
+
+    return map(trial, range(trials))
 
 
 def run_trials(
@@ -136,19 +155,8 @@ def run_trials(
     Trials take their splits from ``splits``, a table shared with the other
     cells on this pool, or draw each one afresh without it.
     """
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    split = split_source(spec, data.n, splits)
-    pool = _score_pool(data, tune, method, score_kind)
-    thresholds = pool.cell(spec.n_cal, alpha)
-    rows = [pool.columns, *_band_rows(data.lo, data.hi, score_kind)]
-    ejc = np.empty(trials)
-    esc, mil = np.empty((trials, data.n_targets)), np.empty((trials, data.n_targets))
-    for t in range(trials):
-        cal, test = split(t)
-        ejc[t], esc[t], mil[t] = _test_metrics(
-            thresholds(cal)[0][:, None], score_kind, *(r.take(test, axis=1) for r in rows)
-        )
+    cell = _trials(data, tune, method, score_kind, alpha, trials, spec, splits)
+    ejc, esc, mil = map(np.array, zip(*starmap(_test_metrics, cell)))
     return TrialMetrics(
         float(ejc.mean()), esc.mean(axis=0), mil.mean(axis=0), trials=trials, n_test=spec.n_test
     )

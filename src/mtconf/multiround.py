@@ -7,7 +7,10 @@ accepts the first round whose intervals are all no longer than ``tau``
 per-round speed-up factors.  Calibrating all rounds jointly keeps the
 accepted-round coverage honest no matter where the walk stops; calibrating
 each round separately does not, because acceptance selects on interval
-length, which is informative about conformity.
+length, which is informative about conformity.  Both protocols run on the
+Monte Carlo trial engine of ``evaluate`` (one column block per round when
+calibrated separately) and only walk and reduce each trial's coverage mask
+and stopping lengths.
 """
 
 from __future__ import annotations
@@ -20,8 +23,8 @@ import numpy as np
 # are imported only for perfbench/layers.py, which times those layers by
 # rebinding them here.
 from .calibrate import Calibration, Method, coverage_mask, fit_method, interval_array  # noqa: F401
-from .core import LabeledSet, Role, SplitSpec, TrialSplits, concat, partition, split_cal_test, split_source  # noqa: F401
-from .evaluate import _band_rows, _score_pool
+from .core import LabeledSet, Role, SplitSpec, TrialSplits, concat, partition, split_cal_test  # noqa: F401
+from .evaluate import _joint, _trials
 from .scores import ScoreKind, interval_lengths, score_matrix  # noqa: F401
 from .synthetic import RoundConfig, gen_multiround
 
@@ -49,14 +52,6 @@ class ProtocolResult:
         hist = np.asarray(self.histogram, dtype=np.int64)
         hist.setflags(write=False)
         object.__setattr__(self, "histogram", hist)
-
-
-def _stop_lengths(lo, hi, margins, kind: ScoreKind, floor: float, ratios=None) -> np.ndarray:
-    """Interval lengths used by the stopping rule, in the bands' layout, from
-    copies of the bands (the protocol's trials take them in place).  One-sided
-    intervals have no finite length, so the rule measures the upper endpoint
-    against a configured floor."""
-    return interval_lengths(np.array(lo), np.array(hi), margins, kind, ratios, floor)
 
 
 def _walk(
@@ -90,38 +85,24 @@ def _protocol_trials(
     length_floor: float,
     splits: TrialSplits | None,
 ) -> ProtocolResult:
-    if trials < 1:
-        raise ValueError("need at least one trial")
     if data.n_targets != cfg.n_targets:
         raise ValueError("data does not match the round layout")
-    split = split_source(spec, data.n, splits)
     # Calibrated round by round, single-task rounds use plain split conformal.
     fit = Method.SINGLE if per_round and cfg.tasks == 1 else method
     blocks = tuple(_round_slice(cfg, b) for b in range(cfg.rounds)) if per_round else (slice(None),)
-    pool = _score_pool(data, tune, fit, score_kind, blocks)
-    cells = [(cols, pool.cell(spec.n_cal, alpha, b)) for b, cols in enumerate(blocks)]
-    # A trial gathers (K, n) target rows: scores, bands and the width ratios.
-    rows = [pool.columns, *_band_rows(data.lo, data.hi, score_kind)]
-    eac, inv_rate, ejc_all = np.empty((3, trials))
+    cell = _trials(data, tune, fit, score_kind, alpha, trials, spec, splits, blocks, length_floor)
+    eac, inv_rate, ejc_all = [], [], []
     hist = np.zeros(cfg.rounds, dtype=np.int64)
     inv_rates = 1.0 / np.asarray(cfg.rates, dtype=np.float64)
-    n = spec.n_test
-    for t in range(trials):
-        cal, test = split(t)
-        margins = np.empty((cfg.n_targets, 1))
-        for cols, thresholds in cells:
-            margins[cols, 0] = thresholds(cal)[0]
-        scores, lo, hi, *ratios = (r.take(test, axis=1) for r in rows)
-        covered = scores <= margins
-        lengths = interval_lengths(lo, hi, margins, score_kind, *ratios, floor=length_floor)
+    for covered, lengths in cell:
         accepted, accepted_cov = _walk(lengths, covered, cfg)
-        eac[t] = np.count_nonzero(accepted_cov) / n
-        inv_rate[t] = np.mean(inv_rates[accepted])
-        ejc_all[t] = np.count_nonzero(np.logical_and.reduce(covered, axis=0)) / n
+        eac.append(np.count_nonzero(accepted_cov) / spec.n_test)
+        inv_rate.append(np.mean(inv_rates[accepted]))
+        ejc_all.append(_joint(covered))
         hist += np.bincount(accepted, minlength=cfg.rounds)
     return ProtocolResult(
-        eac=float(eac.mean()), r_avg=float(1.0 / inv_rate.mean()), histogram=hist,
-        ejc_all=float(ejc_all.mean()), trials=trials, n_test=spec.n_test,
+        eac=float(np.mean(eac)), r_avg=float(1.0 / np.mean(inv_rate)), histogram=hist,
+        ejc_all=float(np.mean(ejc_all)), trials=trials, n_test=spec.n_test,
     )
 
 
@@ -188,6 +169,8 @@ def pilot_tau(
     protocol will actually compare against ``tau``; without one the raw band
     widths are used.  Lengths shrink across rounds, so a threshold placed at
     quantile q of round b accepts roughly that fraction of samples by then.
+    A quantile that is not finite (a level too strict for the calibration
+    set makes every margin +inf) is a ``ValueError``.
     """
     if round_idx is None:
         round_idx = max(cfg.rounds - 2, 0)
@@ -195,9 +178,13 @@ def pilot_tau(
     if calib is None:
         lengths = data.hi[:, cols] - data.lo[:, cols]
     else:
-        margins = calib.margins(data.n_targets)
-        lengths = _stop_lengths(data.lo, data.hi, margins, calib.score_kind, length_floor)[:, cols]
-    return float(np.quantile(lengths.max(axis=1), quantile))
+        lo, hi, margins = np.array(data.lo), np.array(data.hi), calib.margins(data.n_targets)
+        lengths = interval_lengths(lo, hi, margins, calib.score_kind, floor=length_floor)[:, cols]
+    with np.errstate(invalid="ignore"):  # inf - inf between infinite lengths
+        tau = float(np.quantile(lengths.max(axis=1), quantile))
+    if not np.isfinite(tau):
+        raise ValueError("the tau pilot's interval lengths are not finite")
+    return tau
 
 
 def sweep_labels(

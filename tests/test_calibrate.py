@@ -496,6 +496,43 @@ def test_copula_levels_are_not_monotone_in_alpha():
     assert rows_inside(ranks, np.array([1, 6])) >= required_rows(60, 11)
 
 
+def leave_one_out_covered(method, ranks, m, alpha):
+    """How many rows of an (n + 1, K) rank table lie in the box of levels
+    that the other n rows give, the held-out row rotated through all of them."""
+    covered = 0
+    for i in range(len(ranks)):
+        rest = np.delete(ranks, i, axis=0)
+        table = None if method is Method.MINIMAX else np.array(rest.T)
+        covered += bool(np.all(ranks[i] <= _rank_levels(method, rest.max(axis=1), m, alpha, table)))
+    return covered
+
+
+@given(
+    arrays(np.int64, st.tuples(st.integers(2, 30), st.integers(1, 4)), elements=st.integers(0, 40)),
+    st.integers(1, 99),
+)
+@settings(max_examples=300, deadline=None)
+def test_minimax_leave_one_out_covers_the_conformal_rank(ranks, percent):
+    # The held-out row is covered iff its row maximum is at most the
+    # required-th smallest of the others' maxima: at least required of the
+    # n + 1 rows, exactly required when the maxima are distinct.
+    need = required_rows(percent, len(ranks) - 1)
+    covered = leave_one_out_covered(Method.MINIMAX, ranks, 40, percent / 100)
+    assert covered >= need
+    if np.unique(ranks.max(axis=1)).size == len(ranks):
+        assert covered == need
+
+
+def test_copula_leave_one_out_can_fall_short():
+    # COPULA's box is not a level set of one per-row score, so the exchange
+    # argument does not hold: rows (1, 4), (4, 2), (1, 0) at alpha = 0.5 need
+    # 2 of 3 covered, and only the last row lies in the box the others give.
+    ranks = np.array([[1, 4, 1], [4, 2, 0]]).T
+    assert leave_one_out_covered(Method.COPULA, ranks, 4, 0.5) == 1
+    assert required_rows(50, 2) == 2
+    assert leave_one_out_covered(Method.MINIMAX, ranks, 4, 0.5) >= 2
+
+
 @given(
     arrays(np.float64, st.integers(1, 50), elements=st.integers(-8, 8).map(float)),
     st.integers(1, 60),

@@ -500,6 +500,21 @@ def test_tau_auto_flag_overrides_the_file_through_main(tmp_path):
     assert manifest["tau_used"]["0.1"] != 0.5
 
 
+@pytest.mark.parametrize("tasks", [1, 3])
+def test_a_tau_pilot_without_finite_lengths_is_a_one_line_error(tmp_path, capsys, tasks):
+    # At alpha = 0.05 nine calibration rows give every margin +inf.
+    config = tmp_path / "tasks.ini"
+    config.write_text(f"[rounds]\ntasks = {tasks}\n")
+    out = tmp_path / "res"
+    argv = ("--experiment", "multiround", "--alphas", "0.2,0.05", "--ncal", "9", "--trials", "2")
+    assert run_cli(config, *argv, "--output-dir", out) == 3
+    assert capsys.readouterr().err == (
+        "ctool: run error: the tau pilot's interval lengths are not finite"
+        " at alpha=0.05 with n_cal=9; set a fixed --tau\n"
+    )
+    assert not (out / "results.csv").exists()
+
+
 @pytest.mark.parametrize(
     "ini, message",
     [

@@ -25,7 +25,6 @@ from mtconf import (
     trial_rng,
 )
 from mtconf.evaluate import _mean_lengths, evaluate_calibration
-from mtconf.multiround import _stop_lengths
 from mtconf.scores import _scale_ratios, interval_lengths, score_matrix
 from reference import reference_bounds, reference_evaluation
 
@@ -143,8 +142,9 @@ def test_run_trials_input_errors():
     data = banded(100, 2, seed=16)
     tune = banded(50, 2, seed=17)
     spec = SplitSpec(seed=18, n_tune=1, n_cal=80, n_test=40)
-    with pytest.raises(ValueError, match="at least one trial"):
-        run_trials(data, tune, Method.QN_MAX, ScoreKind.CQR, 0.1, 0, spec)
+    for trials in (0, -1):
+        with pytest.raises(ValueError, match="at least one trial"):
+            run_trials(data, tune, Method.QN_MAX, ScoreKind.CQR, 0.1, trials, spec)
     with pytest.raises(InsufficientSamplesError):
         run_trials(data, tune, Method.QN_MAX, ScoreKind.CQR, 0.1, 2, spec)
 
@@ -266,18 +266,16 @@ def test_mean_lengths_add_like_the_row_mean_bit_for_bit(k):
 
 @pytest.mark.parametrize("k", [1, 3])  # one target: (n, 1) and (1, n) share a layout
 @pytest.mark.parametrize("kind", list(ScoreKind))
-def test_evaluate_calibration_and_stop_lengths_leave_their_inputs_unchanged(kind, k):
+def test_evaluate_calibration_leaves_its_inputs_unchanged(kind, k):
     data = banded(60, k, seed=46)
     lo, hi, columns = np.array(data.lo), np.array(data.hi), np.array(data.targets.T)
     ratios = _scale_ratios(lo, hi)
     zeta = np.array([0.4, -0.3, np.inf])[-k:]
     calib = Calibration(method=Method.IA, score_kind=kind, alpha=0.1, per_target_zeta=zeta)
-    inputs = (lo, hi, columns, ratios, lo.T, hi.T, ratios.T)
+    inputs = (lo, hi, columns, ratios)
     before = [a.copy() for a in inputs]
     evaluate_calibration(calib, columns, lo, hi)
     evaluate_calibration(calib, columns, lo, hi, ratios)
-    _stop_lengths(lo, hi, zeta, kind, 0.5)
-    _stop_lengths(lo.T, hi.T, zeta[:, None], kind, 0.5, ratios.T)
     assert all(np.array_equal(a, b) for a, b in zip(inputs, before))
 
 

@@ -152,6 +152,14 @@ def test_pilot_tau_with_a_fitted_calibration_is_usable():
     assert np.isfinite(tau) and tau > 0
 
 
+def test_pilot_tau_rejects_infinite_lengths():
+    # a level too strict for the calibration set: every margin is +inf
+    calib = fit_method(Method.IA, np.zeros((3, CFG.n_targets)), 0.05, ScoreKind.CQR)
+    assert np.isinf(calib.per_target_zeta).all()
+    with pytest.raises(ValueError, match="not finite"):
+        pilot_tau(DATA, CFG, calib=calib)
+
+
 def test_sweep_labels_accounting():
     spec = SplitSpec(seed=48, n_tune=150, n_cal=400, n_test=200)
     results = sweep_labels([1, 2, 3], CFG, Method.MINIMAX, 0.1, 5, spec, data_seed=47)
@@ -167,6 +175,14 @@ def test_sweep_labels_accounting():
 def test_protocol_rejects_mismatched_layout():
     with pytest.raises(ValueError, match="round layout"):
         run_protocol(DATA, TUNE, Method.MINIMAX, 0.1, dataclasses.replace(CFG, rounds=3, sigma=CFG.sigma[:3], rates=CFG.rates[:3]), 2, SPEC)
+
+
+@pytest.mark.parametrize("trials", [0, -1])
+def test_protocols_need_at_least_one_trial(trials):
+    with pytest.raises(ValueError, match="at least one trial"):
+        run_protocol(DATA, TUNE, Method.MINIMAX, 0.1, CFG, trials, SPEC)
+    with pytest.raises(ValueError, match="at least one trial"):
+        run_sc_baseline(DATA, TUNE, 0.1, CFG, trials, SPEC)
 
 
 def reference_protocol(data, tune, method, alpha, cfg, trials, spec, kind, per_round, floor=0.0):
