@@ -8,7 +8,6 @@ staged predictions, and the ``ctool`` command line runner.
 
 from .calibrate import (
     Calibration,
-    EmpiricalCdf,
     Method,
     calibrate_copula,
     calibrate_ia,

@@ -42,32 +42,6 @@ class Method(Enum):
     MINIMAX = "minimax"
 
 
-@dataclass(frozen=True)
-class EmpiricalCdf:
-    """Right-continuous empirical CDF of a scalar score sample."""
-
-    sorted_samples: np.ndarray
-
-    def __post_init__(self) -> None:
-        samples = np.sort(np.asarray(self.sorted_samples, dtype=np.float64))
-        if samples.size == 0:
-            raise ValueError("empirical CDF needs at least one sample")
-        if not np.all(np.isfinite(samples)):
-            raise ValueError("empirical CDF samples must be finite")
-        samples.setflags(write=False)
-        object.__setattr__(self, "sorted_samples", samples)
-
-    @property
-    def m(self) -> int:
-        return self.sorted_samples.size
-
-
-
-def fit_cdf(tune_scores: np.ndarray) -> EmpiricalCdf:
-    """Empirical CDF of one target's tuning scores."""
-    return EmpiricalCdf(sorted_samples=np.asarray(tune_scores, dtype=np.float64))
-
-
 def _conformal_rank(n: int, alpha: float) -> int:
     """The split-conformal rank ceil((1 - alpha) * (n + 1)) of n calibration scores."""
     if not 0.0 < alpha < 1.0:
@@ -75,13 +49,13 @@ def _conformal_rank(n: int, alpha: float) -> int:
     return _ceil_rank((1.0 - alpha) * (n + 1))
 
 
-def _kth_smallest(values: np.ndarray, rank: int, scratch: bool = False):
+def _kth_smallest(values: np.ndarray, rank: int):
     """The rank-th smallest along the last axis of ``values``, +inf when rank
     exceeds their count; every calibration threshold is one, of scores, row
-    maxima or tuning ranks.  A ``scratch`` array is partitioned in place."""
+    maxima or tuning ranks.  ``values`` is scratch, partitioned in place:
+    every caller passes a gathered copy."""
     if rank > values.shape[-1]:
         return np.full(values.shape[:-1], math.inf)
-    values = values if scratch else values.copy()
     values.partition(rank - 1)
     return values[rank - 1] if values.ndim == 1 else values[:, rank - 1].copy()
 
@@ -92,9 +66,10 @@ class Calibration:
 
     ``lam`` is the scalar threshold for SINGLE / QN_MAX (raw score domain)
     and the max-CDF level in [0, 1] for MINIMAX.  ``per_target_zeta`` holds
-    raw-score thresholds for every method that has them; infinite entries
-    mean the corresponding interval side is uninformative.  ``per_target_level``
-    keeps the COPULA solution in CDF coordinates.
+    raw-score thresholds, (1,) for SINGLE; infinite entries mean the
+    corresponding interval side is uninformative.  Only QN_MAX's records and
+    hand-built ones are ``lam``-only, with margins expanded to any target
+    count.  ``per_target_level`` keeps the CDF methods' levels in [0, 1].
     """
 
     method: Method
@@ -135,6 +110,15 @@ def _check_scores(scores: np.ndarray, ndim: int) -> np.ndarray:
     return scores
 
 
+def fit_cdf(tune_scores: np.ndarray) -> np.ndarray:
+    """One target's empirical CDF: its checked tuning scores, sorted and
+    read-only.  A score's CDF value is the count of samples at or below it
+    over their number."""
+    samples = np.sort(_check_scores(tune_scores, 1))
+    samples.setflags(write=False)
+    return samples
+
+
 def calibrate_single(
     scores: np.ndarray, alpha: float, score_kind: ScoreKind = ScoreKind.CQR
 ) -> Calibration:
@@ -142,11 +126,10 @@ def calibrate_single(
 
     The threshold is the ceil((1 - alpha) * (n + 1))-th smallest calibration
     score, +inf when that rank exceeds n (alpha too small for the sample size
-    to certify anything).
+    to certify anything).  The record is ``fit_method``'s for SINGLE: ``lam``
+    and the same threshold as a (1,) ``per_target_zeta``.
     """
-    scores = _check_scores(scores, 1)
-    lam = float(_kth_smallest(scores, _conformal_rank(scores.size, alpha)))
-    return Calibration(method=Method.SINGLE, score_kind=score_kind, alpha=alpha, lam=lam)
+    return fit_method(Method.SINGLE, _check_scores(scores, 1)[:, None], alpha, score_kind)
 
 
 def calibrate_ia(
@@ -190,7 +173,7 @@ def _rank_levels(method: Method, row_max: np.ndarray, m: int, alpha: float, rank
     n_targets = 1 if ranks is None else len(ranks)
     if required > n:
         return np.full(n_targets, m)
-    levels = np.full(n_targets, _kth_smallest(row_max, required, scratch=True))
+    levels = np.full(n_targets, _kth_smallest(row_max, required))
     if method is Method.MINIMAX:
         return levels
     below = ranks <= levels[:, None]
@@ -199,7 +182,7 @@ def _rank_levels(method: Method, row_max: np.ndarray, m: int, alpha: float, rank
     for row in below[:0:-1]:
         later.append(later[-1] & row)
     for k, row in enumerate(ranks):
-        candidate = _kth_smallest(row[kept & later[-1 - k]], required, scratch=True)
+        candidate = _kth_smallest(row[kept & later[-1 - k]], required)
         if candidate < levels[k]:
             levels[k] = candidate
             below[k] = row <= candidate
@@ -281,11 +264,11 @@ class _ScoredPool:
         if method is Method.IA:
             rank = _conformal_rank(n, 1.0 - (1.0 - alpha) ** (1.0 / n_targets))
         if self.row_max is None:  # SINGLE or IA: one threshold per target row
-            return lambda rows: (_kth_smallest(columns.take(rows, axis=1), rank, True), None)
+            return lambda rows: (_kth_smallest(columns.take(rows, axis=1), rank), None)
         row_max = self.row_max[block]
         if method is Method.QN_MAX:
             return lambda rows: (
-                np.full(n_targets, _kth_smallest(row_max.take(rows), rank, True)), None
+                np.full(n_targets, _kth_smallest(row_max.take(rows), rank)), None
             )
         table, targets = self.table[cols], np.arange(n_targets)
         m = table.shape[1] - 1
@@ -320,14 +303,14 @@ def _score_rows(
     if tune_scores.shape[1] != scores.shape[1]:
         raise ValueError("tuning and calibration scores disagree on target count")
     cdfs = tuple(fit_cdf(col) for col in tune_scores.T)
-    table = np.stack([np.r_[-math.inf, c.sorted_samples[:-1], math.inf] for c in cdfs])
+    table = np.stack([np.r_[-math.inf, c[:-1], math.inf] for c in cdfs])
     # (K, n) integer ranks: how many tuning scores of each target lie at or
     # below.  A CDF value is its rank over m, so the CDF methods compare integers.
     # Needles in sorted order give the same counts, each search starting where the last ended.
     ranks = np.empty(columns.shape, dtype=np.intp)
     for c, col, out in zip(cdfs, columns, ranks):
         order = np.argsort(col)
-        out[order] = np.searchsorted(c.sorted_samples, col[order], side="right")
+        out[order] = np.searchsorted(c, col[order], side="right")
     return pool(block_max(ranks), table, ranks if method is Method.COPULA else None)
 
 

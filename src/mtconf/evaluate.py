@@ -24,7 +24,7 @@ from itertools import starmap
 
 import numpy as np
 
-from .calibrate import Calibration, Method, _score_rows
+from .calibrate import Method, _score_rows
 
 # split_cal_test, fit_method, coverage_mask and interval_array are imported
 # only for perfbench/layers.py, which times layers by rebinding those names
@@ -57,29 +57,13 @@ class TrialMetrics:
             object.__setattr__(self, name, values)
 
 
-def _band_rows(lo, hi, kind: ScoreKind, ratios=None) -> list[np.ndarray]:
+def _band_rows(lo, hi, kind: ScoreKind) -> list[np.ndarray]:
     """Copies of (n, K) bands as contiguous (K, n) target rows, with their
-    width ratios (``_scale_ratios`` when not given) for the normalized kinds."""
+    width ratios for the normalized kinds."""
     rows = [np.asarray(lo, dtype=np.float64), np.asarray(hi, dtype=np.float64)]
     if kind.normalized:
-        rows.append(_scale_ratios(*rows) if ratios is None else ratios)
+        rows.append(_scale_ratios(*rows))
     return [np.array(np.transpose(r), order="C") for r in rows]
-
-
-def evaluate_calibration(
-    calib: Calibration, columns: np.ndarray, lo: np.ndarray, hi: np.ndarray, ratios=None
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Joint coverage, per-target coverage, and mean lengths on one test set.
-
-    ``columns`` are the test rows' scores target by target, (K, n), and
-    ``lo``/``hi`` their (n, K) quantile bands, with width ``ratios`` when
-    given.  The bands are copied, not changed.
-    """
-    lo, hi, *ratios = _band_rows(lo, hi, calib.score_kind, ratios)
-    margins = calib.margins(len(lo))[:, None]
-    return _test_metrics(
-        np.asarray(columns) <= margins, interval_lengths(lo, hi, margins, calib.score_kind, *ratios)
-    )
 
 
 def _joint(covered: np.ndarray) -> float:
@@ -88,7 +72,8 @@ def _joint(covered: np.ndarray) -> float:
 
 
 def _test_metrics(covered: np.ndarray, lengths: np.ndarray):
-    """``evaluate_calibration`` from a (K, n) coverage mask and interval lengths."""
+    """Joint coverage, per-target coverage and per-target mean length on one
+    test set, from its (K, n) coverage mask and interval lengths."""
     per_target = np.fromiter(map(np.count_nonzero, covered), np.float64, len(covered))
     return _joint(covered), per_target / covered.shape[1], _mean_lengths(lengths)
 

@@ -11,7 +11,6 @@ from hypothesis.extra.numpy import arrays
 
 from mtconf import (
     Calibration,
-    EmpiricalCdf,
     Method,
     ScoreKind,
     calibrate_copula,
@@ -54,9 +53,9 @@ def test_conformal_rank_snaps_float_rank_products():
 
 def test_kth_smallest_direct_cases():
     values = np.array([4.0, 1.0, 3.0, 2.0])
-    assert _kth_smallest(values, 2) == 2.0
-    assert _kth_smallest(values, 4) == 4.0
-    assert math.isinf(_kth_smallest(values[:2], 3))
+    assert _kth_smallest(values.copy(), 2) == 2.0
+    assert _kth_smallest(values.copy(), 4) == 4.0
+    assert math.isinf(_kth_smallest(values[:2].copy(), 3))
 
 
 def test_single_rejects_bad_scores():
@@ -114,13 +113,16 @@ def test_maxscore_equals_single_on_identical_columns():
 
 def test_empirical_cdf_counts():
     cdf = fit_cdf(np.array([3.0, 1.0, 2.0]))
-    assert cdf.m == 3 and cdf.sorted_samples.tolist() == [1.0, 2.0, 3.0]
+    assert cdf.tolist() == [1.0, 2.0, 3.0] and not cdf.flags.writeable
     # A calibration score's rank is the count of tuning scores at or below it.
     cal, tune = np.array([[2.0], [0.5], [99.0]]), np.array([[3.0], [1.0], [2.0]])
     pool = _score_rows(Method.COPULA, ScoreKind.CQR, cal, tune)
     assert pool.ranks.tolist() == [[2, 0, 3]]
-    with pytest.raises(ValueError):
-        fit_cdf(np.array([]))
+    for bad in (np.array([]), np.ones((2, 2))):
+        with pytest.raises(ValueError, match="non-empty 1-d"):
+            fit_cdf(bad)
+    with pytest.raises(ValueError, match="finite"):
+        fit_cdf(np.array([1.0, np.nan]))
 
 
 def test_minimax_k1_covers_the_same_calibration_subset_as_single():
@@ -259,12 +261,40 @@ def test_fit_method_contracts():
         fit_method(Method.SINGLE, scores, 0.1, ScoreKind.CQR)
     single = fit_method(Method.SINGLE, scores[:, :1], 0.1, ScoreKind.CQR)
     assert single.per_target_zeta.shape == (1,)
+    # SINGLE has one record: calibrate_single returns fit_method's, also on
+    # rank overflow (alpha 0.01 on 60 rows).
+    for alpha in (0.1, 0.01):
+        got = calibrate_single(scores[:, 0], alpha)
+        want = fit_method(Method.SINGLE, scores[:, :1], alpha, ScoreKind.CQR)
+        assert got.lam == want.lam and got.per_target_zeta.shape == (1,)
+        assert np.array_equal(got.per_target_zeta, want.per_target_zeta)
+        assert got.n_targets == 1 and got.per_target_level is None
+        with pytest.raises(ValueError, match="different target count"):
+            got.margins(2)
     with pytest.raises(ValueError, match="needs tuning scores"):
         fit_method(Method.MINIMAX, scores, 0.1, ScoreKind.CQR)
     with pytest.raises(ValueError, match="needs tuning scores"):
         fit_method(Method.COPULA, scores, 0.1, ScoreKind.CQR)
     with pytest.raises(ValueError, match="target count"):
         calibrate_minimax(rng.normal(size=(30, 3)), scores, 0.1)
+
+
+@pytest.mark.parametrize(
+    "method, k, order",
+    [(m, k, order) for m in Method for k, order in ((1, "C"), (3, "C"), (3, "F"))
+     if m is not Method.SINGLE or k == 1],
+)
+def test_public_calibrations_leave_their_inputs_unchanged(method, k, order):
+    # For one target, or Fortran-ordered scores, the (K, n) score rows are a
+    # view of the caller's array; the order statistics partition gathered copies.
+    rng = np.random.default_rng(14)
+    cal = np.asarray(rng.normal(size=(40, k)), order=order)
+    tune = np.asarray(rng.normal(size=(30, k)), order=order)
+    before = cal.copy(), tune.copy()
+    fit_method(method, cal, 0.2, ScoreKind.CQR, tune)
+    if method is Method.SINGLE:
+        calibrate_single(cal[:, 0], 0.2)
+    assert np.array_equal(cal, before[0]) and np.array_equal(tune, before[1])
 
 
 def test_calibration_margins_expand_and_validate():
@@ -539,10 +569,8 @@ def test_copula_leave_one_out_can_fall_short():
 )
 @settings(max_examples=300, deadline=None)
 def test_order_statistic_core_is_the_sorted_entry_or_inf(values, rank):
-    before = values.copy()
-    got = _kth_smallest(values, rank)
+    got = _kth_smallest(values.copy(), rank)
     assert got == (math.inf if rank > values.size else np.sort(values)[rank - 1])
-    assert np.array_equal(values, before)
     ranks = values.astype(np.int64) + 8
     if rank <= ranks.size:
         assert _kth_smallest(ranks, rank) == np.sort(ranks)[rank - 1]

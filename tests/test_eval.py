@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from mtconf import (
-    Calibration,
     InsufficientSamplesError,
     LabeledSet,
     Method,
@@ -24,7 +23,7 @@ from mtconf import (
     split_cal_test,
     trial_rng,
 )
-from mtconf.evaluate import _mean_lengths, evaluate_calibration
+from mtconf.evaluate import _mean_lengths, _test_metrics
 from mtconf.scores import _scale_ratios, interval_lengths, score_matrix
 from reference import reference_bounds, reference_evaluation
 
@@ -44,7 +43,7 @@ def banded(n, k, seed, role=Role.CAL):
     )
 
 
-def test_evaluate_calibration_hand_case():
+def test_test_metrics_hand_case():
     data = LabeledSet(
         features=np.zeros(4),
         targets=np.array([[0.5, 0.0], [2.0, 0.5], [-1.0, 0.9], [0.2, 2.0]]),
@@ -52,14 +51,10 @@ def test_evaluate_calibration_hand_case():
         hi=np.ones((4, 2)),
         role=Role.TEST,
     )
-    calib = Calibration(
-        method=Method.IA,
-        score_kind=ScoreKind.CQR,
-        alpha=0.2,
-        per_target_zeta=np.array([0.0, 0.0]),
-    )
     scores = score_matrix(data.lo, data.hi, data.targets, ScoreKind.CQR)
-    ejc, esc, mil = evaluate_calibration(calib, scores.T, data.lo, data.hi)
+    margins = np.zeros((2, 1))  # one zero threshold per target
+    lengths = interval_lengths(data.lo.T.copy(), data.hi.T.copy(), margins, ScoreKind.CQR)
+    ejc, esc, mil = _test_metrics(scores.T <= margins, lengths)
     # rows covered per target: z in [0, 1]
     assert ejc == 0.25
     assert np.allclose(esc, [0.5, 0.75])
@@ -262,21 +257,6 @@ def test_mean_lengths_add_like_the_row_mean_bit_for_bit(k):
             )
             assert rows.tobytes() == np.ascontiguousarray(want.T).tobytes(), (n, kind)
             assert _mean_lengths(rows).tobytes() == want.mean(axis=0).tobytes(), (n, kind)
-
-
-@pytest.mark.parametrize("k", [1, 3])  # one target: (n, 1) and (1, n) share a layout
-@pytest.mark.parametrize("kind", list(ScoreKind))
-def test_evaluate_calibration_leaves_its_inputs_unchanged(kind, k):
-    data = banded(60, k, seed=46)
-    lo, hi, columns = np.array(data.lo), np.array(data.hi), np.array(data.targets.T)
-    ratios = _scale_ratios(lo, hi)
-    zeta = np.array([0.4, -0.3, np.inf])[-k:]
-    calib = Calibration(method=Method.IA, score_kind=kind, alpha=0.1, per_target_zeta=zeta)
-    inputs = (lo, hi, columns, ratios)
-    before = [a.copy() for a in inputs]
-    evaluate_calibration(calib, columns, lo, hi)
-    evaluate_calibration(calib, columns, lo, hi, ratios)
-    assert all(np.array_equal(a, b) for a, b in zip(inputs, before))
 
 
 @pytest.mark.parametrize("kind", [ScoreKind.CQR, ScoreKind.QN])
