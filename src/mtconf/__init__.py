@@ -9,11 +9,6 @@ staged predictions, and the ``ctool`` command line runner.
 from .calibrate import (
     Calibration,
     Method,
-    calibrate_copula,
-    calibrate_ia,
-    calibrate_maxscore,
-    calibrate_minimax,
-    calibrate_single,
     coverage_mask,
     fit_cdf,
     fit_method,

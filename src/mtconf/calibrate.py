@@ -1,9 +1,10 @@
 """Conformal calibration strategies for joint coverage over several targets.
 
-All strategies consume a matrix of calibration scores (one column per target)
-and produce per-target score thresholds.  A future target vector is covered
-when every per-target score lands at or below its threshold, so joint
-coverage is controlled by how the thresholds are chosen:
+``fit_method(method, cal_scores, alpha, kind, tune_scores=None)`` is the one
+way to calibrate.  It takes a matrix of calibration scores (one column per
+target) and returns per-target score thresholds.  A future target vector is
+covered when every per-target score lands at or below its threshold, so
+joint coverage is controlled by how the thresholds are chosen:
 
 * ``SINGLE``    plain split conformal for one target.
 * ``IA``        independent per-target calibration at the Bonferroni-like
@@ -16,10 +17,14 @@ coverage is controlled by how the thresholds are chosen:
                 per-target miscoverage without any distributional assumption.
 * ``COPULA``    estimates the score dependence with an empirical copula on
                 the tuning transforms and picks per-target levels minimizing
-                their sum subject to the joint-coverage constraint.
+                their sum subject to the joint-coverage constraint; with one
+                target its level is MINIMAX's.
 
 ``MINIMAX`` and ``COPULA`` need tuning scores that are disjoint from the
-calibration scores; the others ignore the tuning set.
+calibration scores; the others ignore the tuning set.  Every method takes
+the ceil((1 - a)(n + 1))-th smallest of n per-row values, with a = alpha
+(IA's corrected level for IA).  When that rank exceeds n, a is too small for
+n rows to certify anything: every threshold is +inf and every CDF level is 1.
 """
 
 from __future__ import annotations
@@ -64,19 +69,19 @@ def _kth_smallest(values: np.ndarray, rank: int):
 class Calibration:
     """Fitted thresholds for one method, score kind, and level.
 
-    ``lam`` is the scalar threshold for SINGLE / QN_MAX (raw score domain)
-    and the max-CDF level in [0, 1] for MINIMAX.  ``per_target_zeta`` holds
-    raw-score thresholds, (1,) for SINGLE; infinite entries mean the
-    corresponding interval side is uninformative.  Only QN_MAX's records and
-    hand-built ones are ``lam``-only, with margins expanded to any target
-    count.  ``per_target_level`` keeps the CDF methods' levels in [0, 1].
+    ``per_target_zeta`` holds the (K,) raw-score thresholds of every method
+    (K copies of one threshold for QN_MAX); infinite entries mean the
+    corresponding interval side is uninformative.  ``lam`` is the scalar
+    threshold for SINGLE / QN_MAX (raw score domain) and the max-CDF level in
+    [0, 1] for MINIMAX.  ``per_target_level`` keeps the CDF methods' levels
+    in [0, 1].
     """
 
     method: Method
     score_kind: ScoreKind
     alpha: float
+    per_target_zeta: np.ndarray
     lam: float | None = None
-    per_target_zeta: np.ndarray | None = None
     per_target_level: np.ndarray | None = None
 
     def __post_init__(self) -> None:
@@ -88,17 +93,13 @@ class Calibration:
 
     @property
     def n_targets(self) -> int:
-        if self.per_target_zeta is not None:
-            return self.per_target_zeta.size
-        raise ValueError("scalar calibration has no fixed target count")
+        return self.per_target_zeta.size
 
     def margins(self, n_targets: int) -> np.ndarray:
-        """Per-target raw-score thresholds, expanded for scalar methods."""
-        if self.per_target_zeta is not None:
-            if self.per_target_zeta.size != n_targets:
-                raise ValueError("calibration was fitted for a different target count")
-            return self.per_target_zeta
-        return np.full(n_targets, self.lam, dtype=np.float64)
+        """Per-target raw-score thresholds, checked against the target count."""
+        if self.per_target_zeta.size != n_targets:
+            raise ValueError("calibration was fitted for a different target count")
+        return self.per_target_zeta
 
 
 def _check_scores(scores: np.ndarray, ndim: int) -> np.ndarray:
@@ -117,38 +118,6 @@ def fit_cdf(tune_scores: np.ndarray) -> np.ndarray:
     samples = np.sort(_check_scores(tune_scores, 1))
     samples.setflags(write=False)
     return samples
-
-
-def calibrate_single(
-    scores: np.ndarray, alpha: float, score_kind: ScoreKind = ScoreKind.CQR
-) -> Calibration:
-    """Split conformal threshold for one target.
-
-    The threshold is the ceil((1 - alpha) * (n + 1))-th smallest calibration
-    score, +inf when that rank exceeds n (alpha too small for the sample size
-    to certify anything).  The record is ``fit_method``'s for SINGLE: ``lam``
-    and the same threshold as a (1,) ``per_target_zeta``.
-    """
-    return fit_method(Method.SINGLE, _check_scores(scores, 1)[:, None], alpha, score_kind)
-
-
-def calibrate_ia(
-    scores: np.ndarray, alpha: float, score_kind: ScoreKind = ScoreKind.CQR
-) -> Calibration:
-    """Independent per-target calibration at the K-th-root corrected level.
-
-    Each target is calibrated on its own at alpha_1 = 1 - (1 - alpha)^(1/K),
-    which yields joint coverage exactly 1 - alpha when the target scores are
-    independent and over-covers under positive dependence.
-    """
-    return fit_method(Method.IA, scores, alpha, score_kind)
-
-
-def calibrate_maxscore(
-    scores: np.ndarray, alpha: float, score_kind: ScoreKind = ScoreKind.QN
-) -> Calibration:
-    """Single-threshold calibration of the row-wise maximum score."""
-    return fit_method(Method.QN_MAX, scores, alpha, score_kind)
 
 
 def _rank_levels(method: Method, row_max: np.ndarray, m: int, alpha: float, ranks=None) -> np.ndarray:
@@ -188,46 +157,6 @@ def _rank_levels(method: Method, row_max: np.ndarray, m: int, alpha: float, rank
             below[k] = row <= candidate
         kept = kept & below[k]
     return levels
-
-
-def calibrate_minimax(
-    tune_scores: np.ndarray,
-    cal_scores: np.ndarray,
-    alpha: float,
-    score_kind: ScoreKind = ScoreKind.CQR,
-) -> Calibration:
-    """Joint calibration through per-target rank transforms.
-
-    Each target's calibration scores are mapped through that target's
-    tuning-set empirical CDF, the per-sample maximum of the transforms is
-    calibrated like a single conformal score, and the resulting level is
-    mapped back to one raw-score threshold per target.  Because all targets
-    share one level on the transformed scale, their miscoverage rates are
-    asymptotically equalized regardless of the score distributions.  Rank
-    overflow (too few calibration rows for the level) gives level 1 and
-    infinite thresholds.
-    """
-    return fit_method(Method.MINIMAX, cal_scores, alpha, score_kind, tune_scores)
-
-
-def calibrate_copula(
-    tune_scores: np.ndarray,
-    cal_scores: np.ndarray,
-    alpha: float,
-    score_kind: ScoreKind = ScoreKind.CQR,
-) -> Calibration:
-    """Per-target levels from an empirical copula of the score transforms.
-
-    The calibration scores are mapped to pseudo-observations through the
-    tuning CDFs and the fitted copula is their joint empirical CDF.  The
-    levels v seek a small sum(v) subject to the copula putting mass at least
-    ceil((1 - alpha) * (n + 1)) / n on the box (-inf, v]; the finite-sample
-    rank matches the plain conformal correction, so with one target the
-    solution coincides with the minimax level.  The coordinate descent of
-    ``_rank_levels`` returns a box no single level can shrink, which need
-    not have the least sum.
-    """
-    return fit_method(Method.COPULA, cal_scores, alpha, score_kind, tune_scores)
 
 
 @dataclass(frozen=True)
@@ -321,7 +250,8 @@ def fit_method(
     score_kind: ScoreKind,
     tune_scores: np.ndarray | None = None,
 ) -> Calibration:
-    """Calibrate ``method`` on the given scores; one entry point for harnesses."""
+    """Calibrate ``method`` on (n, K) ``cal_scores`` at miscoverage ``alpha``;
+    MINIMAX and COPULA also read (m, K) ``tune_scores``."""
     pool = _score_rows(method, score_kind, cal_scores, tune_scores)
     n = pool.columns.shape[1]
     zeta, levels = pool.cell(n, alpha)(np.arange(n))
@@ -329,8 +259,7 @@ def fit_method(
     if levels is not None:
         levels = np.broadcast_to(levels, zeta.shape) / (pool.table.shape[1] - 1)
         lam = float(levels[0]) if method is Method.MINIMAX else None
-    zeta = None if method is Method.QN_MAX else zeta
-    return Calibration(method, score_kind, alpha, lam, zeta, levels)
+    return Calibration(method, score_kind, alpha, zeta, lam, levels)
 
 
 def interval_array(lo: np.ndarray, hi: np.ndarray, calib: Calibration) -> tuple[np.ndarray, np.ndarray]:

@@ -457,6 +457,8 @@ def read_config_file(path: Path) -> dict:
             f = _INI_KEYS.get((section, key))
             if f is None:
                 raise ConfigError(f"{path}: unknown key {key!r} in [{section}]")
+            if key in values:
+                raise ConfigError(f"{path}: {key} is set in more than one section")
             values[key] = _parse(f, raw, f"{path}: [{section}] {key}")
     return values
 

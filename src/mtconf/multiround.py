@@ -82,7 +82,6 @@ def _protocol_trials(
     score_kind: ScoreKind,
     method: Method,
     per_round: bool,
-    length_floor: float,
     splits: TrialSplits | None,
 ) -> ProtocolResult:
     if data.n_targets != cfg.n_targets:
@@ -90,7 +89,8 @@ def _protocol_trials(
     # Calibrated round by round, single-task rounds use plain split conformal.
     fit = Method.SINGLE if per_round and cfg.tasks == 1 else method
     blocks = tuple(_round_slice(cfg, b) for b in range(cfg.rounds)) if per_round else (slice(None),)
-    cell = _trials(data, tune, fit, score_kind, alpha, trials, spec, splits, blocks, length_floor)
+    # One-sided lengths are the upper interval ends, measured from 0.
+    cell = _trials(data, tune, fit, score_kind, alpha, trials, spec, splits, blocks, 0.0)
     eac, inv_rate, ejc_all = [], [], []
     hist = np.zeros(cfg.rounds, dtype=np.int64)
     inv_rates = 1.0 / np.asarray(cfg.rates, dtype=np.float64)
@@ -115,7 +115,6 @@ def run_protocol(
     trials: int,
     spec: SplitSpec,
     score_kind: ScoreKind = ScoreKind.CQR,
-    length_floor: float = 0.0,
     *,
     splits: TrialSplits | None = None,
 ) -> ProtocolResult:
@@ -124,7 +123,7 @@ def run_protocol(
     Trials take their splits from ``splits`` when given, as ``run_trials`` does.
     """
     return _protocol_trials(
-        data, tune, alpha, cfg, trials, spec, score_kind, method, False, length_floor, splits
+        data, tune, alpha, cfg, trials, spec, score_kind, method, False, splits
     )
 
 
@@ -137,7 +136,6 @@ def run_sc_baseline(
     spec: SplitSpec,
     score_kind: ScoreKind = ScoreKind.CQR,
     method: Method = Method.MINIMAX,
-    length_floor: float = 0.0,
     *,
     splits: TrialSplits | None = None,
 ) -> ProtocolResult:
@@ -149,39 +147,30 @@ def run_sc_baseline(
     as in ``run_protocol``.
     """
     return _protocol_trials(
-        data, tune, alpha, cfg, trials, spec, score_kind, method, True, length_floor, splits
+        data, tune, alpha, cfg, trials, spec, score_kind, method, True, splits
     )
 
 
-def pilot_tau(
-    data: LabeledSet,
-    cfg: RoundConfig,
-    calib: Calibration | None = None,
-    round_idx: int | None = None,
-    quantile: float = 0.5,
-    length_floor: float = 0.0,
-) -> float:
-    """A stopping threshold that makes roughly the given fraction stop early.
+def pilot_tau(data: LabeledSet, cfg: RoundConfig, calib: Calibration | None = None) -> float:
+    """A stopping threshold that makes about half the samples stop early.
 
-    Takes the given quantile of one round's interval lengths (default: the
-    next-to-last round, the widest chance to stop before the final one).
-    With a calibration the lengths include the conformal margins that the
-    protocol will actually compare against ``tau``; without one the raw band
-    widths are used.  Lengths shrink across rounds, so a threshold placed at
-    quantile q of round b accepts roughly that fraction of samples by then.
-    A quantile that is not finite (a level too strict for the calibration
-    set makes every margin +inf) is a ``ValueError``.
+    Takes the median of the next-to-last round's interval lengths, the
+    widest chance to stop before the final one (round 0 when it is the only
+    one).  With a calibration the lengths include the conformal margins that
+    the protocol will actually compare against ``tau``; without one the raw
+    band widths are used.  Lengths shrink across rounds, so a threshold at
+    that median accepts roughly half the samples by then.  A median that is
+    not finite (a level too strict for the calibration set makes every
+    margin +inf) is a ``ValueError``.
     """
-    if round_idx is None:
-        round_idx = max(cfg.rounds - 2, 0)
-    cols = _round_slice(cfg, round_idx)
+    cols = _round_slice(cfg, max(cfg.rounds - 2, 0))
     if calib is None:
         lengths = data.hi[:, cols] - data.lo[:, cols]
     else:
         lo, hi, margins = np.array(data.lo), np.array(data.hi), calib.margins(data.n_targets)
-        lengths = interval_lengths(lo, hi, margins, calib.score_kind, floor=length_floor)[:, cols]
+        lengths = interval_lengths(lo, hi, margins, calib.score_kind, floor=0.0)[:, cols]
     with np.errstate(invalid="ignore"):  # inf - inf between infinite lengths
-        tau = float(np.quantile(lengths.max(axis=1), quantile))
+        tau = float(np.quantile(lengths.max(axis=1), 0.5))
     if not np.isfinite(tau):
         raise ValueError("the tau pilot's interval lengths are not finite")
     return tau

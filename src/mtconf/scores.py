@@ -43,9 +43,10 @@ class ScoreKind(Enum):
 
 
 def _ceil_rank(x: float) -> int:
-    """ceil(x) with snapping for values a few ulps away from an integer."""
+    """ceil(x) with snapping for values a few ulps away from a positive
+    integer, so a positive x never ranks below 1."""
     nearest = round(x)
-    if abs(x - nearest) < _RANK_EPS * max(1.0, abs(x)):
+    if nearest >= 1 and abs(x - nearest) < _RANK_EPS * max(1.0, abs(x)):
         return int(nearest)
     return int(math.ceil(x))
 

@@ -258,8 +258,8 @@ class RoundConfig:
     def n_targets(self) -> int:
         return self.rounds * self.tasks
 
-    def target_index(self, round_idx: int, task: int) -> int:
-        return round_idx * self.tasks + task
+    def target_index(self, b: int, task: int) -> int:
+        return b * self.tasks + task
 
 
 def gen_multiround(

@@ -24,8 +24,6 @@ from mtconf import (
     RoundConfig,
     ScoreKind,
     SplitSpec,
-    calibrate_minimax,
-    calibrate_single,
     cholesky3,
     concat,
     coverage_bounds_check,
@@ -214,7 +212,8 @@ def test_criterion_4_threshold_convergence():
         for s in range(20):
             tune = scores_of(n, derive_seed(SEED, 1, n, s))
             cal = scores_of(n, derive_seed(SEED, 2, n, s))
-            errs.append(abs(calibrate_minimax(tune, cal, alpha).lam - lam_star))
+            lam = fit_method(Method.MINIMAX, cal, alpha, ScoreKind.CQR, tune).lam
+            errs.append(abs(lam - lam_star))
         medians.append(float(np.median(errs)))
     decreasing = medians[0] > medians[1] > medians[2]
     ok = decreasing and medians[-1] <= 0.01
@@ -356,7 +355,7 @@ def test_criterion_8_micro_oracles():
             values = np.array(multiset, dtype=np.float64)
             for alpha in alphas:
                 cases += 1
-                got = calibrate_single(values, float(alpha)).lam
+                got = fit_method(Method.SINGLE, values[:, None], float(alpha), ScoreKind.CQR).lam
                 want = _quantile_oracle(alpha, multiset)
                 mismatch += not (got == want or (math.isinf(got) and math.isinf(want)))
     quantile_ok = mismatch == 0

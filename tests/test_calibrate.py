@@ -13,11 +13,6 @@ from mtconf import (
     Calibration,
     Method,
     ScoreKind,
-    calibrate_copula,
-    calibrate_ia,
-    calibrate_maxscore,
-    calibrate_minimax,
-    calibrate_single,
     coverage_mask,
     fit_cdf,
     fit_method,
@@ -29,9 +24,9 @@ from mtconf.scores import score_matrix
 
 def test_single_order_statistic_cases():
     scores = np.arange(1.0, 100.0)  # 1..99
-    calib = calibrate_single(scores, 0.1)
+    calib = fit_method(Method.SINGLE, scores[:, None], 0.1, ScoreKind.CQR)
     assert calib.lam == 90.0
-    assert math.isinf(calibrate_single(np.arange(5.0), 0.1).lam)
+    assert math.isinf(fit_method(Method.SINGLE, np.arange(5.0)[:, None], 0.1, ScoreKind.CQR).lam)
 
 
 def test_conformal_rank_values():
@@ -48,7 +43,12 @@ def test_conformal_rank_snaps_float_rank_products():
     assert _conformal_rank(9, 0.7) == 3
     assert _conformal_rank(19, 0.95) == 1
     assert _conformal_rank(24, 0.44) == 14
-    assert calibrate_single(np.arange(1.0, 25.0), 0.44).lam == 14.0
+    assert fit_method(Method.SINGLE, np.arange(1.0, 25.0)[:, None], 0.44, ScoreKind.CQR).lam == 14.0
+    # (1 - alpha) * 6 is about 6e-13, within the slack of 0, yet its ceiling is 1.
+    alpha = 1.0 - 1e-13
+    assert _conformal_rank(5, alpha) == math.ceil((1 - Fraction(alpha)) * 6) == 1
+    scores = np.arange(5.0, 0.0, -1.0)[:, None]
+    assert fit_method(Method.SINGLE, scores, alpha, ScoreKind.CQR).lam == 1.0
 
 
 def test_kth_smallest_direct_cases():
@@ -60,17 +60,18 @@ def test_kth_smallest_direct_cases():
 
 def test_single_rejects_bad_scores():
     with pytest.raises(ValueError):
-        calibrate_single(np.array([]), 0.1)
+        fit_method(Method.SINGLE, np.empty((0, 1)), 0.1, ScoreKind.CQR)
     with pytest.raises(ValueError):
-        calibrate_single(np.array([1.0, np.inf]), 0.1)
+        fit_method(Method.SINGLE, np.array([[1.0], [np.inf]]), 0.1, ScoreKind.CQR)
 
 
 def test_single_rejects_bad_shape_and_level():
-    with pytest.raises(ValueError):
-        calibrate_single(np.array([[1.0, 2.0]]), 0.1)
+    # Scores are (n, K): one target's column is (n, 1), not (n,).
+    with pytest.raises(ValueError, match="2-d"):
+        fit_method(Method.SINGLE, np.array([1.0, 2.0]), 0.1, ScoreKind.CQR)
     for alpha in (0.0, -0.1):
         with pytest.raises(ValueError):
-            calibrate_single(np.array([1.0]), alpha)
+            fit_method(Method.SINGLE, np.array([[1.0]]), alpha, ScoreKind.CQR)
 
 
 @given(
@@ -81,15 +82,15 @@ def test_single_rejects_bad_shape_and_level():
 def test_single_threshold_matches_sorted_indexing(values, numerator):
     alpha = Fraction(numerator, 48)
     rank = math.ceil((1 - alpha) * (len(values) + 1))
-    got = calibrate_single(np.array(values), float(alpha)).lam
+    got = fit_method(Method.SINGLE, np.array(values)[:, None], float(alpha), ScoreKind.CQR).lam
     assert got == (math.inf if rank > len(values) else sorted(values)[rank - 1])
 
 
 def test_ia_reduces_to_single_for_one_target():
     rng = np.random.default_rng(0)
     scores = rng.normal(size=80)
-    ia = calibrate_ia(scores[:, None], 0.1)
-    single = calibrate_single(scores, 0.1)
+    ia = fit_method(Method.IA, scores[:, None], 0.1, ScoreKind.CQR)
+    single = fit_method(Method.SINGLE, scores[:, None], 0.1, ScoreKind.CQR)
     assert ia.per_target_zeta[0] == single.lam
 
 
@@ -99,16 +100,18 @@ def test_ia_uses_root_corrected_level():
     alpha = 0.1
     alpha_1 = 1.0 - (1.0 - alpha) ** (1.0 / 3.0)
     assert alpha_1 == pytest.approx(0.03451, abs=5e-6)
-    ia = calibrate_ia(scores, alpha)
+    ia = fit_method(Method.IA, scores, alpha, ScoreKind.CQR)
     for k in range(3):
-        assert ia.per_target_zeta[k] == calibrate_single(scores[:, k], alpha_1).lam
+        single = fit_method(Method.SINGLE, scores[:, k : k + 1], alpha_1, ScoreKind.CQR)
+        assert ia.per_target_zeta[k] == single.lam
 
 
 def test_maxscore_equals_single_on_identical_columns():
     rng = np.random.default_rng(2)
     col = rng.normal(size=150)
     scores = np.column_stack([col, col, col])
-    assert calibrate_maxscore(scores, 0.2).lam == calibrate_single(col, 0.2).lam
+    maxscore = fit_method(Method.QN_MAX, scores, 0.2, ScoreKind.QN)
+    assert maxscore.lam == fit_method(Method.SINGLE, col[:, None], 0.2, ScoreKind.CQR).lam
 
 
 def test_empirical_cdf_counts():
@@ -133,8 +136,8 @@ def test_minimax_k1_covers_the_same_calibration_subset_as_single():
         rng = np.random.default_rng(seed)
         n = int(rng.integers(10, 50))
         scores = rng.normal(size=(n, 1))
-        mm = calibrate_minimax(scores, scores, 0.1)
-        single = calibrate_single(scores[:, 0], 0.1)
+        mm = fit_method(Method.MINIMAX, scores, 0.1, ScoreKind.CQR, scores)
+        single = fit_method(Method.SINGLE, scores[:, :1], 0.1, ScoreKind.CQR)
         got = scores[:, 0] <= mm.per_target_zeta[0]
         want = scores[:, 0] <= single.lam
         assert np.array_equal(got, want)
@@ -144,8 +147,9 @@ def test_minimax_comonotone_columns_share_one_zeta():
     rng = np.random.default_rng(3)
     tune = rng.normal(size=300)
     cal = rng.normal(size=200)
-    mm = calibrate_minimax(
-        np.column_stack([tune, tune]), np.column_stack([cal, cal]), 0.1
+    mm = fit_method(
+        Method.MINIMAX, np.column_stack([cal, cal]), 0.1, ScoreKind.CQR,
+        np.column_stack([tune, tune]),
     )
     assert mm.per_target_zeta[0] == mm.per_target_zeta[1]
 
@@ -154,7 +158,7 @@ def test_minimax_small_sample_caps_level_and_goes_infinite():
     rng = np.random.default_rng(4)
     tune = rng.normal(size=(50, 2))
     cal = rng.normal(size=(5, 2))
-    mm = calibrate_minimax(tune, cal, 0.1)
+    mm = fit_method(Method.MINIMAX, cal, 0.1, ScoreKind.CQR, tune)
     assert mm.lam == 1.0
     assert np.all(np.isinf(mm.per_target_zeta))
     covered = coverage_mask(rng.normal(size=(40, 2)), mm)
@@ -165,8 +169,8 @@ def test_copula_k1_matches_minimax_level():
     rng = np.random.default_rng(5)
     tune = rng.normal(size=(120, 1))
     cal = rng.normal(size=(90, 1))
-    cp = calibrate_copula(tune, cal, 0.1)
-    mm = calibrate_minimax(tune, cal, 0.1)
+    cp = fit_method(Method.COPULA, cal, 0.1, ScoreKind.CQR, tune)
+    mm = fit_method(Method.MINIMAX, cal, 0.1, ScoreKind.CQR, tune)
     assert cp.per_target_level[0] == pytest.approx(mm.lam)
     assert cp.per_target_zeta[0] == mm.per_target_zeta[0]
 
@@ -175,8 +179,9 @@ def test_copula_symmetric_on_comonotone_columns():
     rng = np.random.default_rng(6)
     tune = rng.normal(size=250)
     cal = rng.normal(size=180)
-    cp = calibrate_copula(
-        np.column_stack([tune, tune]), np.column_stack([cal, cal]), 0.1
+    cp = fit_method(
+        Method.COPULA, np.column_stack([cal, cal]), 0.1, ScoreKind.CQR,
+        np.column_stack([tune, tune]),
     )
     assert cp.per_target_level[0] == cp.per_target_level[1]
 
@@ -189,14 +194,15 @@ def test_copula_levels_never_exceed_the_symmetric_start():
     cal = rng.normal(size=(300, 3)) @ np.array(
         [[1.0, 0.5, 0.2], [0.0, 1.0, 0.3], [0.0, 0.0, 1.0]]
     )
-    cp = calibrate_copula(tune, cal, 0.1)
-    mm = calibrate_minimax(tune, cal, 0.1)
+    cp = fit_method(Method.COPULA, cal, 0.1, ScoreKind.CQR, tune)
+    mm = fit_method(Method.MINIMAX, cal, 0.1, ScoreKind.CQR, tune)
     assert np.all(cp.per_target_level <= mm.lam + 1e-12)
 
 
 def test_copula_small_sample_sets_full_levels():
     rng = np.random.default_rng(8)
-    cp = calibrate_copula(rng.normal(size=(30, 2)), rng.normal(size=(4, 2)), 0.05)
+    tune = rng.normal(size=(30, 2))
+    cp = fit_method(Method.COPULA, rng.normal(size=(4, 2)), 0.05, ScoreKind.CQR, tune)
     assert np.all(cp.per_target_level == 1.0)
     assert np.all(np.isinf(cp.per_target_zeta))
 
@@ -211,7 +217,7 @@ def test_leave_one_out_coverage_is_exactly_the_conformal_rank():
     covered = 0
     for i in range(n_plus_1):
         rest = np.delete(scores, i)
-        covered += scores[i] <= calibrate_single(rest, alpha).lam
+        covered += scores[i] <= fit_method(Method.SINGLE, rest[:, None], alpha, ScoreKind.CQR).lam
     assert covered == math.ceil((1 - alpha) * n_plus_1)
 
 
@@ -248,7 +254,7 @@ def test_minimax_balances_per_target_coverage():
             ]
         )
 
-    mm = calibrate_minimax(draw(n_tune), draw(5000), 0.1)
+    mm = fit_method(Method.MINIMAX, draw(5000), 0.1, ScoreKind.CQR, draw(n_tune))
     covered = coverage_mask(draw(20000), mm)
     per_target = covered.mean(axis=0)
     assert per_target.max() - per_target.min() <= 2.0 / math.sqrt(n_tune) + 0.02
@@ -259,15 +265,12 @@ def test_fit_method_contracts():
     scores = rng.normal(size=(60, 2))
     with pytest.raises(ValueError, match="exactly one target"):
         fit_method(Method.SINGLE, scores, 0.1, ScoreKind.CQR)
-    single = fit_method(Method.SINGLE, scores[:, :1], 0.1, ScoreKind.CQR)
-    assert single.per_target_zeta.shape == (1,)
-    # SINGLE has one record: calibrate_single returns fit_method's, also on
-    # rank overflow (alpha 0.01 on 60 rows).
+    # SINGLE's threshold is both ``lam`` and a (1,) ``per_target_zeta``, also
+    # on rank overflow (alpha 0.01 on 60 rows).
     for alpha in (0.1, 0.01):
-        got = calibrate_single(scores[:, 0], alpha)
-        want = fit_method(Method.SINGLE, scores[:, :1], alpha, ScoreKind.CQR)
-        assert got.lam == want.lam and got.per_target_zeta.shape == (1,)
-        assert np.array_equal(got.per_target_zeta, want.per_target_zeta)
+        got = fit_method(Method.SINGLE, scores[:, :1], alpha, ScoreKind.CQR)
+        assert got.per_target_zeta.tolist() == [got.lam]
+        assert math.isinf(got.lam) == (alpha == 0.01)
         assert got.n_targets == 1 and got.per_target_level is None
         with pytest.raises(ValueError, match="different target count"):
             got.margins(2)
@@ -276,7 +279,7 @@ def test_fit_method_contracts():
     with pytest.raises(ValueError, match="needs tuning scores"):
         fit_method(Method.COPULA, scores, 0.1, ScoreKind.CQR)
     with pytest.raises(ValueError, match="target count"):
-        calibrate_minimax(rng.normal(size=(30, 3)), scores, 0.1)
+        fit_method(Method.MINIMAX, scores, 0.1, ScoreKind.CQR, rng.normal(size=(30, 3)))
 
 
 @pytest.mark.parametrize(
@@ -292,25 +295,23 @@ def test_public_calibrations_leave_their_inputs_unchanged(method, k, order):
     tune = np.asarray(rng.normal(size=(30, k)), order=order)
     before = cal.copy(), tune.copy()
     fit_method(method, cal, 0.2, ScoreKind.CQR, tune)
-    if method is Method.SINGLE:
-        calibrate_single(cal[:, 0], 0.2)
     assert np.array_equal(cal, before[0]) and np.array_equal(tune, before[1])
 
 
-def test_calibration_margins_expand_and_validate():
-    calib = Calibration(method=Method.QN_MAX, score_kind=ScoreKind.QN, alpha=0.1, lam=2.0)
-    assert np.all(calib.margins(3) == 2.0)
-    fitted = Calibration(
-        method=Method.IA,
-        score_kind=ScoreKind.CQR,
-        alpha=0.1,
-        per_target_zeta=np.array([1.0, 2.0]),
-    )
+@pytest.mark.parametrize(
+    "method, k", [(m, k) for m in Method for k in (1, 3) if m is not Method.SINGLE or k == 1]
+)
+def test_every_record_carries_read_only_per_target_thresholds(method, k):
+    rng = np.random.default_rng(16)
+    cal, tune = rng.normal(size=(50, k)), rng.normal(size=(40, k))
+    calib = fit_method(method, cal, 0.2, ScoreKind.CQR, tune)
+    zeta = calib.per_target_zeta
+    assert zeta.shape == (k,) and zeta.dtype == np.float64 and not zeta.flags.writeable
+    assert calib.margins(k) is zeta and calib.n_targets == k
+    if method is Method.QN_MAX:
+        assert zeta.tolist() == [calib.lam] * k
     with pytest.raises(ValueError, match="different target count"):
-        fitted.margins(3)
-    assert fitted.n_targets == 2
-    with pytest.raises(ValueError, match="no fixed target count"):
-        calib.n_targets
+        calib.margins(k + 1)
 
 
 def test_ia_k1_intervals_match_single_conformal():
@@ -340,7 +341,7 @@ def test_interval_array_matches_row_inversion():
     assert ilo.tolist() == [[-0.25, 1.5], [-1.25, 2.5]]
     assert ihi.tolist() == [[1.25, 1.5], [0.25, 5.5]]
     # QN divides each margin by the first target's width over the target's own.
-    qn = Calibration(Method.QN_MAX, ScoreKind.QN, 0.1, lam=1.0)
+    qn = Calibration(Method.QN_MAX, ScoreKind.QN, 0.1, np.full(2, 1.0), lam=1.0)
     ilo, ihi = interval_array(lo, hi, qn)
     assert ilo.tolist() == [[-1.0, 0.0], [-2.0, -2.0]]
     assert ihi.tolist() == [[2.0, 3.0], [1.0, 10.0]]
@@ -354,7 +355,7 @@ def test_single_split_conformal_marginal_coverage():
     draws = rng.normal(size=(reps, n + 1))
     hits = 0
     for row in draws:
-        hits += row[-1] <= calibrate_single(row[:-1], alpha).lam
+        hits += row[-1] <= fit_method(Method.SINGLE, row[:-1, None], alpha, ScoreKind.CQR).lam
     coverage = hits / reps
     assert coverage >= 1 - alpha - 3 * math.sqrt(alpha * (1 - alpha) / reps)
     # and not grossly conservative: the upper sandwich plus MC slack
@@ -512,8 +513,8 @@ def test_minimax_rank_level_is_monotone_in_alpha(table, a, b):
 @settings(max_examples=200, deadline=None)
 def test_minimax_thresholds_are_monotone_in_alpha(tune, cal, a, b):
     small, large = sorted((a, b))
-    wide = calibrate_minimax(tune, cal, small / 100).per_target_zeta
-    narrow = calibrate_minimax(tune, cal, large / 100).per_target_zeta
+    wide = fit_method(Method.MINIMAX, cal, small / 100, ScoreKind.CQR, tune).per_target_zeta
+    narrow = fit_method(Method.MINIMAX, cal, large / 100, ScoreKind.CQR, tune).per_target_zeta
     assert np.all(wide >= narrow)
 
 
@@ -590,9 +591,11 @@ def test_calibrators_take_the_exact_conformal_rank(scores, percent):
         return math.inf if need > n else np.sort(values)[need - 1]
 
     need = required_rows(percent, n)
-    assert calibrate_single(scores[:, 0], alpha).lam == order_stat(scores[:, 0], need)
-    assert calibrate_maxscore(scores, alpha).lam == order_stat(scores.max(axis=1), need)
-    zeta = calibrate_ia(scores, alpha).per_target_zeta
+    single = fit_method(Method.SINGLE, scores[:, :1], alpha, ScoreKind.CQR)
+    assert single.lam == order_stat(scores[:, 0], need)
+    maxscore = fit_method(Method.QN_MAX, scores, alpha, ScoreKind.QN)
+    assert maxscore.lam == order_stat(scores.max(axis=1), need)
+    zeta = fit_method(Method.IA, scores, alpha, ScoreKind.CQR).per_target_zeta
     # IA's level (1 - alpha)^(1/K) is irrational in general; a float level
     # within 1e-6 ranks of an integer rank means that integer.
     x = Fraction((1.0 - alpha) ** (1.0 / n_targets)) * (n + 1)
@@ -609,9 +612,9 @@ def test_calibrators_take_the_exact_conformal_rank(scores, percent):
 @settings(max_examples=200, deadline=None)
 def test_ia_and_maxscore_thresholds_are_monotone_in_alpha(scores, a, b):
     small, large = sorted((a, b))
-    wide = calibrate_ia(scores, small / 100).per_target_zeta
-    assert np.all(wide >= calibrate_ia(scores, large / 100).per_target_zeta)
-    lam = [calibrate_maxscore(scores, percent / 100).lam for percent in (small, large)]
+    wide = fit_method(Method.IA, scores, small / 100, ScoreKind.CQR).per_target_zeta
+    assert np.all(wide >= fit_method(Method.IA, scores, large / 100, ScoreKind.CQR).per_target_zeta)
+    lam = [fit_method(Method.QN_MAX, scores, p / 100, ScoreKind.QN).lam for p in (small, large)]
     assert lam[0] >= lam[1]
 
 

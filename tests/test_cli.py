@@ -152,6 +152,11 @@ def test_main_rejects_bad_configs(tmp_path, capsys):
     assert "cannot read config" in capsys.readouterr().err
     assert run_cli("--experiment", "table1", "--methods", "single") == 2
     assert "exactly one target" in capsys.readouterr().err
+    two_taus = tmp_path / "two_taus.ini"
+    two_taus.write_text("[experiment]\ntau = 0.5\n\n[rounds]\ntau = 2.0\n")
+    assert run_cli(two_taus, *MULTIROUND) == 2
+    err = capsys.readouterr().err
+    assert err == f"ctool: config error: {two_taus}: tau is set in more than one section\n"
     out = tmp_path / "res"
     assert run_cli(*BENCH, "--output-dir", out) == 0
     assert run_cli(*MULTIROUND, "--seed", "-1", "--output-dir", out) == 2

@@ -127,8 +127,6 @@ def test_pilot_tau_matches_the_quantile_of_round_widths():
     cols = slice((CFG.rounds - 2) * CFG.tasks, (CFG.rounds - 1) * CFG.tasks)
     want = float(np.quantile(widths[:, cols].max(axis=1), 0.5))
     assert pilot_tau(DATA, CFG) == pytest.approx(want)
-    assert pilot_tau(DATA, CFG, quantile=0.25) <= pilot_tau(DATA, CFG, quantile=0.75)
-    assert pilot_tau(DATA, CFG, round_idx=0) > pilot_tau(DATA, CFG, round_idx=CFG.rounds - 1)
 
 
 def test_pilot_tau_with_a_calibration_adds_the_margins():
@@ -185,7 +183,7 @@ def test_protocols_need_at_least_one_trial(trials):
         run_sc_baseline(DATA, TUNE, 0.1, CFG, trials, SPEC)
 
 
-def reference_protocol(data, tune, method, alpha, cfg, trials, spec, kind, per_round, floor=0.0):
+def reference_protocol(data, tune, method, alpha, cfg, trials, spec, kind, per_round):
     """The protocol built from public per-trial pieces: split, score, fit, and
     the original evaluation arithmetic and walk."""
     tune_s = score_matrix(tune.lo, tune.hi, tune.targets, kind)
@@ -210,7 +208,7 @@ def reference_protocol(data, tune, method, alpha, cfg, trials, spec, kind, per_r
         margins = calib.margins(cfg.n_targets)
         covered = score_matrix(test.lo, test.hi, test.targets, kind) <= margins
         ilo, ihi = reference_bounds(test.lo, test.hi, margins, kind)
-        lengths = ihi - floor if kind.one_sided else np.maximum(0.0, ihi - ilo)
+        lengths = ihi if kind.one_sided else np.maximum(0.0, ihi - ilo)
         accepted, accepted_cov = reference_walk(lengths, covered, cfg)
         eac[t] = accepted_cov.mean()
         inv_rate[t] = np.mean(1.0 / rates[accepted])
@@ -244,12 +242,12 @@ def staged_rows(n, cfg, seed, role=Role.CAL):
     )
 
 
-def assert_protocols_match(data, tune, method, alpha, cfg, trials, spec, kind, floor=0.0):
-    joint = run_protocol(data, tune, method, alpha, cfg, trials, spec, kind, floor)
-    want = reference_protocol(data, tune, method, alpha, cfg, trials, spec, kind, False, floor)
+def assert_protocols_match(data, tune, method, alpha, cfg, trials, spec, kind):
+    joint = run_protocol(data, tune, method, alpha, cfg, trials, spec, kind)
+    want = reference_protocol(data, tune, method, alpha, cfg, trials, spec, kind, False)
     assert_same_protocol(joint, want)
-    sc = run_sc_baseline(data, tune, alpha, cfg, trials, spec, kind, method, floor)
-    want = reference_protocol(data, tune, method, alpha, cfg, trials, spec, kind, True, floor)
+    sc = run_sc_baseline(data, tune, alpha, cfg, trials, spec, kind, method)
+    want = reference_protocol(data, tune, method, alpha, cfg, trials, spec, kind, True)
     assert_same_protocol(sc, want)
     return joint, sc
 
@@ -262,10 +260,9 @@ def test_protocols_equal_the_per_trial_pipeline(method, tasks, kind):
     data = staged_rows(420, cfg, seed=50)
     tune = staged_rows(120, cfg, seed=51, role=Role.TUNE)
     spec = SplitSpec(seed=52, n_tune=1, n_cal=240, n_test=150)
-    floor = -1.0 if kind.one_sided else 0.0
-    rc = dataclasses.replace(cfg, tau=pilot_tau(data, cfg, length_floor=floor))
+    rc = dataclasses.replace(cfg, tau=pilot_tau(data, cfg))
     for alpha in (0.2, 0.05):
-        assert_protocols_match(data, tune, method, alpha, rc, 3, spec, kind, floor)
+        assert_protocols_match(data, tune, method, alpha, rc, 3, spec, kind)
 
 
 @pytest.mark.parametrize("kind", list(ScoreKind))
@@ -279,9 +276,8 @@ def test_protocols_on_a_shared_split_table_equal_fresh_draws(method, tasks, kind
     data = staged_rows(420, cfg, seed=70)
     tune = staged_rows(120, cfg, seed=71, role=Role.TUNE)
     spec = SplitSpec(seed=72, n_tune=1, n_cal=240, n_test=150)
-    floor = -1.0 if kind.one_sided else 0.0
-    rc = dataclasses.replace(cfg, tau=pilot_tau(data, cfg, length_floor=floor))
-    kw = dict(method=method, cfg=rc, spec=spec, score_kind=kind, length_floor=floor)
+    rc = dataclasses.replace(cfg, tau=pilot_tau(data, cfg))
+    kw = dict(method=method, cfg=rc, spec=spec, score_kind=kind)
     splits = TrialSplits(spec, data.n)
     # Every cell reuses the splits the cells before it drew, and the last draws one more.
     for alpha, trials in ((0.2, 2), (0.05, 3)):

@@ -257,6 +257,18 @@ def test_gen_multiround_zero_noise_collapses_bands():
     assert np.array_equal(data.hi, data.targets)
 
 
+def test_gen_multiround_tiny_quantile_alpha_takes_the_row_extremes():
+    # (1e-11 / 2) * 32 is far below 1, yet it ranks the lower end at 1.
+    n, n_pred, sigma = 50, 32, 0.3
+    cfg = RoundConfig(rounds=1, sigma=(sigma,), rates=(1.0,))
+    data = gen_multiround(n, cfg, seed=34, quantile_alpha=1e-11, n_pred=n_pred)
+    truths = rng_for(34, 0, 0).uniform(0.0, 1.0, size=n)
+    noise = rng_for(34, 1, 0, 0).normal(0.0, 1.0, size=(n, n_pred))
+    samples = np.clip(truths[:, None] + sigma * noise, 0.0, 1.0)
+    assert np.array_equal(data.lo[:, 0], samples.min(axis=1))
+    assert np.array_equal(data.hi[:, 0], samples.max(axis=1))
+
+
 def test_gen_multiround_task_streams_do_not_shift():
     # adding a second task must not change the first task's draws
     one = gen_multiround(300, RoundConfig(tasks=1), seed=33)
