@@ -4,16 +4,16 @@ Each trial re-splits a fixed evaluation pool into calibration and test sets,
 calibrates one method, and measures coverage and interval lengths on the
 test set; the tuning set is drawn once outside this module.  One trial
 engine, ``_trials``, serves ``run_trials`` and ``multiround``'s stopping
-protocols.  Per cell it scores the pool once, ranks it in the sorted tuning
-columns and keeps every other invariant (row maxima, the CDF methods'
-threshold table, the conformal rank of ``_ScoredPool.cell``, the bands and
-width ratios as contiguous (K, N) target rows).  A trial then gathers and
-partitions its calibration rows for (K, 1) margins (no ``Calibration``),
-gathers its test columns from each target row, and yields their coverage
-mask and the interval lengths taken in place in those copies.  A trial's
-split depends only on its spec, pool size and index, so every cell on one
-pool can share it through one ``TrialSplits`` table.  Per-trial results are
-reduced with numpy means (pairwise summation).
+protocols.  Per cell it scores the pool once and keeps every invariant (row
+maxima, the CDF methods' threshold table, the conformal rank of
+``_ScoredPool.cell``, the scores as contiguous (K, N) target rows).  A trial
+gathers and partitions its calibration rows for (K, 1) margins, gathers its
+test columns of the score rows, and yields their coverage mask, test indices
+and margins.  The two reductions own their (K, N) length rows: ``run_trials``
+takes one pairwise mean of max(0, w + 2q) over gathered band widths, and the
+protocols widen gathered band ends for the per-row lengths their walk
+compares with tau.  A trial's split depends only on its spec, pool size and
+index, so every cell on one pool shares it through one ``TrialSplits`` table.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .calibrate import Method, _score_rows
 # in this module.
 from .calibrate import coverage_mask, fit_method, interval_array  # noqa: F401
 from .core import LabeledSet, SplitSpec, TrialSplits, split_cal_test, split_source  # noqa: F401
-from .scores import ScoreKind, _scale_ratios, interval_lengths, score_matrix
+from .scores import ScoreKind, score_matrix
 
 
 @dataclass(frozen=True)
@@ -57,48 +57,47 @@ class TrialMetrics:
             object.__setattr__(self, name, values)
 
 
-def _band_rows(lo, hi, kind: ScoreKind) -> list[np.ndarray]:
-    """Copies of (n, K) bands as contiguous (K, n) target rows, with their
-    width ratios for the normalized kinds."""
-    rows = [np.asarray(lo, dtype=np.float64), np.asarray(hi, dtype=np.float64)]
-    if kind.normalized:
-        rows.append(_scale_ratios(*rows))
-    return [np.array(np.transpose(r), order="C") for r in rows]
-
-
 def _joint(covered: np.ndarray) -> float:
     """Share of the (K, n) coverage mask's test rows covered in every target."""
     return np.count_nonzero(np.logical_and.reduce(covered, axis=0)) / covered.shape[1]
 
 
-def _test_metrics(covered: np.ndarray, lengths: np.ndarray):
-    """Joint coverage, per-target coverage and per-target mean length on one
-    test set, from its (K, n) coverage mask and interval lengths."""
+def _test_metrics(covered: np.ndarray) -> tuple[float, np.ndarray]:
+    """Joint and per-target coverage of one test set's (K, n) coverage mask."""
     per_target = np.fromiter(map(np.count_nonzero, covered), np.float64, len(covered))
-    return _joint(covered), per_target / covered.shape[1], _mean_lengths(lengths)
+    return _joint(covered), per_target / covered.shape[1]
 
 
-def _mean_lengths(rows: np.ndarray) -> np.ndarray:
-    """Per-target mean of (K, n) interval lengths, bit for bit the (n, K)
-    ``rows.T.mean(axis=0)``.
+def _length_rows(lo, hi, kind: ScoreKind) -> list[np.ndarray]:
+    """The (K, N) target rows of a trial's mean lengths: none for the one-sided
+    kinds, the band widths w, and for QN their ratios w_k / w_0."""
+    if kind.one_sided:
+        return []
+    widths = hi - lo
+    rows = (widths, widths / widths[:, :1]) if kind.normalized else (widths,)
+    return [np.ascontiguousarray(r.T) for r in rows]
 
-    That mean adds each target's lengths one row after another (pairwise
-    only for K = 1, where the column is contiguous); a running sum along the
-    target's contiguous row does the same additions in the same order, faster.
-    """
-    if len(rows) == 1:
-        return rows.mean(axis=1)
-    return np.add.accumulate(rows, axis=1)[:, -1] / rows.shape[1]
+
+def _trial_mil(rows: list[np.ndarray], test: np.ndarray, margins: np.ndarray) -> np.ndarray:
+    """A trial's per-target mean interval length on its test columns ``test``,
+    from ``_length_rows`` and (K, 1) margins q: mean max(0, w + 2q), with q scaled
+    by w_k/w_0 for QN, so q = +inf gives +inf and q = -inf gives 0.  A one-sided
+    interval (-inf, hi + q] is unbounded, or empty at q = -inf."""
+    if not rows:
+        return np.where(margins[:, 0] == -math.inf, 0.0, math.inf)
+    widths, *ratios = (r.take(test, axis=1) for r in rows)
+    widths += np.multiply(ratios[0], 2.0 * margins, out=ratios[0]) if ratios else 2.0 * margins
+    return np.maximum(0.0, widths, out=widths).mean(axis=1)
 
 
 def _trials(
     data: LabeledSet, tune: LabeledSet, method: Method, kind: ScoreKind, alpha: float,
-    trials: int, spec: SplitSpec, splits: TrialSplits | None, blocks=(slice(None),), floor=None,
+    trials: int, spec: SplitSpec, splits: TrialSplits | None, blocks=(slice(None),),
 ):
     """One cell's Monte Carlo trials, lazily: per trial, the test rows' (K, n)
-    coverage mask and interval lengths (``floor`` as in ``interval_lengths``),
-    each column block calibrated on its own.  The checks, the scoring, one
-    ``_ScoredPool.cell`` per block and the (K, N) target rows are done now."""
+    coverage mask, their indices and the (K, 1) margins (one buffer, refilled
+    by the next trial), each column block calibrated on its own.  The checks,
+    the scoring and one ``_ScoredPool.cell`` per block are done now."""
     if trials < 1:
         raise ValueError("need at least one trial")
     split = split_source(spec, data.n, splits)
@@ -106,17 +105,15 @@ def _trials(
     if method in (Method.MINIMAX, Method.COPULA):
         tune_scores = score_matrix(tune.lo, tune.hi, tune.targets, kind)
     pool = _score_rows(method, kind, scores, tune_scores, blocks)
-    del scores, tune_scores  # freed before the band copies; the pool keeps what trials read
+    del scores, tune_scores  # freed before the length rows; the pool keeps what trials read
     cells = [(cols, pool.cell(spec.n_cal, alpha, b)) for b, cols in enumerate(blocks)]
-    rows = [pool.columns, *_band_rows(data.lo, data.hi, kind)]
     margins = np.empty((data.n_targets, 1))
 
-    def trial(t: int) -> tuple[np.ndarray, np.ndarray]:
+    def trial(t: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         cal, test = split(t)
         for cols, thresholds in cells:
             margins[cols, 0] = thresholds(cal)[0]
-        columns, lo, hi, *ratios = (r.take(test, axis=1) for r in rows)
-        return columns <= margins, interval_lengths(lo, hi, margins, kind, *ratios, floor=floor)
+        return pool.columns.take(test, axis=1) <= margins, test, margins
 
     return map(trial, range(trials))
 
@@ -141,7 +138,9 @@ def run_trials(
     cells on this pool, or draw each one afresh without it.
     """
     cell = _trials(data, tune, method, score_kind, alpha, trials, spec, splits)
-    ejc, esc, mil = map(np.array, zip(*starmap(_test_metrics, cell)))
+    rows = _length_rows(data.lo, data.hi, score_kind)
+    per_trial = starmap(lambda c, test, m: (*_test_metrics(c), _trial_mil(rows, test, m)), cell)
+    ejc, esc, mil = map(np.array, zip(*per_trial))
     return TrialMetrics(
         float(ejc.mean()), esc.mean(axis=0), mil.mean(axis=0), trials=trials, n_test=spec.n_test
     )

@@ -25,7 +25,7 @@ import numpy as np
 from .calibrate import Calibration, Method, coverage_mask, fit_method, interval_array  # noqa: F401
 from .core import LabeledSet, Role, SplitSpec, TrialSplits, concat, partition, split_cal_test  # noqa: F401
 from .evaluate import _joint, _trials
-from .scores import ScoreKind, interval_lengths, score_matrix  # noqa: F401
+from .scores import ScoreKind, _scale_ratios, interval_lengths, score_matrix  # noqa: F401
 from .synthetic import RoundConfig, gen_multiround
 
 
@@ -89,12 +89,16 @@ def _protocol_trials(
     # Calibrated round by round, single-task rounds use plain split conformal.
     fit = Method.SINGLE if per_round and cfg.tasks == 1 else method
     blocks = tuple(_round_slice(cfg, b) for b in range(cfg.rounds)) if per_round else (slice(None),)
-    # One-sided lengths are the upper interval ends, measured from 0.
-    cell = _trials(data, tune, fit, score_kind, alpha, trials, spec, splits, blocks, 0.0)
+    cell = _trials(data, tune, fit, score_kind, alpha, trials, spec, splits, blocks)
+    # (K, N) band rows, and for QN their width ratios, gathered by each trial.
+    bands = [data.lo, data.hi] + ([_scale_ratios(data.lo, data.hi)] if score_kind.normalized else [])
+    bands = [np.array(r.T, order="C") for r in bands]
     eac, inv_rate, ejc_all = [], [], []
     hist = np.zeros(cfg.rounds, dtype=np.int64)
     inv_rates = 1.0 / np.asarray(cfg.rates, dtype=np.float64)
-    for covered, lengths in cell:
+    for covered, test, margins in cell:
+        lo, hi, *ratios = (r.take(test, axis=1) for r in bands)
+        lengths = interval_lengths(lo, hi, margins, score_kind, *ratios)
         accepted, accepted_cov = _walk(lengths, covered, cfg)
         eac.append(np.count_nonzero(accepted_cov) / spec.n_test)
         inv_rate.append(np.mean(inv_rates[accepted]))
@@ -168,7 +172,7 @@ def pilot_tau(data: LabeledSet, cfg: RoundConfig, calib: Calibration | None = No
         lengths = data.hi[:, cols] - data.lo[:, cols]
     else:
         lo, hi, margins = np.array(data.lo), np.array(data.hi), calib.margins(data.n_targets)
-        lengths = interval_lengths(lo, hi, margins, calib.score_kind, floor=0.0)[:, cols]
+        lengths = interval_lengths(lo, hi, margins, calib.score_kind)[:, cols]
     with np.errstate(invalid="ignore"):  # inf - inf between infinite lengths
         tau = float(np.quantile(lengths.max(axis=1), 0.5))
     if not np.isfinite(tau):

@@ -96,7 +96,6 @@ def interval_bounds(
     hi: np.ndarray,
     zetas: float | np.ndarray,
     kind: ScoreKind,
-    ratios: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Endpoints of {z : score(lo, hi, z) <= zeta} for every (sample, target) pair.
 
@@ -107,11 +106,10 @@ def interval_bounds(
     scalar margin shared by all targets or a (K,) vector of per-target
     margins, in the score's own domain; it broadcasts against the (n, K)
     bands.  The normalized kinds divide every finite margin by the band-width
-    ratio, taken from ``ratios`` when given (``_scale_ratios(lo, hi)``
-    otherwise).
+    ratio ``_scale_ratios(lo, hi)``.
     """
     lo, hi = np.array(lo, dtype=np.float64), np.array(hi, dtype=np.float64)
-    return _widen(lo, hi, np.asarray(zetas, dtype=np.float64), kind, ratios)
+    return _widen(lo, hi, np.asarray(zetas, dtype=np.float64), kind)
 
 
 def _widen(lo, hi, margins, kind: ScoreKind, ratios=None) -> tuple[np.ndarray, np.ndarray]:
@@ -128,13 +126,11 @@ def _widen(lo, hi, margins, kind: ScoreKind, ratios=None) -> tuple[np.ndarray, n
     return lo, hi
 
 
-def interval_lengths(lo, hi, margins, kind: ScoreKind, ratios=None, floor=None) -> np.ndarray:
-    """``np.maximum(0.0, ihi - ilo)`` of ``interval_bounds`` in the scratch
-    bands ``lo``/``hi``, same arithmetic; with a ``floor``, one-sided lengths
-    are the upper endpoint less the floor, unclipped."""
+def interval_lengths(lo, hi, margins, kind: ScoreKind, ratios=None) -> np.ndarray:
+    """``np.maximum(0.0, ihi - ilo)`` of ``interval_bounds``, same arithmetic, in the
+    scratch bands ``lo``/``hi``; one-sided lengths are the upper ends, unclipped."""
     lo, hi = _widen(lo, hi, margins, kind, ratios)
-    if kind.one_sided and floor is not None:
-        hi -= floor
+    if kind.one_sided:
         return hi
     hi -= lo
     return np.maximum(0.0, hi, out=hi)

@@ -29,7 +29,10 @@ def reference_evaluation(calib, scores, lo, hi):
     """Joint coverage, per-target coverage and mean lengths of (n, K) test rows."""
     covered = scores <= calib.margins(scores.shape[1])
     ilo, ihi = reference_bounds(lo, hi, calib.margins(lo.shape[1]), calib.score_kind)
-    lengths = np.maximum(0.0, ihi - ilo)
+    # An interval whose upper end is -inf is empty (a one-sided kind at a -inf
+    # threshold), length 0 where ihi - ilo would be -inf - -inf.
+    lengths = np.subtract(ihi, ilo, out=np.zeros_like(ihi), where=ihi > -np.inf)
+    np.maximum(0.0, lengths, out=lengths)
     return float(covered.all(axis=1).mean()), covered.mean(axis=0), lengths.mean(axis=0)
 
 

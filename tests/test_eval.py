@@ -6,6 +6,8 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mtconf import (
     InsufficientSamplesError,
@@ -23,8 +25,8 @@ from mtconf import (
     split_cal_test,
     trial_rng,
 )
-from mtconf.evaluate import _mean_lengths, _test_metrics
-from mtconf.scores import _scale_ratios, interval_lengths, score_matrix
+from mtconf.evaluate import _length_rows, _test_metrics, _trial_mil
+from mtconf.scores import _scale_ratios, interval_bounds, interval_lengths, score_matrix
 from reference import reference_bounds, reference_evaluation
 
 
@@ -53,12 +55,12 @@ def test_test_metrics_hand_case():
     )
     scores = score_matrix(data.lo, data.hi, data.targets, ScoreKind.CQR)
     margins = np.zeros((2, 1))  # one zero threshold per target
-    lengths = interval_lengths(data.lo.T.copy(), data.hi.T.copy(), margins, ScoreKind.CQR)
-    ejc, esc, mil = _test_metrics(scores.T <= margins, lengths)
+    ejc, esc = _test_metrics(scores.T <= margins)
+    mil = _trial_mil(_length_rows(data.lo, data.hi, ScoreKind.CQR), np.arange(4), margins)
     # rows covered per target: z in [0, 1]
     assert ejc == 0.25
     assert np.allclose(esc, [0.5, 0.75])
-    assert np.allclose(mil, [1.0, 1.0])
+    assert np.array_equal(mil, [1.0, 1.0])
 
 
 def test_joint_coverage_never_exceeds_any_single_target():
@@ -186,6 +188,21 @@ def assert_same_metrics(got, want):
     assert (got.trials, got.n_test) == (want.trials, want.n_test)
 
 
+def assert_matches_reference(got, want, ulps=64):
+    """Coverage bit for bit; ``mil`` with its infinities in the same places and
+    every finite entry within ``ulps`` of the reference's.  The trials take a
+    pairwise row mean of max(0, w + 2q), the reference an axis-0 mean of
+    max(0, (hi + q) - (lo - q)), so the last bits may differ."""
+    assert got.ejc == want.ejc
+    assert np.array_equal(got.esc, want.esc)
+    assert (got.trials, got.n_test) == (want.trials, want.n_test)
+    finite = np.isfinite(want.mil)
+    assert np.array_equal(np.isfinite(got.mil), finite)
+    assert np.array_equal(got.mil[~finite], want.mil[~finite])
+    got, want = got.mil[finite], want.mil[finite]
+    assert np.all(np.abs(got - want) <= ulps * np.spacing(want))
+
+
 @pytest.mark.parametrize("kind", list(ScoreKind))
 @pytest.mark.parametrize("method", list(Method))
 def test_run_trials_equals_the_per_trial_pipeline(method, kind):
@@ -195,7 +212,7 @@ def test_run_trials_equals_the_per_trial_pipeline(method, kind):
     spec = SplitSpec(seed=32, n_tune=1, n_cal=200, n_test=120)
     for alpha in (0.3, 0.1):
         got = run_trials(data, tune, method, kind, alpha, 4, spec)
-        assert_same_metrics(got, reference_trials(data, tune, method, kind, alpha, 4, spec))
+        assert_matches_reference(got, reference_trials(data, tune, method, kind, alpha, 4, spec))
 
 
 @pytest.mark.parametrize("kind", list(ScoreKind))
@@ -221,26 +238,13 @@ def test_run_trials_rejects_a_split_table_of_another_pool():
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 5, 15])
-def test_mean_lengths_add_like_the_row_mean_bit_for_bit(k):
+def test_interval_lengths_equal_the_reference_bounds_bit_for_bit(k):
+    # The protocols' in-place lengths of every score kind against the
+    # reference bounds, on (n, K) bands and on the (K, n) rows with (K, 1)
+    # margins: margins finite (Cauchy, so some negative and some emptying the
+    # band), partly +inf, and all +inf.  One-sided lengths are the upper ends.
     rng = np.random.default_rng(k)
     for n in (*range(1, 40), 127, 128, 129, 255, 256, 257, 1000, 2000, 4097):
-        ilo = rng.normal(size=(n, k)) * 10.0 ** rng.uniform(-3, 3, size=(n, k))
-        # Cauchy widths: some negative (clipped to 0), a few huge.
-        ihi = ilo + rng.standard_cauchy(size=(n, k))
-        for infinite in (False, True):
-            if infinite:  # starved margins: (-inf, +inf) rows and one-sided bands
-                ihi[rng.random((n, k)) < 0.1] = np.inf
-                ilo[rng.random((n, k)) < 0.1] = -np.inf
-            lengths = np.maximum(0.0, ihi - ilo)
-            want = lengths.mean(axis=0).tobytes()
-            # (K, n) target rows, contiguous as the trials keep them and as a view.
-            for rows in (np.ascontiguousarray(lengths.T), lengths.T):
-                got = _mean_lengths(rows)
-                assert got.shape == (k,) and got.tobytes() == want, (n, infinite)
-        # The in-place lengths of every score kind against the reference bounds,
-        # on (n, K) bands and on the (K, n) rows with (K, 1) margins: margins
-        # finite (Cauchy, so some negative and some emptying the band), partly
-        # +inf, and all +inf.
         lo = rng.normal(size=(n, k)) * 10.0 ** rng.uniform(-3, 3, size=(n, k))
         hi = lo + rng.uniform(0.01, 3.0, size=(n, k))
         finite = rng.standard_cauchy(size=k)
@@ -248,7 +252,7 @@ def test_mean_lengths_add_like_the_row_mean_bit_for_bit(k):
         for margins, kind in product((finite, partly, np.full(k, np.inf)), ScoreKind):
             ratios = _scale_ratios(lo, hi) if kind.normalized else None
             ilo, ihi = reference_bounds(lo, hi, margins, kind)
-            want = np.maximum(0.0, ihi - ilo)
+            want = ihi if kind.one_sided else np.maximum(0.0, ihi - ilo)
             got = interval_lengths(lo.copy(), hi.copy(), margins, kind, ratios)
             assert got.tobytes() == want.tobytes(), (n, kind)
             rows = interval_lengths(
@@ -256,7 +260,58 @@ def test_mean_lengths_add_like_the_row_mean_bit_for_bit(k):
                 None if ratios is None else np.array(ratios.T, order="C"),
             )
             assert rows.tobytes() == np.ascontiguousarray(want.T).tobytes(), (n, kind)
-            assert _mean_lengths(rows).tobytes() == want.mean(axis=0).tobytes(), (n, kind)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(1, 5),
+    n=st.integers(1, 300),
+    kind=st.sampled_from([ScoreKind.CQR, ScoreKind.QN]),
+    infinite=st.sampled_from(["none", "partly", "wholly"]),
+)
+def test_trial_mean_lengths_equal_the_clipped_mean_of_the_interval_bounds(
+    seed, k, n, kind, infinite
+):
+    rng = np.random.default_rng(seed)
+    lo = rng.normal(size=(n, k)) * 10.0 ** rng.uniform(-3, 3, size=k)
+    hi = lo + rng.uniform(0.01, 3.0, size=(n, k)) * 10.0 ** rng.uniform(-1, 1, size=k)
+    # Cauchy margins, so that some rows clip to 0; then +-inf on some or all targets.
+    margins = rng.standard_cauchy(size=k)
+    signs = rng.choice([-np.inf, np.inf], size=k)
+    if infinite != "none":
+        margins = np.where(rng.random(k) < 0.5, signs, margins) if infinite == "partly" else signs
+    test = rng.choice(n, size=rng.integers(1, n + 1), replace=False)
+    got = _trial_mil(_length_rows(lo, hi, kind), test, margins[:, None])
+    ilo, ihi = interval_bounds(lo[test], hi[test], margins, kind)
+    want = np.maximum(0.0, ihi - ilo).mean(axis=0)
+    # An infinite margin gives +inf or 0 on both sides, exactly.
+    finite = np.isfinite(margins)
+    assert np.array_equal(got[~finite], want[~finite])
+    # The bounds round (hi + q) and (lo - q), so their error scales with those
+    # ends, not with a length that cancels to nearly 0: ulps of the largest.
+    ends = np.abs(np.concatenate([lo[test], hi[test], ilo, ihi]))[:, finite]
+    scale = np.maximum(ends.max(axis=0), want[finite])
+    assert np.all(np.abs(got[finite] - want[finite]) <= 64 * np.spacing(scale))
+
+
+@pytest.mark.parametrize("kind", [ScoreKind.CQR, ScoreKind.QN])
+def test_trial_mean_lengths_dyadic_hand_case(kind):
+    # Ends, widths, ratios w_1/w_0 and margins are multiples of 1/8, so every
+    # step is exact and both ways of forming a length agree bit for bit.
+    lo = np.array([[0.0, -1.0], [0.5, 2.0], [-2.0, 0.25], [1.0, -0.5]])
+    hi = lo + np.array([[1.0, 0.5], [2.0, 4.0], [0.5, 0.25], [1.0, 2.0]])
+    margins = np.array([0.25, -0.375])
+    rows = _length_rows(lo, hi, kind)
+    # Target 1, CQR: max(0, w - 0.75) = 0, 3.25, 0, 1.25.  QN scales the margin
+    # by w_1/w_0 = 0.5, 2, 0.5, 2: 0.125, 2.5, 0, 0.5.
+    qn = kind is ScoreKind.QN
+    got = _trial_mil(rows, np.arange(4), margins[:, None])
+    assert np.array_equal(got, [1.625, 0.78125 if qn else 1.125])
+    ilo, ihi = interval_bounds(lo, hi, margins, kind)
+    assert np.array_equal(got, np.maximum(0.0, ihi - ilo).mean(axis=0))
+    # The test columns 2 and 0 alone.
+    assert np.array_equal(_trial_mil(rows, np.array([2, 0]), margins[:, None]), [1.25, qn / 16])
 
 
 @pytest.mark.parametrize("kind", [ScoreKind.CQR, ScoreKind.QN])
@@ -267,30 +322,32 @@ def test_run_trials_equals_the_per_trial_pipeline_at_size(method, kind):
     tune = banded(800, 3, seed=61)
     spec = SplitSpec(seed=62, n_tune=1, n_cal=1500, n_test=1000)
     got = run_trials(data, tune, method, kind, 0.1, 3, spec)
-    assert_same_metrics(got, reference_trials(data, tune, method, kind, 0.1, 3, spec))
+    assert_matches_reference(got, reference_trials(data, tune, method, kind, 0.1, 3, spec))
     data = banded(700, 15, seed=63)
     tune = banded(300, 15, seed=64)
     spec = SplitSpec(seed=65, n_tune=1, n_cal=400, n_test=300)
     got = run_trials(data, tune, method, kind, 0.05, 3, spec)
-    assert_same_metrics(got, reference_trials(data, tune, method, kind, 0.05, 3, spec))
+    assert_matches_reference(got, reference_trials(data, tune, method, kind, 0.05, 3, spec))
 
 
+@pytest.mark.parametrize("kind", list(ScoreKind))
 @pytest.mark.parametrize("method", [Method.MINIMAX, Method.COPULA])
-def test_run_trials_equals_the_pipeline_at_the_rank_extremes(method):
+def test_run_trials_equals_the_pipeline_at_the_rank_extremes(method, kind):
     data = banded(40, 2, seed=33)
     tune = banded(60, 2, seed=34)
     # rank ceil(0.95 * 6) = 6 overflows n_cal = 5: level m, thresholds +inf
     starved = SplitSpec(seed=35, n_tune=1, n_cal=5, n_test=30)
-    got = run_trials(data, tune, method, ScoreKind.CQR, 0.05, 3, starved)
-    assert_same_metrics(got, reference_trials(data, tune, method, ScoreKind.CQR, 0.05, 3, starved))
+    got = run_trials(data, tune, method, kind, 0.05, 3, starved)
+    assert_matches_reference(got, reference_trials(data, tune, method, kind, 0.05, 3, starved))
     assert got.ejc == 1.0 and np.all(np.isposinf(got.mil))
-    # every tuning score lies above every pool score: level 0, thresholds -inf
+    # every tuning score lies above every pool score: level 0, thresholds -inf,
+    # so every interval is empty, the one-sided (-inf, -inf] included
     far = LabeledSet(
         features=tune.features, targets=tune.hi + 100.0, lo=tune.lo, hi=tune.hi, role=Role.TUNE
     )
     spec = SplitSpec(seed=36, n_tune=1, n_cal=25, n_test=15)
-    got = run_trials(data, far, method, ScoreKind.CQR, 0.2, 3, spec)
-    assert_same_metrics(got, reference_trials(data, far, method, ScoreKind.CQR, 0.2, 3, spec))
+    got = run_trials(data, far, method, kind, 0.2, 3, spec)
+    assert_matches_reference(got, reference_trials(data, far, method, kind, 0.2, 3, spec))
     assert got.ejc == 0.0 and np.all(got.esc == 0.0) and np.all(got.mil == 0.0)
 
 
