@@ -32,8 +32,8 @@ from . import __version__
 from .calibrate import Method, fit_method
 from .core import Role, SplitSpec, TrialSplits, concat, derive_seed, partition
 from .core import split_cal_test  # noqa: F401 (perfbench/layers.py rebinds it here)
-from .evaluate import run_trials
-from .multiround import pilot_tau, run_protocol, run_sc_baseline
+from .evaluate import TrialMetrics, run_trials
+from .multiround import ProtocolResult, pilot_tau, run_protocol, run_sc_baseline
 from .scores import ScoreKind, score_matrix
 from .synthetic import (
     NoiseKind,
@@ -80,7 +80,7 @@ CSV_COLUMNS = (
 )
 
 # Below this tuning size the CDF transforms are too coarse to balance
-# per-target coverage; affected rows get a manifest warning.
+# per-target coverage; affected size-sweep cells get a manifest warning.
 UNDER_TUNED = 500
 
 
@@ -98,25 +98,22 @@ def _fmt(value) -> str:
     return f"{value:.6g}"
 
 
-def _rows(cfg, token, kind, alpha, esc=None, mil=None, protocol=None, **values) -> list[dict]:
-    """The results rows of one cell: one per target given per-target ``esc``
-    and ``mil``, else one, filled from a protocol result if given."""
-    row = dict.fromkeys(CSV_COLUMNS)
-    row.update(
-        experiment=cfg.experiment, method=token, score_kind=kind.value, alpha=alpha,
-        n_cal=cfg.n_cal, n_tune=cfg.n_tune, T=cfg.trials, seed=cfg.seed, **values,
-    )
-    if protocol is not None:
-        row.update(ejc=protocol.ejc_all, eac=protocol.eac, r_avg=protocol.r_avg)
-    if esc is None:
-        return [row]
-    per_target = enumerate(zip(esc, mil), 1)
-    return [dict(row, target=k, esc=float(e), mil=float(m)) for k, (e, m) in per_target]
+class Cell(NamedTuple):
+    """A method token at one level (and sweep value) with the engine's metrics,
+    a size sweep's averaged over its runs, and a protocol cell's threshold.
+    Runners return their cells in output order; results.csv, the plot files
+    and the manifest's warnings and taus are views of them."""
+
+    token: str
+    kind: ScoreKind
+    alpha: float
+    metrics: TrialMetrics | ProtocolResult
+    sweep_value: int | None = None
+    tau: float | None = None
 
 
-# Runners map a config to (rows, warnings, manifest extras).  They call the trial
-# loops and the pilot's pieces through this module's globals, at call time, and
-# keep one split table alive at a time.
+# Runners call the trial loops and the pilot's pieces through this module's
+# globals, at call time, and keep one split table alive at a time.
 
 
 def _splits(cfg: ExperimentConfig) -> TrialSplits:
@@ -125,7 +122,7 @@ def _splits(cfg: ExperimentConfig) -> TrialSplits:
     return TrialSplits(spec, cfg.n_cal + cfg.n_test)
 
 
-def _run_benchmark(cfg: ExperimentConfig) -> tuple[list[dict], list[str], dict]:
+def _run_benchmark(cfg: ExperimentConfig) -> list[Cell]:
     """table1 / coverage_sweep: per level, fit the models, then score a fixed
     tune set and re-split a fixed cal/test pool."""
     train = gen_synthetic(cfg.n_train, cfg.noise, derive_seed(cfg.seed, 0), role=Role.TRAIN)
@@ -139,14 +136,14 @@ def _run_benchmark(cfg: ExperimentConfig) -> tuple[list[dict], list[str], dict]:
     for alpha in cfg.alphas:
         tune, cal, test = partition(predict_quantiles(fit_quantile_models(train, alpha), raw), spec)
         pools.append((alpha, tune, concat([cal, test], Role.CAL)))
-    rows: list[dict] = []
+    cells = []
     for (alpha, tune, rest), token in product(pools, cfg.methods):
         m = run_trials(rest, tune, *METHOD_TOKENS[token], alpha, cfg.trials, spec, splits=splits)
-        rows += _rows(cfg, token, METHOD_TOKENS[token][1], alpha, m.esc, m.mil, ejc=m.ejc)
-    return rows, [], {}
+        cells.append(Cell(token, METHOD_TOKENS[token][1], alpha, m))
+    return cells
 
 
-def _run_size_sweep(cfg: ExperimentConfig, vary: str) -> tuple[list[dict], list[str], dict]:
+def _run_size_sweep(cfg: ExperimentConfig, vary: str) -> list[Cell]:
     """ntrain_sweep / ntune_sweep: redraw train+tune per run, average runs."""
     alpha = cfg.alphas[0]
     values = cfg.ntrain_values if vary == "n_train" else cfg.ntune_values
@@ -155,8 +152,7 @@ def _run_size_sweep(cfg: ExperimentConfig, vary: str) -> tuple[list[dict], list[
         return gen_synthetic(n, cfg.noise, derive_seed(cfg.seed, *path), role=role)
 
     raw_pool = draw(cfg.n_cal + cfg.n_test, Role.CAL, 1)
-    rows: list[dict] = []
-    warnings: list[str] = []
+    cells: list[Cell] = []
     for value in values:
         sized = replace(cfg, **{vary: value})
         per_run = []
@@ -165,32 +161,19 @@ def _run_size_sweep(cfg: ExperimentConfig, vary: str) -> tuple[list[dict], list[
             models = fit_quantile_models(draw(sized.n_train, Role.TRAIN, 0, value, run), alpha)
             tune = predict_quantiles(models, draw(sized.n_tune, Role.TUNE, 2, value, run))
             pool = predict_quantiles(models, raw_pool)
-            spec = SplitSpec(
-                seed=derive_seed(cfg.seed, 3, value, run),
-                n_tune=sized.n_tune,
-                n_cal=cfg.n_cal,
-                n_test=cfg.n_test,
-            )
+            seed = derive_seed(cfg.seed, 3, value, run)
+            spec = SplitSpec(seed=seed, n_tune=sized.n_tune, n_cal=cfg.n_cal, n_test=cfg.n_test)
             splits = TrialSplits(spec, pool.n)
-            cells = [
-                run_trials(
-                    pool, tune, *METHOD_TOKENS[token], alpha, cfg.trials, spec, splits=splits
-                )
-                for token in cfg.methods
-            ]
-            per_run.append(cells)
-        for j, token in enumerate(cfg.methods):
-            method, kind = METHOD_TOKENS[token]
-            ejc = float(np.mean([res[j].ejc for res in per_run]))
-            esc = np.mean([res[j].esc for res in per_run], axis=0)
-            mil = np.mean([res[j].mil for res in per_run], axis=0)
-            rows += _rows(sized, token, kind, alpha, esc, mil, ejc=ejc, sweep_value=value)
-            if sized.n_tune < UNDER_TUNED and method in (Method.MINIMAX, Method.COPULA):
-                warnings.append(
-                    f"{token} at n_tune={sized.n_tune}: under-tuned (below {UNDER_TUNED}); "
-                    "per-target coverage may be imbalanced"
-                )
-    return rows, warnings, {}
+            per_run.append([
+                run_trials(pool, tune, *METHOD_TOKENS[t], alpha, cfg.trials, spec, splits=splits)
+                for t in cfg.methods
+            ])
+        for token, runs in zip(cfg.methods, zip(*per_run)):
+            columns = zip(*((m.ejc, m.esc, m.mil) for m in runs))
+            ejc, esc, mil = (np.mean(column, axis=0) for column in columns)
+            mean = TrialMetrics(float(ejc), esc, mil, trials=cfg.trials, n_test=cfg.n_test)
+            cells.append(Cell(token, METHOD_TOKENS[token][1], alpha, mean, value))
+    return cells
 
 
 def _protocol_setup(cfg: ExperimentConfig, splits: TrialSplits):
@@ -209,13 +192,8 @@ def _protocol_setup(cfg: ExperimentConfig, splits: TrialSplits):
         method, kind = METHOD_TOKENS[cfg.methods[0]]
         cal_rows, test_rows = splits[0]
         cal, test = pool.subset(cal_rows, Role.CAL), pool.subset(test_rows, Role.TEST)
-        calib = fit_method(
-            method,
-            score_matrix(cal.lo, cal.hi, cal.targets, kind),
-            alpha,
-            kind,
-            score_matrix(tune.lo, tune.hi, tune.targets, kind),
-        )
+        cal_scores, tune_scores = (score_matrix(s.lo, s.hi, s.targets, kind) for s in (cal, tune))
+        calib = fit_method(method, cal_scores, alpha, kind, tune_scores)
         try:
             return pilot_tau(test, base, calib=calib)
         except ValueError as err:
@@ -225,14 +203,13 @@ def _protocol_setup(cfg: ExperimentConfig, splits: TrialSplits):
     return tune, pool, pilot
 
 
-def _run_multiround(cfg: ExperimentConfig) -> tuple[list[dict], list[str], dict]:
+def _run_multiround(cfg: ExperimentConfig) -> list[Cell]:
     splits = _splits(cfg)
     spec = splits.spec
     tune, pool, pilot = _protocol_setup(cfg, splits)
-    rows: list[dict] = []
-    taus: dict[str, float] = {}
+    cells: list[Cell] = []
     for alpha in cfg.alphas:
-        tau = taus[_fmt(alpha)] = pilot(alpha) if cfg.tau is None else cfg.tau
+        tau = pilot(alpha) if cfg.tau is None else cfg.tau
         rc = cfg.round_config(tau=tau)
         for token in cfg.methods:
             method, kind = METHOD_TOKENS[token]
@@ -242,13 +219,12 @@ def _run_multiround(cfg: ExperimentConfig) -> tuple[list[dict], list[str], dict]
             sc = run_sc_baseline(
                 pool, tune, alpha, rc, cfg.trials, spec, kind, method, splits=splits
             )
-            sc_token = "sc" if cfg.tasks == 1 else f"sc_{token}"
-            for name, result in ((token, joint), (sc_token, sc)):
-                rows += _rows(cfg, name, kind, alpha, protocol=result)
-    return rows, [], {"tau_used": taus}
+            cells.append(Cell(token, kind, alpha, joint, tau=tau))
+            cells.append(Cell("sc" if cfg.tasks == 1 else f"sc_{token}", kind, alpha, sc, tau=tau))
+    return cells
 
 
-def _run_label_sweep(cfg: ExperimentConfig) -> tuple[list[dict], list[str], dict]:
+def _run_label_sweep(cfg: ExperimentConfig) -> list[Cell]:
     alpha = cfg.alphas[0]
     splits = _splits(cfg)
     spec = splits.spec
@@ -264,13 +240,12 @@ def _run_label_sweep(cfg: ExperimentConfig) -> tuple[list[dict], list[str], dict
         for token in cfg.methods if labels in cfg.label_values else ():
             method, kind = METHOD_TOKENS[token]
             res = run_protocol(pool, tune, method, alpha, rc, cfg.trials, spec, kind, splits=splits)
-            cells[token, labels] = _rows(cfg, token, kind, alpha, protocol=res, sweep_value=labels)
-    rows = [row for cell in product(cfg.methods, cfg.label_values) for row in cells[cell]]
-    return rows, [], {"tau_used": {_fmt(alpha): tau}}
+            cells[token, labels] = Cell(token, kind, alpha, res, labels, tau)
+    return [cells[key] for key in product(cfg.methods, cfg.label_values)]
 
 
 class _Experiment(NamedTuple):
-    runner: Callable[[ExperimentConfig], tuple[list[dict], list[str], dict]]
+    runner: Callable[[ExperimentConfig], list[Cell]]
     fits_models: bool  # to 3-target training data; the multiround ones fit none
     defaults: dict  # those that differ from ExperimentConfig's, which are table1's
 
@@ -372,6 +347,13 @@ class ExperimentConfig:
         for a in self.alphas:
             if not 0.0 < a < 1.0:
                 raise ConfigError(f"alphas are miscoverage rates in (0, 1), got {a}")
+            # The levels a run derives from alpha, in the floats it computes them in.
+            if fits_models and not 0.0 < a / 2.0 < 1.0 - a / 2.0 < 1.0:
+                raise ConfigError(f"alpha {a} is too small: the quantile level 1 - alpha/2 is 1")
+            if "ia" in self.methods and not 0.0 < 1.0 - (1.0 - a) ** (1.0 / joint_targets) < 1.0:
+                raise ConfigError(
+                    f"alpha {a} is too small: ia's level 1 - (1 - alpha)^(1/{joint_targets}) is 0"
+                )
         if not 0.0 < self.quantile_alpha < 1.0:
             raise ConfigError(f"quantile_alpha must lie in (0, 1), got {self.quantile_alpha}")
         if self.n_pred < 2:
@@ -491,56 +473,68 @@ def _write_atomic(path: Path, write) -> None:
         tmp.unlink(missing_ok=True)
 
 
-# Plot files hold (x, series, value) cells, formatted like the results CSV.
+def _n_tune(cfg: ExperimentConfig, cell: Cell) -> int:
+    """The tuning-set size a cell ran with: its sweep value on ntune_sweep."""
+    return cell.sweep_value if cfg.experiment == "ntune_sweep" else cfg.n_tune
 
 
-def _plot_rows(rows: list[dict], x_of, series_of, value_key: str) -> list[tuple]:
+def _results_table(cfg: ExperimentConfig, cells: list[Cell]) -> list[list[str]]:
+    """results.csv: a row per target of each trial cell, one row per protocol cell."""
+    table = [list(CSV_COLUMNS)]
+    for cell in cells:
+        m = cell.metrics
+        row = dict.fromkeys(CSV_COLUMNS)
+        row.update(
+            experiment=cfg.experiment, method=cell.token, score_kind=cell.kind.value,
+            alpha=cell.alpha, n_cal=cfg.n_cal, n_tune=_n_tune(cfg, cell), T=cfg.trials,
+            seed=cfg.seed, sweep_value=cell.sweep_value,
+        )
+        if isinstance(m, ProtocolResult):
+            rows = [dict(row, ejc=m.ejc_all, eac=m.eac, r_avg=m.r_avg)]
+        else:
+            per_target = enumerate(zip(m.esc, m.mil), 1)
+            rows = [dict(row, target=k, ejc=m.ejc, esc=e, mil=l) for k, (e, l) in per_target]
+        table += [[_fmt(r[col]) for col in CSV_COLUMNS] for r in rows]
+    return table
+
+
+def _under_tuned(cfg: ExperimentConfig, cells: list[Cell]) -> list[str]:
+    """A warning per size-sweep cell of a CDF method tuned on too few rows."""
     return [
-        (_fmt(x_of(row)), series_of(row), _fmt(row[value_key]))
-        for row in rows
-        if row[value_key] is not None
+        f"{cell.token} at n_tune={_n_tune(cfg, cell)}: under-tuned (below {UNDER_TUNED}); "
+        "per-target coverage may be imbalanced"
+        for cell in cells
+        if isinstance(cell.metrics, TrialMetrics) and cell.sweep_value is not None
+        and METHOD_TOKENS[cell.token][0] in (Method.MINIMAX, Method.COPULA)
+        and _n_tune(cfg, cell) < UNDER_TUNED
     ]
 
 
-def _esc_extremes(rows: list[dict], key: str, x_of) -> list[tuple]:
-    """Smallest and largest per-target coverage of each method at each ``key`` value."""
-    out = []
-    for row in (r for r in rows if r["target"] == 1):
-        name = row["method"]
-        group = [r["esc"] for r in rows if r["method"] == name and r[key] == row[key]]
-        out += [(_fmt(x_of(row)), f"{name}/{s.__name__}", _fmt(s(group))) for s in (min, max)]
-    return out
+def emit_plotdata(cells: list[Cell], outdir: Path) -> list[Path]:
+    """Write per-figure long-format (x, series, value) CSVs, views of the cells.
 
-
-def emit_plotdata(rows: list[dict], outdir: Path) -> list[Path]:
-    """Write per-figure long-format CSVs derived from the results rows.
-
-    Values are formatted with the same serializer as the main CSV, so shared
-    quantities (the joint-coverage series in particular) match it exactly.
+    x is a cell's sweep value, else 1 - alpha.  A protocol cell adds its accepted
+    coverage and speed-up; a trial cell its per-target coverage extremes and,
+    off a sweep, its joint coverage and lengths.  Values are formatted like the
+    main CSV's, so shared quantities match it exactly.
     """
-    if not rows:
-        return []
-    experiment = rows[0]["experiment"]
     files: dict[str, list[tuple]] = {}
-    cov = lambda row: 1.0 - row["alpha"]
-    sv = lambda row: row["sweep_value"]
-    if experiment in ("table1", "coverage_sweep"):
-        first = [r for r in rows if r["target"] == 1]
-        files["plot_ejc.csv"] = _plot_rows(first, cov, lambda r: r["method"], "ejc")
-        files["plot_esc_extremes.csv"] = _esc_extremes(rows, "alpha", cov)
-        files["plot_mil.csv"] = _plot_rows(
-            rows, cov, lambda r: f"{r['method']}/t{r['target']}", "mil"
-        )
-    elif experiment in ("ntrain_sweep", "ntune_sweep"):
-        files["plot_esc_extremes.csv"] = _esc_extremes(rows, "sweep_value", sv)
-    else:  # the multiround experiments, over levels or task counts
-        x_of = cov if experiment == "multiround" else sv
-        files["plot_eac.csv"] = _plot_rows(rows, x_of, lambda r: r["method"], "eac")
-        files["plot_ravg.csv"] = _plot_rows(rows, x_of, lambda r: r["method"], "r_avg")
-    for name, content in files.items():
-        cells = [("x", "series", "value"), *content]
-        _write_atomic(outdir / name, lambda fh: csv.writer(fh).writerows(cells))
-    return [outdir / name for name in files]
+    for cell in cells:
+        m, name = cell.metrics, cell.token
+        if isinstance(m, ProtocolResult):
+            points = [("eac", name, m.eac), ("ravg", name, m.r_avg)]
+        else:
+            points = [("esc_extremes", f"{name}/{s}", getattr(m.esc, s)()) for s in ("min", "max")]
+            if cell.sweep_value is None:
+                mil = [("mil", f"{name}/t{k}", v) for k, v in enumerate(m.mil, 1)]
+                points = [("ejc", name, m.ejc), *points, *mil]
+        x = _fmt(1.0 - cell.alpha if cell.sweep_value is None else cell.sweep_value)
+        for figure, series, value in points:
+            rows = files.setdefault(f"plot_{figure}.csv", [("x", "series", "value")])
+            rows.append((x, series, _fmt(value)))
+    for filename, rows in files.items():
+        _write_atomic(outdir / filename, lambda fh: csv.writer(fh).writerows(rows))
+    return [outdir / filename for filename in files]
 
 
 def run(cfg: ExperimentConfig) -> int:
@@ -558,11 +552,11 @@ def run(cfg: ExperimentConfig) -> int:
     except OSError as err:
         print(f"ctool: cannot write to output dir {outdir}: {err}", file=sys.stderr)
         return 1
-    rows, warnings, extras = EXPERIMENTS[cfg.experiment].runner(cfg)
-    cells = [CSV_COLUMNS] + [[_fmt(row[col]) for col in CSV_COLUMNS] for row in rows]
+    cells = EXPERIMENTS[cfg.experiment].runner(cfg)
+    table, warnings = _results_table(cfg, cells), _under_tuned(cfg, cells)
     try:
-        _write_atomic(outdir / "results.csv", lambda fh: csv.writer(fh).writerows(cells))
-        plot_paths = emit_plotdata(rows, outdir)
+        _write_atomic(outdir / "results.csv", lambda fh: csv.writer(fh).writerows(table))
+        plot_paths = emit_plotdata(cells, outdir)
         manifest = {
             "version": __version__,
             "config": asdict(cfg),
@@ -570,7 +564,9 @@ def run(cfg: ExperimentConfig) -> int:
             "outputs": ["results.csv"] + [p.name for p in plot_paths],
             "wall_time_s": round(time.perf_counter() - started, 3),
         }
-        manifest.update(extras)
+        taus = {_fmt(cell.alpha): cell.tau for cell in cells if cell.tau is not None}
+        if taus:
+            manifest["tau_used"] = taus
         text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
         _write_atomic(manifest_path, lambda fh: fh.write(text))
     except OSError as err:  # a full disk, for one

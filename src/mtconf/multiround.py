@@ -164,8 +164,8 @@ def pilot_tau(data: LabeledSet, cfg: RoundConfig, calib: Calibration | None = No
     the protocol will actually compare against ``tau``; without one the raw
     band widths are used.  Lengths shrink across rounds, so a threshold at
     that median accepts roughly half the samples by then.  A median that is
-    not finite (a level too strict for the calibration set makes every
-    margin +inf) is a ``ValueError``.
+    not finite (every margin +inf at a level too strict for the calibration
+    set) or not positive (lengths clipped to 0) is a ``ValueError``.
     """
     cols = _round_slice(cfg, max(cfg.rounds - 2, 0))
     if calib is None:
@@ -177,6 +177,8 @@ def pilot_tau(data: LabeledSet, cfg: RoundConfig, calib: Calibration | None = No
         tau = float(np.quantile(lengths.max(axis=1), 0.5))
     if not np.isfinite(tau):
         raise ValueError("the tau pilot's interval lengths are not finite")
+    if tau <= 0.0:
+        raise ValueError(f"the tau pilot's median interval length is {tau:g}")
     return tau
 
 

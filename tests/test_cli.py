@@ -17,6 +17,7 @@ import mtconf
 from mtconf import cli, core, multiround
 from mtconf.cli import (
     CSV_COLUMNS,
+    Cell,
     ConfigError,
     ExperimentConfig,
     NoiseKind,
@@ -27,6 +28,8 @@ from mtconf.cli import (
     read_config_file,
     run,
 )
+from mtconf.evaluate import TrialMetrics
+from mtconf.scores import ScoreKind
 
 
 def run_cli(*args):
@@ -387,22 +390,69 @@ def test_manifest_echo_reproduces_the_run(tmp_path):
 
 
 def test_emit_plotdata_single_target_extremes_coincide(tmp_path):
-    rows = []
-    for value, esc in ((50, 0.8), (500, 0.9)):
-        rows.append(
-            {
-                "experiment": "ntune_sweep", "method": "cqr_minimax",
-                "score_kind": "cqr", "alpha": 0.1, "target": 1, "ejc": esc,
-                "esc": esc, "mil": 1.0, "eac": None, "r_avg": None,
-                "n_cal": 10, "n_tune": value, "T": 2, "seed": 0, "sweep_value": value,
-            }
-        )
-    emit_plotdata(rows, tmp_path)
+    metrics = TrialMetrics(0.8, [0.8], [1.0], trials=2, n_test=10)
+    emit_plotdata([Cell("cqr_minimax", ScoreKind.CQR, 0.1, metrics, sweep_value=50)], tmp_path)
     plot = read_rows(tmp_path / "plot_esc_extremes.csv")
-    by_series = {p["series"]: [] for p in plot}
-    for p in plot:
-        by_series[p["series"]].append((p["x"], p["value"]))
-    assert by_series["cqr_minimax/min"] == by_series["cqr_minimax/max"]
+    by_series = {p["series"]: (p["x"], p["value"]) for p in plot}
+    assert by_series == {"cqr_minimax/min": ("50", "0.8"), "cqr_minimax/max": ("50", "0.8")}
+
+
+@pytest.mark.parametrize(
+    "ini, flags",
+    [
+        (
+            None,
+            ("--experiment", "table1", "--methods", "ia,cpts,qn_minimax", "--alphas", "0.2,0.1"),
+        ),
+        (
+            "[experiment]\nntune_values = 40, 60\nruns = 2\n",
+            ("--experiment", "ntune_sweep", "--methods", "ia,cqr_minimax,qn"),
+        ),
+    ],
+)
+def test_plot_files_agree_with_the_results_rows(tmp_path, ini, flags):
+    """The coverage extremes and the lengths a plot file holds are the per-target
+    esc and mil of the matching results.csv rows, as printed there."""
+    args = []
+    if ini is not None:
+        (tmp_path / "run.ini").write_text(ini)
+        args.append(tmp_path / "run.ini")
+    sizes = ("--trials", "3", "--ntrain", "60", "--ntune", "40", "--ncal", "50", "--ntest", "30")
+    out = tmp_path / "res"
+    assert run_cli(*args, *flags, *sizes, "--output-dir", out) == 0
+    esc, mil = {}, {}  # (x, method) -> that cell's per-target values, as printed
+    for row in read_rows(out / "results.csv"):
+        x = row["sweep_value"] or _fmt(1.0 - float(row["alpha"]))
+        esc.setdefault((x, row["method"]), []).append(row["esc"])
+        mil[x, f"{row['method']}/t{row['target']}"] = row["mil"]
+    extremes = {(p["x"], p["series"]): p["value"] for p in read_rows(out / "plot_esc_extremes.csv")}
+    assert extremes == {
+        (x, f"{method}/{name}"): pick(values, key=float)
+        for (x, method), values in esc.items()
+        for name, pick in (("min", min), ("max", max))
+    }
+    if flags[1] == "table1":
+        assert {(p["x"], p["series"]): p["value"] for p in read_rows(out / "plot_mil.csv")} == mil
+    else:  # a sweep plots no lengths
+        assert not (out / "plot_mil.csv").exists()
+
+
+def test_only_size_sweeps_warn_when_under_tuned(tmp_path, capsys):
+    """A size sweep warns once per CDF-method cell tuned on fewer than 500 rows,
+    so ntrain_sweep repeats the warning for each training size; table1 at the
+    same tuning size does not warn."""
+    warning = "cpts at n_tune=100: under-tuned (below 500); per-target coverage may be imbalanced"
+    sizes = ("--trials", "2", "--ntrain", "60", "--ntune", "100", "--ncal", "50", "--ntest", "30")
+    config = tmp_path / "sweep.ini"
+    config.write_text("[experiment]\nntrain_values = 60, 80, 100\nruns = 1\n")
+    for name, args, want in (
+        ("ntrain_sweep", (config, "--experiment", "ntrain_sweep"), [warning] * 3),
+        ("table1", ("--experiment", "table1", "--alphas", "0.2"), []),
+    ):
+        out = tmp_path / name
+        assert run_cli(*args, "--methods", "cpts,ia", *sizes, "--output-dir", out) == 0
+        assert json.loads((out / "manifest.json").read_text())["warnings"] == want
+        assert capsys.readouterr().err == "".join(f"ctool: warning: {w}\n" for w in want)
 
 
 def test_fmt_cells():
@@ -517,6 +567,52 @@ def test_a_tau_pilot_without_finite_lengths_is_a_one_line_error(tmp_path, capsys
         "ctool: run error: the tau pilot's interval lengths are not finite"
         " at alpha=0.05 with n_cal=9; set a fixed --tau\n"
     )
+    assert not (out / "results.csv").exists()
+
+
+def test_a_tau_pilot_with_a_zero_median_length_is_a_one_line_error(tmp_path, capsys):
+    # At the multiround defaults and alpha = 0.999999 the margins clip at least
+    # half of the pilot's interval lengths to 0; the run stops before its trials.
+    out = tmp_path / "res"
+    assert run_cli("--experiment", "multiround", "--alphas", "0.999999", "--output-dir", out) == 3
+    assert capsys.readouterr().err == (
+        "ctool: run error: the tau pilot's median interval length is 0"
+        " at alpha=0.999999 with n_cal=2000; set a fixed --tau\n"
+    )
+    assert not (out / "results.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "ini, flags, message",
+    [
+        (
+            None,
+            ("--experiment", "table1", "--alphas", "1e-300"),
+            "alpha 1e-300 is too small: the quantile level 1 - alpha/2 is 1",
+        ),
+        (
+            None,
+            ("--experiment", "multiround", "--methods", "ia", "--alphas", "1e-17", "--tau", "1"),
+            "alpha 1e-17 is too small: ia's level 1 - (1 - alpha)^(1/5) is 0",
+        ),
+        # The label sweep's largest task count (5 rounds of 5) sets ia's level.
+        (
+            "[experiment]\nexperiment = multiround_labels\nlabel_values = 1, 5\n",
+            ("--methods", "ia", "--alphas", "1e-15", "--tau", "1"),
+            "alpha 1e-15 is too small: ia's level 1 - (1 - alpha)^(1/25) is 0",
+        ),
+    ],
+)
+def test_levels_derived_from_alpha_are_checked_at_config_time(
+    tmp_path, capsys, ini, flags, message
+):
+    args = []
+    if ini is not None:
+        (tmp_path / "run.ini").write_text(ini)
+        args.append(tmp_path / "run.ini")
+    out = tmp_path / "res"
+    assert run_cli(*args, *flags, "--output-dir", out) == 2
+    assert capsys.readouterr().err == f"ctool: config error: {message}\n"
     assert not (out / "results.csv").exists()
 
 
