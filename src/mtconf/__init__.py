@@ -39,7 +39,6 @@ from .multiround import (
     pilot_tau,
     run_protocol,
     run_sc_baseline,
-    sweep_labels,
 )
 from .scores import (
     ScoreKind,

@@ -130,15 +130,15 @@ def _run_benchmark(cfg: ExperimentConfig) -> list[Cell]:
         cfg.n_tune + cfg.n_cal + cfg.n_test, cfg.noise, derive_seed(cfg.seed, 1), role=Role.CAL
     )
     splits = _splits(cfg)
-    spec = splits.spec
     # Every level's models are fitted before the first trial loop starts.
     pools = []
     for alpha in cfg.alphas:
-        tune, cal, test = partition(predict_quantiles(fit_quantile_models(train, alpha), raw), spec)
+        models = fit_quantile_models(train, alpha)
+        tune, cal, test = partition(predict_quantiles(models, raw), splits.spec)
         pools.append((alpha, tune, concat([cal, test], Role.CAL)))
     cells = []
     for (alpha, tune, rest), token in product(pools, cfg.methods):
-        m = run_trials(rest, tune, *METHOD_TOKENS[token], alpha, cfg.trials, spec, splits=splits)
+        m = run_trials(rest, tune, *METHOD_TOKENS[token], alpha, cfg.trials, splits)
         cells.append(Cell(token, METHOD_TOKENS[token][1], alpha, m))
     return cells
 
@@ -165,7 +165,7 @@ def _run_size_sweep(cfg: ExperimentConfig, vary: str) -> list[Cell]:
             spec = SplitSpec(seed=seed, n_tune=sized.n_tune, n_cal=cfg.n_cal, n_test=cfg.n_test)
             splits = TrialSplits(spec, pool.n)
             per_run.append([
-                run_trials(pool, tune, *METHOD_TOKENS[t], alpha, cfg.trials, spec, splits=splits)
+                run_trials(pool, tune, *METHOD_TOKENS[t], alpha, cfg.trials, splits)
                 for t in cfg.methods
             ])
         for token, runs in zip(cfg.methods, zip(*per_run)):
@@ -205,20 +205,15 @@ def _protocol_setup(cfg: ExperimentConfig, splits: TrialSplits):
 
 def _run_multiround(cfg: ExperimentConfig) -> list[Cell]:
     splits = _splits(cfg)
-    spec = splits.spec
     tune, pool, pilot = _protocol_setup(cfg, splits)
     cells: list[Cell] = []
     for alpha in cfg.alphas:
         tau = pilot(alpha) if cfg.tau is None else cfg.tau
         rc = cfg.round_config(tau=tau)
         for token in cfg.methods:
-            method, kind = METHOD_TOKENS[token]
-            joint = run_protocol(
-                pool, tune, method, alpha, rc, cfg.trials, spec, kind, splits=splits
-            )
-            sc = run_sc_baseline(
-                pool, tune, alpha, rc, cfg.trials, spec, kind, method, splits=splits
-            )
+            kind = METHOD_TOKENS[token][1]
+            joint = run_protocol(pool, tune, *METHOD_TOKENS[token], alpha, rc, cfg.trials, splits)
+            sc = run_sc_baseline(pool, tune, *METHOD_TOKENS[token], alpha, rc, cfg.trials, splits)
             cells.append(Cell(token, kind, alpha, joint, tau=tau))
             cells.append(Cell("sc" if cfg.tasks == 1 else f"sc_{token}", kind, alpha, sc, tau=tau))
     return cells
@@ -227,7 +222,6 @@ def _run_multiround(cfg: ExperimentConfig) -> list[Cell]:
 def _run_label_sweep(cfg: ExperimentConfig) -> list[Cell]:
     alpha = cfg.alphas[0]
     splits = _splits(cfg)
-    spec = splits.spec
     # Every task count runs on the same splits, its data drawn once for every
     # method.  The pilot runs on the configured count's data, drawn first.
     tau, cells = cfg.tau, {}
@@ -238,9 +232,8 @@ def _run_label_sweep(cfg: ExperimentConfig) -> list[Cell]:
         tau = pilot(alpha) if tau is None else tau
         rc = sized.round_config(tau=tau)
         for token in cfg.methods if labels in cfg.label_values else ():
-            method, kind = METHOD_TOKENS[token]
-            res = run_protocol(pool, tune, method, alpha, rc, cfg.trials, spec, kind, splits=splits)
-            cells[token, labels] = Cell(token, kind, alpha, res, labels, tau)
+            res = run_protocol(pool, tune, *METHOD_TOKENS[token], alpha, rc, cfg.trials, splits)
+            cells[token, labels] = Cell(token, METHOD_TOKENS[token][1], alpha, res, labels, tau)
     return [cells[key] for key in product(cfg.methods, cfg.label_values)]
 
 

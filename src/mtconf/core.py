@@ -196,10 +196,11 @@ def split_cal_test(data: LabeledSet, n_cal: int, n_test: int, rng: np.random.Gen
 
 
 class TrialSplits:
-    """Every trial's split of one n-row pool under one spec, drawn on first use.
+    """Every trial's split of one n-row pool under one spec, drawn on first use
+    and kept: the one split source of the trial loops.
 
     A split depends only on (spec, n, trial), so the cells that re-split one
-    pool can share a table and draw each trial once between them.  The kept
+    pool share a table and draw each trial once between them.  The kept
     index arrays are read-only: an in-place edit would corrupt every later
     cell.  A full table holds trials * n int64 indices.
     """
@@ -209,25 +210,13 @@ class TrialSplits:
         self.n = n
         self._drawn: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
-    def draw(self, trial: int) -> tuple[np.ndarray, np.ndarray]:
-        """Trial ``trial``'s calibration/test row indices, drawn afresh and not kept."""
-        spec = self.spec
-        return split_indices(self.n, spec.n_cal, spec.n_test, trial_rng(spec, trial))
-
     def __getitem__(self, trial: int) -> tuple[np.ndarray, np.ndarray]:
+        """Trial ``trial``'s calibration/test row indices."""
         split = self._drawn.get(trial)
         if split is None:
-            split = self._drawn[trial] = self.draw(trial)
+            spec = self.spec
+            split = split_indices(self.n, spec.n_cal, spec.n_test, trial_rng(spec, trial))
             for indices in split:
                 indices.setflags(write=False)
+            self._drawn[trial] = split
         return split
-
-
-def split_source(spec: SplitSpec, n: int, splits: TrialSplits | None = None):
-    """A trial loop's trial -> (cal, test) lookup: the shared table's, or,
-    without one, a fresh draw per trial that nothing keeps."""
-    if splits is None:
-        return TrialSplits(spec, n).draw
-    if (splits.spec, splits.n) != (spec, n):
-        raise ValueError(f"the split table re-splits {splits.n} rows under {splits.spec}")
-    return splits.__getitem__

@@ -12,8 +12,8 @@ test columns of the score rows, and yields their coverage mask, test indices
 and margins.  The two reductions own their (K, N) length rows: ``run_trials``
 takes one pairwise mean of max(0, w + 2q) over gathered band widths, and the
 protocols widen gathered band ends for the per-row lengths their walk
-compares with tau.  A trial's split depends only on its spec, pool size and
-index, so every cell on one pool shares it through one ``TrialSplits`` table.
+compares with tau.  Every loop takes its splits from a ``TrialSplits`` table,
+which carries the split sizes; the cells on one pool share one table.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .calibrate import Method, _score_rows
 # only for perfbench/layers.py, which times layers by rebinding those names
 # in this module.
 from .calibrate import coverage_mask, fit_method, interval_array  # noqa: F401
-from .core import LabeledSet, SplitSpec, TrialSplits, split_cal_test, split_source  # noqa: F401
+from .core import LabeledSet, TrialSplits, split_cal_test  # noqa: F401
 from .scores import ScoreKind, score_matrix
 
 
@@ -92,7 +92,7 @@ def _trial_mil(rows: list[np.ndarray], test: np.ndarray, margins: np.ndarray) ->
 
 def _trials(
     data: LabeledSet, tune: LabeledSet, method: Method, kind: ScoreKind, alpha: float,
-    trials: int, spec: SplitSpec, splits: TrialSplits | None, blocks=(slice(None),),
+    trials: int, splits: TrialSplits, blocks=(slice(None),),
 ):
     """One cell's Monte Carlo trials, lazily: per trial, the test rows' (K, n)
     coverage mask, their indices and the (K, 1) margins (one buffer, refilled
@@ -100,17 +100,18 @@ def _trials(
     the scoring and one ``_ScoredPool.cell`` per block are done now."""
     if trials < 1:
         raise ValueError("need at least one trial")
-    split = split_source(spec, data.n, splits)
+    if splits.n != data.n:
+        raise ValueError(f"the split table re-splits {splits.n} rows, the pool has {data.n}")
     scores, tune_scores = score_matrix(data.lo, data.hi, data.targets, kind), None
     if method in (Method.MINIMAX, Method.COPULA):
         tune_scores = score_matrix(tune.lo, tune.hi, tune.targets, kind)
     pool = _score_rows(method, kind, scores, tune_scores, blocks)
     del scores, tune_scores  # freed before the length rows; the pool keeps what trials read
-    cells = [(cols, pool.cell(spec.n_cal, alpha, b)) for b, cols in enumerate(blocks)]
+    cells = [(cols, pool.cell(splits.spec.n_cal, alpha, b)) for b, cols in enumerate(blocks)]
     margins = np.empty((data.n_targets, 1))
 
     def trial(t: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        cal, test = split(t)
+        cal, test = splits[t]
         for cols, thresholds in cells:
             margins[cols, 0] = thresholds(cal)[0]
         return pool.columns.take(test, axis=1) <= margins, test, margins
@@ -125,24 +126,22 @@ def run_trials(
     score_kind: ScoreKind,
     alpha: float,
     trials: int,
-    spec: SplitSpec,
-    *,
-    splits: TrialSplits | None = None,
+    splits: TrialSplits,
 ) -> TrialMetrics:
     """Repeated-split evaluation of one method at one level.
 
-    ``data`` is the pooled evaluation set that gets re-split into calibration
-    and test sets of sizes ``spec.n_cal`` and ``spec.n_test`` in every trial;
-    ``tune`` is the fixed tuning set used by the methods that need one.
-    Trials take their splits from ``splits``, a table shared with the other
-    cells on this pool, or draw each one afresh without it.
+    ``data`` is the pooled evaluation set that trial t re-splits into the
+    calibration and test rows ``splits[t]``, of sizes ``splits.spec.n_cal``
+    and ``splits.spec.n_test``; the table is shared with the other cells on
+    this pool.  ``tune`` is the fixed tuning set used by the methods that
+    need one.
     """
-    cell = _trials(data, tune, method, score_kind, alpha, trials, spec, splits)
+    cell = _trials(data, tune, method, score_kind, alpha, trials, splits)
     rows = _length_rows(data.lo, data.hi, score_kind)
     per_trial = starmap(lambda c, test, m: (*_test_metrics(c), _trial_mil(rows, test, m)), cell)
     ejc, esc, mil = map(np.array, zip(*per_trial))
     return TrialMetrics(
-        float(ejc.mean()), esc.mean(axis=0), mil.mean(axis=0), trials=trials, n_test=spec.n_test
+        float(ejc.mean()), esc.mean(axis=0), mil.mean(axis=0), trials, splits.spec.n_test
     )
 
 

@@ -8,25 +8,25 @@ per-round speed-up factors.  Calibrating all rounds jointly keeps the
 accepted-round coverage honest no matter where the walk stops; calibrating
 each round separately does not, because acceptance selects on interval
 length, which is informative about conformity.  Both protocols run on the
-Monte Carlo trial engine of ``evaluate`` (one column block per round when
-calibrated separately) and only walk and reduce each trial's coverage mask
-and stopping lengths.
+Monte Carlo trial engine of ``evaluate`` on the splits of a ``TrialSplits``
+table (one column block per round when calibrated separately) and only walk
+and reduce each trial's coverage mask and stopping lengths.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-# fit_method, coverage_mask, interval_array, split_cal_test and score_matrix
-# are imported only for perfbench/layers.py, which times those layers by
-# rebinding them here.
+# fit_method, coverage_mask, interval_array, split_cal_test, score_matrix and
+# gen_multiround are imported only for perfbench/layers.py, which times those
+# layers by rebinding them here.
 from .calibrate import Calibration, Method, coverage_mask, fit_method, interval_array  # noqa: F401
-from .core import LabeledSet, Role, SplitSpec, TrialSplits, concat, partition, split_cal_test  # noqa: F401
+from .core import LabeledSet, TrialSplits, split_cal_test  # noqa: F401
 from .evaluate import _joint, _trials
 from .scores import ScoreKind, _scale_ratios, interval_lengths, score_matrix  # noqa: F401
-from .synthetic import RoundConfig, gen_multiround
+from .synthetic import RoundConfig, gen_multiround  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -73,40 +73,37 @@ def _round_slice(cfg: RoundConfig, b: int) -> slice:
 
 
 def _protocol_trials(
-    data: LabeledSet,
-    tune: LabeledSet,
-    alpha: float,
-    cfg: RoundConfig,
-    trials: int,
-    spec: SplitSpec,
-    score_kind: ScoreKind,
-    method: Method,
-    per_round: bool,
-    splits: TrialSplits | None,
+    data: LabeledSet, tune: LabeledSet, method: Method, score_kind: ScoreKind, alpha: float,
+    cfg: RoundConfig, trials: int, splits: TrialSplits, per_round: bool,
 ) -> ProtocolResult:
     if data.n_targets != cfg.n_targets:
         raise ValueError("data does not match the round layout")
     # Calibrated round by round, single-task rounds use plain split conformal.
     fit = Method.SINGLE if per_round and cfg.tasks == 1 else method
     blocks = tuple(_round_slice(cfg, b) for b in range(cfg.rounds)) if per_round else (slice(None),)
-    cell = _trials(data, tune, fit, score_kind, alpha, trials, spec, splits, blocks)
+    cell = _trials(data, tune, fit, score_kind, alpha, trials, splits, blocks)
     # (K, N) band rows, and for QN their width ratios, gathered by each trial.
-    bands = [data.lo, data.hi] + ([_scale_ratios(data.lo, data.hi)] if score_kind.normalized else [])
+    # A one-sided interval's lower end is -inf, which the widening writes into
+    # a (K, 1) stand-in rather than a gathered lower band.
+    bands = ([] if score_kind.one_sided else [data.lo]) + [data.hi]
+    bands += [_scale_ratios(data.lo, data.hi)] if score_kind.normalized else []
     bands = [np.array(r.T, order="C") for r in bands]
+    stand_in = [np.empty((data.n_targets, 1))] if score_kind.one_sided else []
+    n_test = splits.spec.n_test
     eac, inv_rate, ejc_all = [], [], []
     hist = np.zeros(cfg.rounds, dtype=np.int64)
     inv_rates = 1.0 / np.asarray(cfg.rates, dtype=np.float64)
     for covered, test, margins in cell:
-        lo, hi, *ratios = (r.take(test, axis=1) for r in bands)
+        lo, hi, *ratios = stand_in + [r.take(test, axis=1) for r in bands]
         lengths = interval_lengths(lo, hi, margins, score_kind, *ratios)
         accepted, accepted_cov = _walk(lengths, covered, cfg)
-        eac.append(np.count_nonzero(accepted_cov) / spec.n_test)
+        eac.append(np.count_nonzero(accepted_cov) / n_test)
         inv_rate.append(np.mean(inv_rates[accepted]))
         ejc_all.append(_joint(covered))
         hist += np.bincount(accepted, minlength=cfg.rounds)
     return ProtocolResult(
         eac=float(np.mean(eac)), r_avg=float(1.0 / np.mean(inv_rate)), histogram=hist,
-        ejc_all=float(np.mean(ejc_all)), trials=trials, n_test=spec.n_test,
+        ejc_all=float(np.mean(ejc_all)), trials=trials, n_test=n_test,
     )
 
 
@@ -114,45 +111,38 @@ def run_protocol(
     data: LabeledSet,
     tune: LabeledSet,
     method: Method,
+    score_kind: ScoreKind,
     alpha: float,
     cfg: RoundConfig,
     trials: int,
-    spec: SplitSpec,
-    score_kind: ScoreKind = ScoreKind.CQR,
-    *,
-    splits: TrialSplits | None = None,
+    splits: TrialSplits,
 ) -> ProtocolResult:
     """Early-stopping evaluation with all rounds calibrated jointly.
 
-    Trials take their splits from ``splits`` when given, as ``run_trials`` does.
+    Trial t calibrates on and walks the rows ``splits[t]`` of ``data``, as in
+    ``run_trials``.
     """
-    return _protocol_trials(
-        data, tune, alpha, cfg, trials, spec, score_kind, method, False, splits
-    )
+    return _protocol_trials(data, tune, method, score_kind, alpha, cfg, trials, splits, False)
 
 
 def run_sc_baseline(
     data: LabeledSet,
     tune: LabeledSet,
+    method: Method,
+    score_kind: ScoreKind,
     alpha: float,
     cfg: RoundConfig,
     trials: int,
-    spec: SplitSpec,
-    score_kind: ScoreKind = ScoreKind.CQR,
-    method: Method = Method.MINIMAX,
-    *,
-    splits: TrialSplits | None = None,
+    splits: TrialSplits,
 ) -> ProtocolResult:
     """Early-stopping evaluation with each round calibrated separately.
 
     Single-task rounds use plain split conformal; multi-task rounds use
     ``method`` per round.  Every round is calibrated at the full level, so
-    any shortfall in ``eac`` is pure length-selection bias.  ``splits`` is
+    any shortfall in ``eac`` is pure length-selection bias.  The splits are
     as in ``run_protocol``.
     """
-    return _protocol_trials(
-        data, tune, alpha, cfg, trials, spec, score_kind, method, True, splits
-    )
+    return _protocol_trials(data, tune, method, score_kind, alpha, cfg, trials, splits, True)
 
 
 def pilot_tau(data: LabeledSet, cfg: RoundConfig, calib: Calibration | None = None) -> float:
@@ -180,43 +170,3 @@ def pilot_tau(data: LabeledSet, cfg: RoundConfig, calib: Calibration | None = No
     if tau <= 0.0:
         raise ValueError(f"the tau pilot's median interval length is {tau:g}")
     return tau
-
-
-def sweep_labels(
-    label_values: list[int],
-    base_cfg: RoundConfig,
-    method: Method,
-    alpha: float,
-    trials: int,
-    spec: SplitSpec,
-    data_seed: int,
-    n: int | None = None,
-    score_kind: ScoreKind = ScoreKind.CQR,
-    quantile_alpha: float = 0.1,
-    n_pred: int = 32,
-    *,
-    splits: TrialSplits | None = None,
-) -> list[ProtocolResult]:
-    """Protocol results across task counts with nested draws.
-
-    For each entry of ``label_values`` the round layout is rebuilt with that
-    many tasks and fresh data is generated under ``data_seed``; the generator
-    keys its substreams by task index, so smaller task counts reuse a prefix
-    of the larger ones' draws and the sweep is monotone sample by sample.
-    Every task count re-splits a pool of the same size under ``spec``, so
-    all of them share one split table, ``splits`` when given.
-    """
-    if n is None:
-        n = spec.total
-    if splits is None:
-        splits = TrialSplits(spec, spec.n_cal + spec.n_test)
-    results = []
-    for labels in label_values:
-        cfg = replace(base_cfg, tasks=labels)
-        data = gen_multiround(n, cfg, data_seed, quantile_alpha=quantile_alpha, n_pred=n_pred)
-        tune, cal, test = partition(data, spec)
-        pool = concat([cal, test], Role.CAL)
-        results.append(
-            run_protocol(pool, tune, method, alpha, cfg, trials, spec, score_kind, splits=splits)
-        )
-    return results

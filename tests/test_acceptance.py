@@ -24,6 +24,7 @@ from mtconf import (
     RoundConfig,
     ScoreKind,
     SplitSpec,
+    TrialSplits,
     cholesky3,
     concat,
     coverage_bounds_check,
@@ -40,7 +41,6 @@ from mtconf import (
     run_sc_baseline,
     run_trials,
     split_cal_test,
-    sweep_labels,
     trial_rng,
 )
 from mtconf.scores import interval_bounds, score_matrix
@@ -64,6 +64,8 @@ JOINT_TOKENS = ("qn", "cpts", "cqr_mm", "qn_mm")
 def _table_cells(noise):
     """One benchmark table: every method at every level, shared seed paths."""
     cells = {}
+    spec = SplitSpec(seed=SEED, n_tune=N_TUNE, n_cal=N_CAL, n_test=N_TEST)
+    splits = TrialSplits(spec, N_CAL + N_TEST)
     for alpha in ALPHAS:
         train = gen_synthetic(N_TRAIN, noise, derive_seed(SEED, 0), role=Role.TRAIN)
         models = fit_quantile_models(train, alpha)
@@ -71,11 +73,10 @@ def _table_cells(noise):
             models,
             gen_synthetic(N_TUNE + N_CAL + N_TEST, noise, derive_seed(SEED, 1), role=Role.CAL),
         )
-        spec = SplitSpec(seed=SEED, n_tune=N_TUNE, n_cal=N_CAL, n_test=N_TEST)
         tune, cal, test = partition(pool, spec)
         rest = concat([cal, test], Role.CAL)
         for name, method, kind in TOKENS:
-            cells[alpha, name] = run_trials(rest, tune, method, kind, alpha, TRIALS, spec)
+            cells[alpha, name] = run_trials(rest, tune, method, kind, alpha, TRIALS, splits)
     return cells
 
 
@@ -101,7 +102,8 @@ def _drawn_cell(noise, alpha, method, kind, trials, n_train, n_tune, n_cal, n_te
     )
     spec = SplitSpec(seed=derive_seed(SEED, 2, run), n_tune=n_tune, n_cal=n_cal, n_test=n_test)
     tune, cal, test = partition(pool, spec)
-    return run_trials(concat([cal, test], Role.CAL), tune, method, kind, alpha, trials, spec)
+    splits = TrialSplits(spec, n_cal + n_test)
+    return run_trials(concat([cal, test], Role.CAL), tune, method, kind, alpha, trials, splits)
 
 
 def test_criterion_1_independent_joint_coverage(indep_table):
@@ -280,6 +282,7 @@ def test_criterion_7_early_stopping_protocol():
     spec = SplitSpec(seed=derive_seed(SEED, 11), n_tune=n_tune, n_cal=n_cal, n_test=n_test)
     tune, cal, test = partition(data, spec)
     pool = concat([cal, test], Role.CAL)
+    splits = TrialSplits(spec, pool.n)
     kind = ScoreKind.CQR
     tune_s = score_matrix(tune.lo, tune.hi, tune.targets, kind)
 
@@ -300,8 +303,8 @@ def test_criterion_7_early_stopping_protocol():
         if alpha == 0.10:
             tau10 = tau
         cfg = replace(cfg0, tau=tau)
-        joint = run_protocol(pool, tune, Method.MINIMAX, alpha, cfg, trials, spec)
-        sc = run_sc_baseline(pool, tune, alpha, cfg, trials, spec)
+        joint = run_protocol(pool, tune, Method.MINIMAX, kind, alpha, cfg, trials, splits)
+        sc = run_sc_baseline(pool, tune, Method.MINIMAX, kind, alpha, cfg, trials, splits)
         slack = mc_slack(alpha, trials, n_test)
         early = 1.0 - joint.histogram[-1] / joint.histogram.sum()
         early_out.append(f"{early:.2f}")
@@ -309,10 +312,15 @@ def test_criterion_7_early_stopping_protocol():
             joint_fail.append(f"1-a={1 - alpha:.2f}: eac={joint.eac:.4f} early={early:.2f}")
         sc_fails += sc.eac < 1.0 - alpha - slack
 
-    results = sweep_labels(
-        [1, 2, 3, 4, 5], replace(cfg0, tau=tau10), Method.MINIMAX, 0.10, 100, spec,
-        derive_seed(SEED, 10), n=n_tune + n_cal + n_test,
-    )
+    # The label sweep: each task count's data drawn under the same seed (the
+    # generator keys tasks by index, so counts share a prefix), its pool
+    # re-split by the same table.
+    results = []
+    for labels in (1, 2, 3, 4, 5):
+        cfg = replace(cfg0, tasks=labels, tau=tau10)
+        tune, cal, test = partition(gen_multiround(spec.total, cfg, derive_seed(SEED, 10)), spec)
+        pool = concat([cal, test], Role.CAL)
+        results.append(run_protocol(pool, tune, Method.MINIMAX, kind, 0.10, cfg, 100, splits))
     r_avg = [r.r_avg for r in results]
     non_increasing = all(b <= a + 1e-12 for a, b in zip(r_avg, r_avg[1:]))
     sweep_slack = mc_slack(0.10, 100, n_test)

@@ -142,3 +142,14 @@ def test_record_alternates_checkouts_and_keeps_every_run(tmp_path, monkeypatch):
     assert len(one["runs"]) == 4 and one["metrics"]["wall_s"]["median"] == 2.0
     lines, worse = record.compare(a, b, BENCH)
     assert worse and "DIFFERENT" in lines[0]
+
+
+def test_every_record_carries_the_known_perfbench_faults(monkeypatch):
+    monkeypatch.setattr(record, "RUNS", 2)
+    monkeypatch.setattr(record, "perfbench_run", lambda root, workload, seconds: run())
+    records = record.record([Path("a"), Path("b")], BENCH)
+    assert [r["known_faults"] for r in records] == [record.KNOWN_FAULTS] * 2
+    declared = {m["name"] for m in BENCH["end_to_end"] + BENCH["per_layer"]}
+    named = [m for fault in record.KNOWN_FAULTS for m in fault["metrics"]]
+    assert set(named) <= declared and "peak_rss_mb" in named and "trace.overhead_s" in named
+    assert any("_score_rows" in fault["fault"] for fault in record.KNOWN_FAULTS)

@@ -1,17 +1,22 @@
 """The ctool runner: config handling, outputs, and determinism."""
 
+import contextlib
 import csv
 import errno
+import io
 import json
 import os
 import shutil
 import subprocess
 import sys
+import tempfile
 from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 import mtconf
 from mtconf import cli, core, multiround
@@ -857,3 +862,78 @@ def test_models_are_fitted_in_the_order_the_benchmark_times(tmp_path, monkeypatc
     sweep = ("--experiment", "ntune_sweep", "--methods", "qn,ia,cpts")
     assert run_cli(config, *sweep, *sizes, "--output-dir", tmp_path / "sweep") == 0
     assert calls == (["fit"] + ["trials"] * 3) * 4  # two sizes, two runs each
+
+
+def texts(*values):
+    return st.sampled_from([str(v) for v in values])
+
+
+def text_lists(values, min_size=1):
+    return st.lists(values, min_size=min_size, max_size=3, unique=True).map(", ".join)
+
+
+# Every drawn value of a small run (sizes <= 60, T <= 3): the strategies of its
+# valid and of its invalid texts.
+SMALL_RUN = {
+    "--methods": (
+        text_lists(texts(*(t for t in cli.METHOD_TOKENS if t != "single"))),
+        # single calibrates one target, and every drawn layout has more
+        text_lists(texts("ia", "nope", "single")),
+    ),
+    "--alphas": (text_lists(texts(0.3, 0.1, 0.05, 0.999999)), texts(0, 1, 1e-300, "x", "0.1,0.1")),
+    "--trials": (texts(1, 2, 3), texts(-1, 0)),
+    "--runs": (texts(1, 2), texts(0)),
+    "--seed": (texts(0, 7), texts(-1)),
+    "--tau": (texts("auto", 0.2, "inf"), texts(0, -1)),
+    **{flag: (st.integers(1, 60).map(str), texts(-1, 0)) for flag in (
+        "--ntrain", "--ntune", "--ncal", "--ntest")},
+    "ntrain_values": (text_lists(st.integers(1, 60).map(str)), text_lists(texts(0, 9), 0)),
+    "ntune_values": (text_lists(st.integers(1, 60).map(str)), text_lists(texts(0, 9), 0)),
+    "label_values": (text_lists(texts(1, 2, 3)), text_lists(texts(0, 1), 0)),
+    "tasks": (texts(1, 2, 3), texts(0)),
+    "n_pred": (texts(2, 8), texts(1)),
+    "quantile_alpha": (texts(0.1, 0.5), texts(1.0)),
+}
+
+
+@st.composite
+def small_runs(draw):
+    """The INI text and flags of one small run: valid, or with one value broken."""
+    broken = draw(st.none() | st.sampled_from(list(SMALL_RUN)))
+    value = {name: draw(pair[name == broken]) for name, pair in SMALL_RUN.items()}
+    flags = ["--experiment", draw(st.sampled_from(list(cli.EXPERIMENTS)))]
+    flags += [item for name in SMALL_RUN if name.startswith("--") for item in (name, value[name])]
+    ini = "[experiment]\n" + "".join(
+        f"{name} = {value[name]}\n" for name in ("ntrain_values", "ntune_values", "label_values")
+    ) + "[rounds]\n" + "".join(
+        f"{name} = {value[name]}\n" for name in ("tasks", "n_pred", "quantile_alpha")
+    )
+    return ini, flags
+
+
+@settings(max_examples=60, deadline=None)  # about 4 s
+@given(small_runs())
+def test_every_small_run_writes_its_outputs_or_fails_in_one_line(config):
+    # Outputs of an earlier run sit in the output dir: a failed run may drop
+    # them, but must never leave a new results.csv beside the old manifest.
+    ini, flags = config
+    with tempfile.TemporaryDirectory() as tmp:
+        out, path = Path(tmp) / "out", Path(tmp) / "run.ini"
+        out.mkdir()
+        (out / "results.csv").write_text("old\n")
+        (out / "manifest.json").write_text("{}\n")
+        path.write_text(ini)
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr):
+            code = main(["run", str(path), *flags, "--output-dir", str(out)])
+        lines = stderr.getvalue().splitlines()
+        event(f"exit {code}")
+        if code == 0:
+            outputs = json.loads((out / "manifest.json").read_text())["outputs"]
+            assert "results.csv" in outputs and all((out / name).is_file() for name in outputs)
+            assert (out / "results.csv").read_text() != "old\n"
+            assert all(line.startswith("ctool: warning: ") for line in lines)
+        else:
+            assert code in (2, 3) and len(lines) == 1 and lines[0].startswith("ctool: "), lines
+            manifest = (out / "manifest.json").exists()
+            assert not manifest or (out / "results.csv").read_text() == "old\n"

@@ -17,7 +17,7 @@ from mtconf import (
     trial_rng,
 )
 from mtconf import core
-from mtconf.core import split_indices, split_source
+from mtconf.core import split_indices
 
 
 def toy_set(n=10, k=2, seed=0, quantiles=False, role=Role.CAL):
@@ -163,10 +163,6 @@ def test_trial_splits_draw_each_trial_once_on_first_use(monkeypatch):
     assert table[3][0] is cal and table[3][1] is test
     table[0]
     assert len(draws) == 2
-    # Without a table every lookup draws afresh, and the same indices.
-    fresh = split_source(spec, 12)
-    assert np.array_equal(fresh(3)[0], cal) and fresh(3)[0] is not cal
-    assert len(draws) == 4
 
 
 def test_trial_splits_are_read_only():
@@ -176,13 +172,3 @@ def test_trial_splits_are_read_only():
             indices[0] = 0
         with pytest.raises(ValueError, match="read-only"):
             indices.sort()
-
-
-def test_split_source_rejects_a_table_of_another_pool():
-    spec = SplitSpec(seed=9, n_tune=1, n_cal=5, n_test=3)
-    table = TrialSplits(spec, 10)
-    assert split_source(spec, 10, table)(0) is table[0]
-    with pytest.raises(ValueError, match="split table"):
-        split_source(spec, 11, table)
-    with pytest.raises(ValueError, match="split table"):
-        split_source(SplitSpec(seed=10, n_tune=1, n_cal=5, n_test=3), 10, table)

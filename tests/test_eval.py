@@ -14,6 +14,7 @@ from mtconf import (
     LabeledSet,
     Method,
     Role,
+    RoundConfig,
     ScoreKind,
     SplitSpec,
     TrialMetrics,
@@ -21,6 +22,8 @@ from mtconf import (
     coverage_bounds_check,
     fit_method,
     mc_slack,
+    run_protocol,
+    run_sc_baseline,
     run_trials,
     split_cal_test,
     trial_rng,
@@ -68,7 +71,7 @@ def test_joint_coverage_never_exceeds_any_single_target():
     tune = banded(300, 3, seed=2)
     spec = SplitSpec(seed=5, n_tune=1, n_cal=800, n_test=400)
     for method in (Method.QN_MAX, Method.IA, Method.MINIMAX, Method.COPULA):
-        metrics = run_trials(data, tune, method, ScoreKind.CQR, 0.1, 8, spec)
+        metrics = run_trials(data, tune, method, ScoreKind.CQR, 0.1, 8, TrialSplits(spec, data.n))
         assert metrics.esc.min() >= metrics.ejc - 1e-12
         assert metrics.trials == 8 and metrics.n_test == 400
 
@@ -77,7 +80,7 @@ def test_one_target_joint_equals_per_target():
     data = banded(600, 1, seed=3)
     tune = banded(100, 1, seed=4)
     spec = SplitSpec(seed=6, n_tune=1, n_cal=400, n_test=200)
-    metrics = run_trials(data, tune, Method.SINGLE, ScoreKind.CQR, 0.2, 10, spec)
+    metrics = run_trials(data, tune, Method.SINGLE, ScoreKind.CQR, 0.2, 10, TrialSplits(spec, 600))
     assert metrics.ejc == metrics.esc[0]
 
 
@@ -86,7 +89,7 @@ def test_starved_calibration_covers_everything_with_infinite_bands():
     tune = banded(50, 2, seed=8)
     # rank ceil(0.95 * 5) = 5 exceeds n_cal = 4: thresholds go infinite
     spec = SplitSpec(seed=9, n_tune=1, n_cal=4, n_test=20)
-    metrics = run_trials(data, tune, Method.MINIMAX, ScoreKind.CQR, 0.05, 3, spec)
+    metrics = run_trials(data, tune, Method.MINIMAX, ScoreKind.CQR, 0.05, 3, TrialSplits(spec, 30))
     assert metrics.ejc == 1.0
     assert np.all(metrics.esc == 1.0)
     assert np.all(np.isinf(metrics.mil))
@@ -96,8 +99,8 @@ def test_run_trials_deterministic_given_spec():
     data = banded(900, 2, seed=10)
     tune = banded(200, 2, seed=11)
     spec = SplitSpec(seed=12, n_tune=1, n_cal=600, n_test=300)
-    a = run_trials(data, tune, Method.MINIMAX, ScoreKind.QN, 0.1, 6, spec)
-    b = run_trials(data, tune, Method.MINIMAX, ScoreKind.QN, 0.1, 6, spec)
+    a = run_trials(data, tune, Method.MINIMAX, ScoreKind.QN, 0.1, 6, TrialSplits(spec, data.n))
+    b = run_trials(data, tune, Method.MINIMAX, ScoreKind.QN, 0.1, 6, TrialSplits(spec, data.n))
     assert a.ejc == b.ejc
     assert np.array_equal(a.esc, b.esc)
     assert np.array_equal(a.mil, b.mil)
@@ -107,8 +110,9 @@ def test_mean_lengths_grow_as_alpha_shrinks():
     data = banded(1000, 2, seed=13)
     tune = banded(200, 2, seed=14)
     spec = SplitSpec(seed=15, n_tune=1, n_cal=700, n_test=300)
-    tight = run_trials(data, tune, Method.QN_MAX, ScoreKind.QN, 0.30, 5, spec)
-    wide = run_trials(data, tune, Method.QN_MAX, ScoreKind.QN, 0.05, 5, spec)
+    splits = TrialSplits(spec, data.n)
+    tight = run_trials(data, tune, Method.QN_MAX, ScoreKind.QN, 0.30, 5, splits)
+    wide = run_trials(data, tune, Method.QN_MAX, ScoreKind.QN, 0.05, 5, splits)
     assert np.all(wide.mil >= tight.mil)
 
 
@@ -138,12 +142,12 @@ def test_coverage_bounds_check_three_outcomes():
 def test_run_trials_input_errors():
     data = banded(100, 2, seed=16)
     tune = banded(50, 2, seed=17)
-    spec = SplitSpec(seed=18, n_tune=1, n_cal=80, n_test=40)
+    splits = TrialSplits(SplitSpec(seed=18, n_tune=1, n_cal=80, n_test=40), data.n)
     for trials in (0, -1):
         with pytest.raises(ValueError, match="at least one trial"):
-            run_trials(data, tune, Method.QN_MAX, ScoreKind.CQR, 0.1, trials, spec)
+            run_trials(data, tune, Method.QN_MAX, ScoreKind.CQR, 0.1, trials, splits)
     with pytest.raises(InsufficientSamplesError):
-        run_trials(data, tune, Method.QN_MAX, ScoreKind.CQR, 0.1, 2, spec)
+        run_trials(data, tune, Method.QN_MAX, ScoreKind.CQR, 0.1, 2, splits)
 
 
 def test_metrics_arrays_are_read_only():
@@ -156,7 +160,8 @@ def test_sandwich_holds_for_maxscore_on_exchangeable_rows():
     data = banded(3000, 3, seed=19)
     tune = banded(500, 3, seed=20)
     spec = SplitSpec(seed=21, n_tune=1, n_cal=2000, n_test=1000)
-    metrics = run_trials(data, tune, Method.QN_MAX, ScoreKind.QN, 0.2, 50, spec)
+    splits = TrialSplits(spec, data.n)
+    metrics = run_trials(data, tune, Method.QN_MAX, ScoreKind.QN, 0.2, 50, splits)
     report = coverage_bounds_check(metrics, alpha=0.2, n_cal=2000)
     assert report.passed, report.message
 
@@ -210,8 +215,9 @@ def test_run_trials_equals_the_per_trial_pipeline(method, kind):
     data = banded(360, k, seed=30)
     tune = banded(90, k, seed=31)
     spec = SplitSpec(seed=32, n_tune=1, n_cal=200, n_test=120)
+    splits = TrialSplits(spec, data.n)
     for alpha in (0.3, 0.1):
-        got = run_trials(data, tune, method, kind, alpha, 4, spec)
+        got = run_trials(data, tune, method, kind, alpha, 4, splits)
         assert_matches_reference(got, reference_trials(data, tune, method, kind, alpha, 4, spec))
 
 
@@ -225,16 +231,20 @@ def test_run_trials_on_a_shared_split_table_equals_fresh_draws(method, kind):
     splits = TrialSplits(spec, data.n)
     # The second cell reuses the first's four splits and draws two more.
     for alpha, trials in ((0.3, 4), (0.1, 6)):
-        got = run_trials(data, tune, method, kind, alpha, trials, spec, splits=splits)
-        assert_same_metrics(got, run_trials(data, tune, method, kind, alpha, trials, spec))
+        got = run_trials(data, tune, method, kind, alpha, trials, splits)
+        fresh = TrialSplits(spec, data.n)
+        assert_same_metrics(got, run_trials(data, tune, method, kind, alpha, trials, fresh))
 
 
-def test_run_trials_rejects_a_split_table_of_another_pool():
+@pytest.mark.parametrize("loop", [run_trials, run_protocol, run_sc_baseline], ids=lambda f: f.__name__)
+def test_run_trials_rejects_a_split_table_of_another_pool(loop):
     data = banded(100, 2, seed=43)
     tune = banded(50, 2, seed=44)
     spec = SplitSpec(seed=45, n_tune=1, n_cal=60, n_test=30)
+    # The protocols take a round layout of the pool's two targets before the trials.
+    layout = () if loop is run_trials else (RoundConfig(2, 1, (0.2, 0.1), (2.0, 1.0)),)
     with pytest.raises(ValueError, match="split table"):
-        run_trials(data, tune, Method.IA, ScoreKind.CQR, 0.1, 2, spec, splits=TrialSplits(spec, 99))
+        loop(data, tune, Method.IA, ScoreKind.CQR, 0.1, *layout, 2, TrialSplits(spec, 99))
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 5, 15])
@@ -321,12 +331,12 @@ def test_run_trials_equals_the_per_trial_pipeline_at_size(method, kind):
     data = banded(2600, 3, seed=60)
     tune = banded(800, 3, seed=61)
     spec = SplitSpec(seed=62, n_tune=1, n_cal=1500, n_test=1000)
-    got = run_trials(data, tune, method, kind, 0.1, 3, spec)
+    got = run_trials(data, tune, method, kind, 0.1, 3, TrialSplits(spec, data.n))
     assert_matches_reference(got, reference_trials(data, tune, method, kind, 0.1, 3, spec))
     data = banded(700, 15, seed=63)
     tune = banded(300, 15, seed=64)
     spec = SplitSpec(seed=65, n_tune=1, n_cal=400, n_test=300)
-    got = run_trials(data, tune, method, kind, 0.05, 3, spec)
+    got = run_trials(data, tune, method, kind, 0.05, 3, TrialSplits(spec, data.n))
     assert_matches_reference(got, reference_trials(data, tune, method, kind, 0.05, 3, spec))
 
 
@@ -337,7 +347,7 @@ def test_run_trials_equals_the_pipeline_at_the_rank_extremes(method, kind):
     tune = banded(60, 2, seed=34)
     # rank ceil(0.95 * 6) = 6 overflows n_cal = 5: level m, thresholds +inf
     starved = SplitSpec(seed=35, n_tune=1, n_cal=5, n_test=30)
-    got = run_trials(data, tune, method, kind, 0.05, 3, starved)
+    got = run_trials(data, tune, method, kind, 0.05, 3, TrialSplits(starved, data.n))
     assert_matches_reference(got, reference_trials(data, tune, method, kind, 0.05, 3, starved))
     assert got.ejc == 1.0 and np.all(np.isposinf(got.mil))
     # every tuning score lies above every pool score: level 0, thresholds -inf,
@@ -346,7 +356,7 @@ def test_run_trials_equals_the_pipeline_at_the_rank_extremes(method, kind):
         features=tune.features, targets=tune.hi + 100.0, lo=tune.lo, hi=tune.hi, role=Role.TUNE
     )
     spec = SplitSpec(seed=36, n_tune=1, n_cal=25, n_test=15)
-    got = run_trials(data, far, method, kind, 0.2, 3, spec)
+    got = run_trials(data, far, method, kind, 0.2, 3, TrialSplits(spec, data.n))
     assert_matches_reference(got, reference_trials(data, far, method, kind, 0.2, 3, spec))
     assert got.ejc == 0.0 and np.all(got.esc == 0.0) and np.all(got.mil == 0.0)
 
@@ -355,12 +365,14 @@ def test_run_trials_equals_the_pipeline_at_the_rank_extremes(method, kind):
 def test_run_trials_working_set_does_not_grow_with_trials(method):
     data = banded(900, 3, seed=37)
     tune = banded(300, 3, seed=38)
-    spec = SplitSpec(seed=39, n_tune=1, n_cal=600, n_test=300)
+    splits = TrialSplits(SplitSpec(seed=39, n_tune=1, n_cal=600, n_test=300), data.n)
+    for t in range(50):  # the table's own growth stays out of the comparison
+        splits[t]
 
     def peak(trials):
         tracemalloc.start()
         try:
-            run_trials(data, tune, method, ScoreKind.CQR, 0.1, trials, spec)
+            run_trials(data, tune, method, ScoreKind.CQR, 0.1, trials, splits)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

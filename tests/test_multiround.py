@@ -22,7 +22,6 @@ from mtconf import (
     run_protocol,
     run_sc_baseline,
     split_cal_test,
-    sweep_labels,
     trial_rng,
 )
 from mtconf.multiround import _walk
@@ -34,6 +33,8 @@ CFG = RoundConfig()
 DATA = gen_multiround(900, CFG, seed=40, role=Role.CAL)
 TUNE = gen_multiround(300, CFG, seed=41, role=Role.TUNE)
 SPEC = SplitSpec(seed=42, n_tune=1, n_cal=600, n_test=300)
+SPLITS = TrialSplits(SPEC, DATA.n)
+MINIMAX_CQR = (Method.MINIMAX, ScoreKind.CQR)
 
 
 def with_tau(tau):
@@ -41,7 +42,7 @@ def with_tau(tau):
 
 
 def test_infinite_threshold_accepts_the_first_round():
-    res = run_protocol(DATA, TUNE, Method.MINIMAX, 0.1, with_tau(np.inf), 5, SPEC)
+    res = run_protocol(DATA, TUNE, *MINIMAX_CQR, 0.1, with_tau(np.inf), 5, SPLITS)
     assert res.histogram[0] == 5 * SPEC.n_test
     assert np.all(res.histogram[1:] == 0)
     assert res.r_avg == CFG.rates[0]
@@ -51,8 +52,8 @@ def test_infinite_threshold_accepts_the_first_round():
 def test_tiny_threshold_pushes_walks_to_the_last_round():
     # not exactly all of them: bands clipped at the unit-interval boundary can
     # collapse to zero length and still qualify under a vanishing threshold
-    tiny = run_protocol(DATA, TUNE, Method.MINIMAX, 0.1, with_tau(1e-9), 5, SPEC)
-    default = run_protocol(DATA, TUNE, Method.MINIMAX, 0.1, CFG, 5, SPEC)
+    tiny = run_protocol(DATA, TUNE, *MINIMAX_CQR, 0.1, with_tau(1e-9), 5, SPLITS)
+    default = run_protocol(DATA, TUNE, *MINIMAX_CQR, 0.1, CFG, 5, SPLITS)
     total = 5 * SPEC.n_test
     assert tiny.histogram[-1] >= 0.95 * total
     assert tiny.r_avg <= default.r_avg
@@ -63,7 +64,7 @@ def test_tiny_threshold_pushes_walks_to_the_last_round():
 
 
 def test_histogram_accounts_for_every_test_sample():
-    res = run_protocol(DATA, TUNE, Method.MINIMAX, 0.1, CFG, 6, SPEC)
+    res = run_protocol(DATA, TUNE, *MINIMAX_CQR, 0.1, CFG, 6, SPLITS)
     assert res.histogram.sum() == 6 * SPEC.n_test
     assert min(CFG.rates) <= res.r_avg <= max(CFG.rates)
     # accepted-round coverage is implied whenever every round is covered
@@ -109,16 +110,16 @@ def test_sc_baseline_equals_plain_conformal_for_one_round():
     cfg1 = RoundConfig(rounds=1, sigma=(0.1,), rates=(1.0,), tau=np.inf)
     data = gen_multiround(500, cfg1, seed=44)
     tune = gen_multiround(100, cfg1, seed=45)
-    spec = SplitSpec(seed=46, n_tune=1, n_cal=300, n_test=200)
-    sc = run_sc_baseline(data, tune, 0.1, cfg1, 4, spec)
-    plain = run_protocol(data, tune, Method.SINGLE, 0.1, cfg1, 4, spec)
+    splits = TrialSplits(SplitSpec(seed=46, n_tune=1, n_cal=300, n_test=200), data.n)
+    sc = run_sc_baseline(data, tune, *MINIMAX_CQR, 0.1, cfg1, 4, splits)
+    plain = run_protocol(data, tune, Method.SINGLE, ScoreKind.CQR, 0.1, cfg1, 4, splits)
     assert sc.eac == plain.eac
     assert np.array_equal(sc.histogram, plain.histogram)
     assert sc.ejc_all == plain.ejc_all
 
 
 def test_sc_baseline_covers_without_early_stopping():
-    res = run_sc_baseline(DATA, TUNE, 0.1, with_tau(np.inf), 5, SPEC)
+    res = run_sc_baseline(DATA, TUNE, *MINIMAX_CQR, 0.1, with_tau(np.inf), 5, SPLITS)
     assert res.eac >= 1 - 0.1 - mc_slack(0.1, res.trials, res.n_test)
 
 
@@ -158,29 +159,18 @@ def test_pilot_tau_rejects_infinite_lengths():
         pilot_tau(DATA, CFG, calib=calib)
 
 
-def test_sweep_labels_accounting():
-    spec = SplitSpec(seed=48, n_tune=150, n_cal=400, n_test=200)
-    results = sweep_labels([1, 2, 3], CFG, Method.MINIMAX, 0.1, 5, spec, data_seed=47)
-    assert len(results) == 3
-    for res in results:
-        assert res.histogram.sum() == 5 * spec.n_test
-        assert 0.0 <= res.eac <= 1.0
-    # more parallel tasks cannot speed the walk up
-    r = [res.r_avg for res in results]
-    assert r[1] <= r[0] + 0.05 and r[2] <= r[1] + 0.05
-
-
 def test_protocol_rejects_mismatched_layout():
+    three = dataclasses.replace(CFG, rounds=3, sigma=CFG.sigma[:3], rates=CFG.rates[:3])
     with pytest.raises(ValueError, match="round layout"):
-        run_protocol(DATA, TUNE, Method.MINIMAX, 0.1, dataclasses.replace(CFG, rounds=3, sigma=CFG.sigma[:3], rates=CFG.rates[:3]), 2, SPEC)
+        run_protocol(DATA, TUNE, *MINIMAX_CQR, 0.1, three, 2, SPLITS)
 
 
 @pytest.mark.parametrize("trials", [0, -1])
 def test_protocols_need_at_least_one_trial(trials):
     with pytest.raises(ValueError, match="at least one trial"):
-        run_protocol(DATA, TUNE, Method.MINIMAX, 0.1, CFG, trials, SPEC)
+        run_protocol(DATA, TUNE, *MINIMAX_CQR, 0.1, CFG, trials, SPLITS)
     with pytest.raises(ValueError, match="at least one trial"):
-        run_sc_baseline(DATA, TUNE, 0.1, CFG, trials, SPEC)
+        run_sc_baseline(DATA, TUNE, *MINIMAX_CQR, 0.1, CFG, trials, SPLITS)
 
 
 def reference_protocol(data, tune, method, alpha, cfg, trials, spec, kind, per_round):
@@ -243,10 +233,11 @@ def staged_rows(n, cfg, seed, role=Role.CAL):
 
 
 def assert_protocols_match(data, tune, method, alpha, cfg, trials, spec, kind):
-    joint = run_protocol(data, tune, method, alpha, cfg, trials, spec, kind)
+    splits = TrialSplits(spec, data.n)
+    joint = run_protocol(data, tune, method, kind, alpha, cfg, trials, splits)
     want = reference_protocol(data, tune, method, alpha, cfg, trials, spec, kind, False)
     assert_same_protocol(joint, want)
-    sc = run_sc_baseline(data, tune, alpha, cfg, trials, spec, kind, method)
+    sc = run_sc_baseline(data, tune, method, kind, alpha, cfg, trials, splits)
     want = reference_protocol(data, tune, method, alpha, cfg, trials, spec, kind, True)
     assert_same_protocol(sc, want)
     return joint, sc
@@ -277,13 +268,13 @@ def test_protocols_on_a_shared_split_table_equal_fresh_draws(method, tasks, kind
     tune = staged_rows(120, cfg, seed=71, role=Role.TUNE)
     spec = SplitSpec(seed=72, n_tune=1, n_cal=240, n_test=150)
     rc = dataclasses.replace(cfg, tau=pilot_tau(data, cfg))
-    kw = dict(method=method, cfg=rc, spec=spec, score_kind=kind)
     splits = TrialSplits(spec, data.n)
     # Every cell reuses the splits the cells before it drew, and the last draws one more.
     for alpha, trials in ((0.2, 2), (0.05, 3)):
         for run in (run_protocol, run_sc_baseline):
-            got = run(data, tune, alpha=alpha, trials=trials, splits=splits, **kw)
-            assert_same_protocol(got, run(data, tune, alpha=alpha, trials=trials, **kw))
+            got = run(data, tune, method, kind, alpha, rc, trials, splits)
+            fresh = TrialSplits(spec, data.n)
+            assert_same_protocol(got, run(data, tune, method, kind, alpha, rc, trials, fresh))
 
 
 @pytest.mark.parametrize("kind", [ScoreKind.CQR, ScoreKind.QN])
@@ -303,7 +294,8 @@ def test_single_protocol_equals_the_per_trial_pipeline():
     data = gen_multiround(300, cfg1, seed=53)
     tune = gen_multiround(80, cfg1, seed=54)
     spec = SplitSpec(seed=55, n_tune=1, n_cal=150, n_test=100)
-    got = run_protocol(data, tune, Method.SINGLE, 0.1, cfg1, 4, spec)
+    splits = TrialSplits(spec, data.n)
+    got = run_protocol(data, tune, Method.SINGLE, ScoreKind.CQR, 0.1, cfg1, 4, splits)
     want = reference_protocol(data, tune, Method.SINGLE, 0.1, cfg1, 4, spec, ScoreKind.CQR, False)
     assert_same_protocol(got, want)
 
