@@ -46,11 +46,9 @@ from .scores import (
 )
 from .synthetic import (
     NOISE_COV,
-    FitConfig,
     NoiseKind,
     QuantReg,
     RoundConfig,
-    cholesky3,
     fit_quantile_models,
     fit_quantreg,
     gen_multiround,

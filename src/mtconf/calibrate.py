@@ -32,7 +32,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial
 
 import numpy as np
 
@@ -162,70 +161,57 @@ def _rank_levels(method: Method, row_max: np.ndarray, m: int, alpha: float, rank
 @dataclass(frozen=True)
 class _ScoredPool:
     """What ``method`` reads of a set of scored rows, computed once; ``cell``
-    fixes a cell's rank and slices, and each trial gathers its rows from here.
+    fixes a cell's rank, slices and row maxima, and each trial gathers its
+    rows from there.
 
-    ``columns`` holds the checked scores target by target, (K, n).  Per
-    column block a calibration may cover (``blocks``), ``row_max[b]`` is each
-    row's largest score (QN_MAX) or tuning rank (MINIMAX, COPULA) in it.  The
-    CDF methods keep each target's threshold at level j in a (K, m + 1)
-    ``table``: the j-th tuning order statistic, -inf at j = 0 and +inf at
-    j = m (every transformed score); COPULA also keeps the (K, n) ``ranks``.
+    ``columns`` holds the checked scores target by target, (K, n).  The CDF
+    methods keep each target's threshold at level j in a (K, m + 1) ``table``:
+    the j-th tuning order statistic, -inf at j = 0 and +inf at j = m (every
+    transformed score), and the (K, n) integer tuning ``ranks`` of the rows.
     """
 
     method: Method
-    score_kind: ScoreKind
     columns: np.ndarray
-    blocks: tuple[slice, ...]
-    row_max: np.ndarray | None = None
     table: np.ndarray | None = None
     ranks: np.ndarray | None = None
 
-    def cell(self, n: int, alpha: float, block: int = 0):
-        """Calibration of the columns ``blocks[block]`` on ``n`` rows at level
-        ``alpha``, its rank (IA's root-corrected) and slices fixed once: a
+    def cell(self, n: int, alpha: float, cols: slice = slice(None)):
+        """Calibration of the columns ``cols`` on ``n`` rows at level ``alpha``,
+        its rank (IA's root-corrected), slices and row maxima (of the scores
+        for QN_MAX, of the tuning ranks for MINIMAX and COPULA) fixed once: a
         function of row indices that gathers them, partitions that copy and
         returns new (K,) thresholds (+inf on rank overflow) and the CDF
         methods' integer levels ((1,) for MINIMAX, None for the others)."""
-        method, cols = self.method, self.blocks[block]
-        columns = self.columns[cols]
+        method, columns = self.method, self.columns[cols]
         n_targets = len(columns)
+        if method is Method.SINGLE and n_targets != 1:
+            raise ValueError("SINGLE calibration applies to exactly one target")
         rank = _conformal_rank(n, alpha)
         if method is Method.IA:
             rank = _conformal_rank(n, 1.0 - (1.0 - alpha) ** (1.0 / n_targets))
-        if self.row_max is None:  # SINGLE or IA: one threshold per target row
+        if method in (Method.SINGLE, Method.IA):  # one threshold per target row
             return lambda rows: (_kth_smallest(columns.take(rows, axis=1), rank), None)
-        row_max = self.row_max[block]
         if method is Method.QN_MAX:
-            return lambda rows: (
-                np.full(n_targets, _kth_smallest(row_max.take(rows), rank)), None
-            )
-        table, targets = self.table[cols], np.arange(n_targets)
-        m = table.shape[1] - 1
+            row_max = columns.max(axis=0)
+            return lambda rows: (np.full(n_targets, _kth_smallest(row_max.take(rows), rank)), None)
+        table, ranks, targets = self.table[cols], self.ranks[cols], np.arange(n_targets)
+        row_max, m = ranks.max(axis=0), table.shape[1] - 1
         lookup = lambda levels: (table[targets, levels], levels)
-        if method is Method.MINIMAX:
+        if method is Method.MINIMAX:  # the function keeps the row maxima, not the ranks
             return lambda rows: lookup(_rank_levels(method, row_max.take(rows), m, alpha))
-        ranks = self.ranks[cols]
         return lambda rows: lookup(
             _rank_levels(method, row_max.take(rows), m, alpha, ranks.take(rows, axis=1))
         )
 
 
-def _score_rows(
-    method: Method, score_kind: ScoreKind, scores, tune_scores=None, blocks=(slice(None),)
-) -> _ScoredPool:
+def _score_rows(method: Method, scores, tune_scores=None) -> _ScoredPool:
     """Check (n, K) scores once and reduce them to what ``method`` reads."""
     if not isinstance(method, Method):
         raise ValueError(f"unknown method {method!r}")
     scores = _check_scores(scores, 2)
-    if method is Method.SINGLE and any(scores[:, cols].shape[1] != 1 for cols in blocks):
-        raise ValueError("SINGLE calibration applies to exactly one target")
     columns = np.ascontiguousarray(scores.T)
-    pool = partial(_ScoredPool, method, score_kind, columns, blocks)
-    block_max = lambda rows: np.stack([rows[cols].max(axis=0) for cols in blocks])
-    if method in (Method.SINGLE, Method.IA):
-        return pool()
-    if method is Method.QN_MAX:
-        return pool(block_max(columns))
+    if method not in (Method.MINIMAX, Method.COPULA):
+        return _ScoredPool(method, columns)
     if tune_scores is None:
         raise ValueError(f"{method.value} calibration needs tuning scores")
     tune_scores = _check_scores(tune_scores, 2)
@@ -240,7 +226,7 @@ def _score_rows(
     for c, col, out in zip(cdfs, columns, ranks):
         order = np.argsort(col)
         out[order] = np.searchsorted(c, col[order], side="right")
-    return pool(block_max(ranks), table, ranks if method is Method.COPULA else None)
+    return _ScoredPool(method, columns, table, ranks)
 
 
 def fit_method(
@@ -252,7 +238,7 @@ def fit_method(
 ) -> Calibration:
     """Calibrate ``method`` on (n, K) ``cal_scores`` at miscoverage ``alpha``;
     MINIMAX and COPULA also read (m, K) ``tune_scores``."""
-    pool = _score_rows(method, score_kind, cal_scores, tune_scores)
+    pool = _score_rows(method, cal_scores, tune_scores)
     n = pool.columns.shape[1]
     zeta, levels = pool.cell(n, alpha)(np.arange(n))
     lam = float(zeta[0]) if method in (Method.SINGLE, Method.QN_MAX) else None

@@ -34,7 +34,7 @@ from .core import Role, SplitSpec, TrialSplits, concat, derive_seed, partition
 from .core import split_cal_test  # noqa: F401 (perfbench/layers.py rebinds it here)
 from .evaluate import TrialMetrics, run_trials
 from .multiround import ProtocolResult, pilot_tau, run_protocol, run_sc_baseline
-from .scores import ScoreKind, score_matrix
+from .scores import MIN_BAND_WIDTH, ScoreKind, score_matrix
 from .synthetic import (
     NoiseKind,
     RoundConfig,
@@ -184,6 +184,16 @@ def _protocol_setup(cfg: ExperimentConfig, splits: TrialSplits):
         spec.total, base, derive_seed(cfg.seed, 10), quantile_alpha=cfg.quantile_alpha,
         n_pred=cfg.n_pred,
     )
+    # Few prediction samples can clip a band to width 0, which QN scores divide by.
+    qn = [token for token in cfg.methods if METHOD_TOKENS[token][1].normalized]
+    flat = (data.hi - data.lo < MIN_BAND_WIDTH).reshape(spec.total, cfg.rounds, -1).any(axis=2)
+    if qn and flat.any():
+        b = int(flat.any(axis=0).argmax())
+        raise ValueError(
+            f"round {b} has {np.count_nonzero(flat[:, b])} of {spec.total} rows with a zero-width "
+            f"quantile band at n_pred={cfg.n_pred}, quantile_alpha={_fmt(cfg.quantile_alpha)}; "
+            f"{qn[0]!r} divides scores by the band width: raise n_pred or use a CQR method"
+        )
     tune, cal, test = partition(data, spec)
     pool = concat([cal, test], Role.CAL)
 
@@ -302,10 +312,10 @@ class ExperimentConfig:
     ntrain_values: tuple[int, ...] = _field((50, 500, 1000, 2000), int, "experiment")
     ntune_values: tuple[int, ...] = _field((50, 500, 1000, 2000, 5000, 10000), int, "experiment")
     label_values: tuple[int, ...] = _field((1, 2, 3, 4, 5), int, "experiment")
-    rounds: int = _field(5, int, "rounds")
-    tasks: int = _field(1, int, "rounds")
-    sigma: tuple[float, ...] = _field((0.4, 0.2, 0.1, 0.05, 0.02), float, "rounds")
-    rates: tuple[float, ...] = _field((16.0, 8.0, 4.0, 2.0, 1.0), float, "rounds")
+    rounds: int = _field(RoundConfig.rounds, int, "rounds")
+    tasks: int = _field(RoundConfig.tasks, int, "rounds")
+    sigma: tuple[float, ...] = _field(RoundConfig.sigma, float, "rounds")
+    rates: tuple[float, ...] = _field(RoundConfig.rates, float, "rounds")
     quantile_alpha: float = _field(0.1, float, "rounds")
     n_pred: int = _field(32, int, "rounds")
 

@@ -4,9 +4,9 @@ Each trial re-splits a fixed evaluation pool into calibration and test sets,
 calibrates one method, and measures coverage and interval lengths on the
 test set; the tuning set is drawn once outside this module.  One trial
 engine, ``_trials``, serves ``run_trials`` and ``multiround``'s stopping
-protocols.  Per cell it scores the pool once and keeps every invariant (row
-maxima, the CDF methods' threshold table, the conformal rank of
-``_ScoredPool.cell``, the scores as contiguous (K, N) target rows).  A trial
+protocols.  Per cell it scores the pool once, keeps the scores as contiguous
+(K, N) target rows and fixes each column block's ``_ScoredPool.cell`` (the
+conformal rank, the row maxima, the CDF methods' threshold table).  A trial
 gathers and partitions its calibration rows for (K, 1) margins, gathers its
 test columns of the score rows, and yields their coverage mask, test indices
 and margins.  The two reductions own their (K, N) length rows: ``run_trials``
@@ -105,16 +105,16 @@ def _trials(
     scores, tune_scores = score_matrix(data.lo, data.hi, data.targets, kind), None
     if method in (Method.MINIMAX, Method.COPULA):
         tune_scores = score_matrix(tune.lo, tune.hi, tune.targets, kind)
-    pool = _score_rows(method, kind, scores, tune_scores, blocks)
-    del scores, tune_scores  # freed before the length rows; the pool keeps what trials read
-    cells = [(cols, pool.cell(splits.spec.n_cal, alpha, b)) for b, cols in enumerate(blocks)]
+    pool = _score_rows(method, scores, tune_scores)
+    cells = [(cols, pool.cell(splits.spec.n_cal, alpha, cols)) for cols in blocks]
+    columns = pool.columns  # the trials keep the score rows and the cells, not the pool
     margins = np.empty((data.n_targets, 1))
 
     def trial(t: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         cal, test = splits[t]
         for cols, thresholds in cells:
             margins[cols, 0] = thresholds(cal)[0]
-        return pool.columns.take(test, axis=1) <= margins, test, margins
+        return columns.take(test, axis=1) <= margins, test, margins
 
     return map(trial, range(trials))
 

@@ -28,6 +28,12 @@ NOISE_COV = np.array(
     ]
 )
 NOISE_COV.setflags(write=False)
+# Its lower Cholesky factor, which mixes the correlated variant's base noises.
+NOISE_FACTOR = np.linalg.cholesky(NOISE_COV)
+NOISE_FACTOR.setflags(write=False)
+
+# The pinball fit's number of full-batch subgradient steps and first step size.
+FIT_EPOCHS, FIT_STEP = 2000, 0.5
 
 
 class NoiseKind(str, Enum):
@@ -41,19 +47,6 @@ def regression_mean(u: np.ndarray) -> np.ndarray:
     return np.column_stack([10.0 * u + 10.0, -2.0 * u + 1.0, 0.1 * u**2])
 
 
-def cholesky3(matrix: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor of a symmetric positive-definite 3x3 matrix."""
-    matrix = np.asarray(matrix, dtype=np.float64)
-    if matrix.shape != (3, 3):
-        raise ValueError("cholesky3 expects a 3x3 matrix")
-    if not np.allclose(matrix, matrix.T, atol=1e-12, rtol=0.0):
-        raise ValueError("matrix is not symmetric")
-    try:
-        return np.linalg.cholesky(matrix)
-    except np.linalg.LinAlgError as err:
-        raise ValueError("matrix is not positive definite") from err
-
-
 def gen_synthetic(
     n: int, noise: NoiseKind, seed: int, role: Role = Role.TRAIN
 ) -> LabeledSet:
@@ -61,8 +54,9 @@ def gen_synthetic(
 
     The feature is uniform on (-5, 5).  Base noises are N(10, 1),
     Exponential(1), Exponential(1); the correlated variant multiplies the
-    stacked base draws (including the Gaussian's offset mean) by the lower
-    Cholesky factor of ``NOISE_COV``, so target means shift as well as mix.
+    stacked base draws (including the Gaussian's offset mean) by
+    ``NOISE_FACTOR``, the lower Cholesky factor of ``NOISE_COV``, so target
+    means shift as well as mix.
     """
     if n < 1:
         raise ValueError("need at least one sample")
@@ -76,22 +70,8 @@ def gen_synthetic(
         ]
     )
     if noise is NoiseKind.CORRELATED:
-        eps = eps @ cholesky3(NOISE_COV).T
+        eps = eps @ NOISE_FACTOR.T
     return LabeledSet(features=u, targets=regression_mean(u) + eps, role=role)
-
-
-@dataclass(frozen=True)
-class FitConfig:
-    """Subgradient-descent settings for the pinball fit."""
-
-    epochs: int = 2000
-    step: float = 0.5
-
-    def __post_init__(self) -> None:
-        if self.epochs < 1:
-            raise ValueError("epochs must be positive")
-        if not self.step > 0:
-            raise ValueError("step must be positive")
 
 
 @dataclass(frozen=True)
@@ -106,26 +86,22 @@ class QuantReg:
         return self.weight * np.asarray(u, dtype=np.float64) + self.bias
 
 
-def fit_quantreg(
-    train: LabeledSet, k: int, level: float, hyper: FitConfig = FitConfig()
-) -> QuantReg:
+def fit_quantreg(train: LabeledSet, k: int, level: float) -> QuantReg:
     """Fit a linear quantile model by full-batch pinball subgradient descent.
 
-    Runs ``hyper.epochs`` full-batch steps with step size ``hyper.step``
-    decayed by 1/sqrt(epoch) from a zero initialization and returns the mean
-    of the final quarter of the iterates (subgradient iterates oscillate, the
-    tail average does not).  The descent operates on standardized copies of
+    Runs ``FIT_EPOCHS`` (2000) full-batch steps with step size ``FIT_STEP``
+    (0.5) decayed by 1/sqrt(epoch) from a zero initialization and returns the
+    mean of the final quarter of the iterates (subgradient iterates oscillate,
+    the tail average does not).  The descent operates on standardized copies of
     the feature and target: a fixed step budget cannot traverse the raw
     target offsets, while on standardized data these settings keep the
     below-quantile fraction within a few 1e-3 of the level.  Coefficients are
     mapped back to the original units before returning.
     """
-    return _fit_lines(train, [(k, level)], hyper)[0]
+    return _fit_lines(train, [(k, level)])[0]
 
 
-def fit_quantile_models(
-    train: LabeledSet, alpha: float, hyper: FitConfig = FitConfig()
-) -> list[tuple[QuantReg, QuantReg]]:
+def fit_quantile_models(train: LabeledSet, alpha: float) -> list[tuple[QuantReg, QuantReg]]:
     """Fit the (alpha/2, 1 - alpha/2) model pair for every target.
 
     All 2K lines (K targets) descend together, each exactly as
@@ -140,13 +116,11 @@ def fit_quantile_models(
     ``zs < us * w + b``.
     """
     levels = (alpha / 2.0, 1.0 - alpha / 2.0)
-    models = _fit_lines(train, [(k, lvl) for k in range(train.n_targets) for lvl in levels], hyper)
+    models = _fit_lines(train, [(k, lvl) for k in range(train.n_targets) for lvl in levels])
     return list(zip(models[::2], models[1::2]))
 
 
-def _fit_lines(
-    train: LabeledSet, lines: list[tuple[int, float]], hyper: FitConfig
-) -> list[QuantReg]:
+def _fit_lines(train: LabeledSet, lines: list[tuple[int, float]]) -> list[QuantReg]:
     """``fit_quantreg`` for every (target, level) line, in one descent.
 
     Holds 3 floats per training row and line: the standardized target, and
@@ -170,13 +144,13 @@ def _fit_lines(
     levels = np.array([level for _, level in lines])[:, None]
     w, b = np.zeros(m), np.zeros(m)
     w_acc, b_acc = np.zeros(m), np.zeros(m)
-    n_tail = max(1, hyper.epochs // 4)
-    tail_start = hyper.epochs - n_tail + 1
+    n_tail = FIT_EPOCHS // 4
+    tail_start = FIT_EPOCHS - n_tail + 1
     # One epoch in one (2m, n) buffer: the grad rows first hold the
     # prediction, then coeff * u; a single reduce sums them and the coeff rows.
     rows = np.empty((2 * m, n))
     grad, coeff = rows[:m], rows[m:]
-    for epoch in range(1, hyper.epochs + 1):
+    for epoch in range(1, FIT_EPOCHS + 1):
         np.multiply(us, w[:, None], out=grad)
         np.add(grad, b[:, None], out=grad)
         # For finite doubles, zs - pred < 0 exactly when zs < pred; the float
@@ -185,7 +159,7 @@ def _fit_lines(
         np.subtract(levels, coeff, out=coeff)
         np.multiply(coeff, us, out=grad)
         steps = np.add.reduce(rows, axis=1) / n
-        steps *= hyper.step / math.sqrt(epoch)
+        steps *= FIT_STEP / math.sqrt(epoch)
         w += steps[:m]
         b += steps[m:]
         if epoch >= tail_start:
@@ -258,9 +232,6 @@ class RoundConfig:
     def n_targets(self) -> int:
         return self.rounds * self.tasks
 
-    def target_index(self, b: int, task: int) -> int:
-        return b * self.tasks + task
-
 
 def gen_multiround(
     n: int,
@@ -302,7 +273,7 @@ def gen_multiround(
     targets = np.empty((n, n_targets))
     for b in range(cfg.rounds):
         for l in range(cfg.tasks):
-            k = cfg.target_index(b, l)
+            k = b * cfg.tasks + l
             # truth + sigma * noise, clipped, in place; one row sort gives both ranks
             samples = rng_for(seed, 1, b, l).normal(0.0, 1.0, size=(n, n_pred))
             samples *= cfg.sigma[b]

@@ -25,7 +25,6 @@ from mtconf import (
     ScoreKind,
     SplitSpec,
     TrialSplits,
-    cholesky3,
     concat,
     coverage_bounds_check,
     derive_seed,
@@ -44,6 +43,7 @@ from mtconf import (
     trial_rng,
 )
 from mtconf.scores import interval_bounds, score_matrix
+from mtconf.synthetic import NOISE_FACTOR
 
 SEED = 20250811
 ALPHAS = (0.30, 0.20, 0.10, 0.05)
@@ -386,9 +386,8 @@ def test_criterion_8_micro_oracles():
         trip_cases += by_score.size
     trip_ok = trip_bad == 0
 
-    # (c) Cholesky factor reconstructs the noise correlation matrix
-    factor = cholesky3(NOISE_COV)
-    chol_err = float(np.max(np.abs(factor @ factor.T - NOISE_COV)))
+    # (c) the generator's Cholesky factor reconstructs the noise correlation matrix
+    chol_err = float(np.max(np.abs(NOISE_FACTOR @ NOISE_FACTOR.T - NOISE_COV)))
     chol_ok = chol_err <= 1e-12
 
     # (d) pinball fits land the right fraction of training points below them

@@ -21,6 +21,7 @@ import pytest
 from mtconf import Calibration, Method, ScoreKind, cli, fit_method
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+SRC = Path(__file__).resolve().parent.parent / "src" / "mtconf"
 
 
 def _load_perfbench(name):
@@ -51,6 +52,29 @@ def test_every_traced_name_resolves(module, name):
 def test_trial_calls_take_a_trials_argument(name):
     cli = importlib.import_module("mtconf.cli")
     assert "trials" in inspect.signature(getattr(cli, name)).parameters
+
+
+def _unused_imports(path):
+    """The names a module imports and never reads."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imports = [n for n in ast.walk(tree) if isinstance(n, (ast.Import, ast.ImportFrom))]
+    imported = {
+        (alias.asname or alias.name).split(".")[0]
+        for node in imports
+        if getattr(node, "module", None) != "__future__"
+        for alias in node.names
+    }
+    return imported - {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+
+
+# The package's __init__ imports the public API for its callers.
+@pytest.mark.parametrize("module", sorted(p.stem for p in SRC.glob("*.py") if p.stem != "__init__"))
+def test_every_unused_import_is_one_the_benchmark_rebinds(module):
+    """perfbench rebinds some names in the modules that import them, so those
+    may go unused; any other unused import is a leftover."""
+    sites = {site for sites in LAYERS.TRACED.values() for site in sites}
+    rebound = {name for mod, name in sites if mod == f"mtconf.{module}"}
+    assert _unused_imports(SRC / f"{module}.py") <= rebound
 
 
 def _mtconf_imports():

@@ -119,7 +119,7 @@ def test_empirical_cdf_counts():
     assert cdf.tolist() == [1.0, 2.0, 3.0] and not cdf.flags.writeable
     # A calibration score's rank is the count of tuning scores at or below it.
     cal, tune = np.array([[2.0], [0.5], [99.0]]), np.array([[3.0], [1.0], [2.0]])
-    pool = _score_rows(Method.COPULA, ScoreKind.CQR, cal, tune)
+    pool = _score_rows(Method.COPULA, cal, tune)
     assert pool.ranks.tolist() == [[2, 0, 3]]
     for bad in (np.array([]), np.ones((2, 2))):
         with pytest.raises(ValueError, match="non-empty 1-d"):
@@ -488,9 +488,8 @@ def tied_score_pairs(draw):
 def test_pool_ranks_are_the_right_searchsorted_counts(pair):
     cal, tune = pair
     want = np.stack([np.searchsorted(np.sort(t), c, side="right") for t, c in zip(tune.T, cal.T)])
-    pool = _score_rows(Method.COPULA, ScoreKind.CQR, cal, tune)
+    pool = _score_rows(Method.COPULA, cal, tune)
     assert pool.ranks.dtype == want.dtype and np.array_equal(pool.ranks, want)
-    assert np.array_equal(pool.row_max[0], want.max(axis=0))
 
 
 @given(rank_tables(), st.integers(1, 99), st.integers(1, 99))
@@ -688,10 +687,10 @@ def sorted_thresholds(method, cal, tune, alpha):
 @settings(max_examples=400, deadline=None)
 def test_cell_thresholds_equal_fit_method_on_the_gathered_rows(case):
     method, kind, scores, tune, blocks, rows, alpha = case
-    pool = _score_rows(method, kind, scores, tune, blocks)
-    kept = [None if a is None else a.copy() for a in (pool.columns, pool.row_max, pool.ranks)]
-    for b, cols in enumerate(blocks):
-        thresholds = pool.cell(rows.size, alpha, b)
+    pool = _score_rows(method, scores, tune)
+    kept = [None if a is None else a.copy() for a in (pool.columns, pool.table, pool.ranks)]
+    for cols in blocks:
+        thresholds = pool.cell(rows.size, alpha, cols)
         margins, levels = thresholds(rows)
         # Each trial gets its own arrays, also on rank overflow, and MINIMAX
         # always shares one level.
@@ -716,5 +715,5 @@ def test_cell_thresholds_equal_fit_method_on_the_gathered_rows(case):
         elif levels is not None and tune.min() > scores.max():  # every rank is 0
             assert np.all(margins == -np.inf) and np.all(levels == 0)
     # A trial partitions its own gathered copies, never the pool.
-    after = (pool.columns, pool.row_max, pool.ranks)
+    after = (pool.columns, pool.table, pool.ranks)
     assert all(a is None or np.array_equal(a, b) for a, b in zip(kept, after))

@@ -587,6 +587,24 @@ def test_a_tau_pilot_with_a_zero_median_length_is_a_one_line_error(tmp_path, cap
     assert not (out / "results.csv").exists()
 
 
+def test_a_zero_width_band_under_a_width_normalized_method_is_a_one_line_error(tmp_path, capsys):
+    # Two prediction samples often clip to one bound, so some bands have width 0.
+    config = tmp_path / "n_pred.ini"
+    config.write_text("[rounds]\nn_pred = 2\n")
+    argv = ("--experiment", "multiround", "--tau", "0.2", "--trials", "2")
+    out = tmp_path / "qn"
+    assert run_cli(config, *argv, "--methods", "qn", "--output-dir", out) == 3
+    assert capsys.readouterr().err == (
+        "ctool: run error: round 0 has 472 of 5000 rows with a zero-width quantile band at"
+        " n_pred=2, quantile_alpha=0.1; 'qn' divides scores by the band width: raise n_pred"
+        " or use a CQR method\n"
+    )
+    assert not (out / "results.csv").exists()
+    out = tmp_path / "cqr"
+    assert run_cli(config, *argv, "--methods", "cqr_minimax", "--output-dir", out) == 0
+    assert (out / "results.csv").exists()
+
+
 @pytest.mark.parametrize(
     "ini, flags, message",
     [

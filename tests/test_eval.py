@@ -1,7 +1,9 @@
 """Monte Carlo harness: metrics, determinism, and the coverage sandwich."""
 
+import gc
 import math
 import tracemalloc
+import weakref
 from itertools import product
 
 import numpy as np
@@ -28,6 +30,7 @@ from mtconf import (
     split_cal_test,
     trial_rng,
 )
+from mtconf import evaluate
 from mtconf.evaluate import _length_rows, _test_metrics, _trial_mil
 from mtconf.scores import _scale_ratios, interval_bounds, interval_lengths, score_matrix
 from reference import reference_bounds, reference_evaluation
@@ -380,3 +383,22 @@ def test_run_trials_working_set_does_not_grow_with_trials(method):
     peak(2)  # first-call allocations (caches, lazy imports) stay out of the comparison
     # Batching trials into (T, n_cal, K) int64 ranks would add 14 KB per trial here.
     assert abs(peak(50) - peak(5)) < 64 * 1024
+
+
+@pytest.mark.parametrize("method, kept", [(Method.MINIMAX, False), (Method.COPULA, True)])
+def test_trials_keep_the_tuning_ranks_only_where_a_trial_reads_them(monkeypatch, method, kept):
+    # MINIMAX trials read each row's largest rank; only COPULA's descent reads the (K, N) ranks.
+    ranks, real = [], evaluate._score_rows
+
+    def score_rows(*args):
+        pool = real(*args)
+        ranks.append(weakref.ref(pool.ranks))
+        return pool
+
+    monkeypatch.setattr(evaluate, "_score_rows", score_rows)
+    data, tune = banded(60, 3, seed=40), banded(30, 3, seed=41)
+    splits = TrialSplits(SplitSpec(seed=42, n_tune=1, n_cal=40, n_test=20), data.n)
+    cell = evaluate._trials(data, tune, method, ScoreKind.CQR, 0.1, 2, splits)
+    gc.collect()
+    assert (ranks[0]() is not None) == kept
+    assert len(list(cell)) == 2

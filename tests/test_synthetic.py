@@ -9,12 +9,10 @@ from hypothesis import strategies as st
 
 from mtconf import (
     NOISE_COV,
-    FitConfig,
     NoiseKind,
     QuantReg,
     Role,
     RoundConfig,
-    cholesky3,
     fit_quantile_models,
     fit_quantreg,
     gen_multiround,
@@ -24,6 +22,7 @@ from mtconf import (
 )
 from mtconf.core import LabeledSet, rng_for
 from mtconf.scores import _ceil_rank
+from mtconf.synthetic import FIT_EPOCHS, FIT_STEP
 
 
 def test_regression_mean_values():
@@ -63,21 +62,8 @@ def test_correlated_noise_covariance_and_mean():
     resid = data.targets - regression_mean(data.features)
     cov = np.cov(resid.T)
     assert np.allclose(cov, NOISE_COV, atol=0.03)
-    want_mean = cholesky3(NOISE_COV) @ np.array([10.0, 1.0, 1.0])
+    want_mean = np.linalg.cholesky(NOISE_COV) @ np.array([10.0, 1.0, 1.0])
     assert np.allclose(resid.mean(axis=0), want_mean, atol=0.03)
-
-
-def test_cholesky3_cases():
-    assert np.allclose(cholesky3(np.eye(3)), np.eye(3))
-    assert np.allclose(cholesky3(np.diag([4.0, 9.0, 16.0])), np.diag([2.0, 3.0, 4.0]))
-    factor = cholesky3(NOISE_COV)
-    assert np.max(np.abs(factor @ factor.T - NOISE_COV)) <= 1e-12
-    with pytest.raises(ValueError, match="positive definite"):
-        cholesky3(np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]]))
-    with pytest.raises(ValueError, match="symmetric"):
-        cholesky3(np.array([[1.0, 0.5, 0.0], [0.1, 1.0, 0.0], [0.0, 0.0, 1.0]]))
-    with pytest.raises(ValueError, match="3x3"):
-        cholesky3(np.eye(2))
 
 
 def _line_set(rng, n, weight, bias, noise_std=0.0):
@@ -119,7 +105,7 @@ def test_fit_quantreg_hits_the_target_exceedance_fraction():
     assert below == pytest.approx(0.25, abs=0.03)
 
 
-def first_written_quantreg(train, k, level, hyper=FitConfig()):
+def first_written_quantreg(train, k, level):
     """``fit_quantreg``'s descent as first written, one temporary per step."""
     u, z = train.features, train.targets[:, k]
     u_mean, u_sd = float(u.mean()), float(u.std())
@@ -129,14 +115,14 @@ def first_written_quantreg(train, k, level, hyper=FitConfig()):
     us = (u - u_mean) / u_sd
     zs = (z - z_mean) / z_sd
     w = b = w_acc = b_acc = 0.0
-    n_tail = max(1, hyper.epochs // 4)
-    for epoch in range(1, hyper.epochs + 1):
+    n_tail = max(1, FIT_EPOCHS // 4)
+    for epoch in range(1, FIT_EPOCHS + 1):
         residual = zs - (w * us + b)
         coeff = level - (residual < 0.0)
-        lr = hyper.step / math.sqrt(epoch)
+        lr = FIT_STEP / math.sqrt(epoch)
         w += lr * float(np.mean(coeff * us))
         b += lr * float(np.mean(coeff))
-        if epoch >= hyper.epochs - n_tail + 1:
+        if epoch >= FIT_EPOCHS - n_tail + 1:
             w_acc += w
             b_acc += b
     w, b = w_acc / n_tail, b_acc / n_tail
@@ -163,22 +149,14 @@ def test_fit_quantreg_is_bit_identical_to_the_first_written_descent(n, noise, fl
     elif flat == "target":
         targets[:, 1] = -3.0
     train = LabeledSet(features=features, targets=targets, role=Role.TRAIN)
-    hyper = FitConfig() if n < 5000 else FitConfig(epochs=300)
     for k, level in ((0, 0.05), (1, 0.5), (2, 0.975)):
-        model = fit_quantreg(train, k, level, hyper)
-        assert (model.weight, model.bias) == first_written_quantreg(train, k, level, hyper)
+        model = fit_quantreg(train, k, level)
+        assert (model.weight, model.bias) == first_written_quantreg(train, k, level)
     for alpha in (0.05, 0.3):
-        for k, pair in enumerate(fit_quantile_models(train, alpha, hyper)):
+        for k, pair in enumerate(fit_quantile_models(train, alpha)):
             for model, level in zip(pair, (alpha / 2.0, 1.0 - alpha / 2.0)):
                 assert model.level == level
-                assert (model.weight, model.bias) == first_written_quantreg(train, k, level, hyper)
-
-
-def test_fit_config_validation():
-    with pytest.raises(ValueError):
-        FitConfig(epochs=0)
-    with pytest.raises(ValueError):
-        FitConfig(step=0.0)
+                assert (model.weight, model.bias) == first_written_quantreg(train, k, level)
 
 
 def test_fit_quantile_models_orders_the_pair():
@@ -303,8 +281,8 @@ def partition_bands(n, cfg, seed, quantile_alpha, n_pred):
             noise = rng_for(seed, 1, b, l).normal(0.0, 1.0, size=(n, n_pred))
             samples = np.clip(truths[:, [l]] + cfg.sigma[b] * noise, 0.0, 1.0)
             part = np.partition(samples, (lo_rank - 1, hi_rank - 1), axis=1)
-            lo[:, cfg.target_index(b, l)] = part[:, lo_rank - 1]
-            hi[:, cfg.target_index(b, l)] = part[:, hi_rank - 1]
+            lo[:, b * cfg.tasks + l] = part[:, lo_rank - 1]
+            hi[:, b * cfg.tasks + l] = part[:, hi_rank - 1]
     return lo, hi
 
 
