@@ -51,10 +51,12 @@ KNOWN_FAULTS = [
     {"metrics": ["peak_rss_mb"],
      "fault": "read from the child's ru_maxrss, which a process started by subprocess inherits "
               "from its parent, so it tracks perfbench's own high-water mark, not ctool's"},
-    {"metrics": ["calibrate.fit_s.ia", "calibrate.fit_s.qn_max", "calibrate.fit_s.minimax",
-                 "calibrate.fit_s.copula", "calibrate.eval_s", "core.split_s"],
-     "fault": "read 0 in the trial loops, which call none of the names perfbench/layers.py "
-              "traces for them; their time lands in evaluate.loop_s and multiround.loop_s"},
+    {"metrics": ["calibrate.fit_s", "calibrate.fit_s.ia", "calibrate.fit_s.qn_max",
+                 "calibrate.fit_s.minimax", "calibrate.fit_s.copula", "calibrate.eval_s",
+                 "core.split_s"],
+     "fault": "read 0: the trial loops and the tau pilot call none of the names "
+              "perfbench/layers.py traces for them; their time lands in evaluate.loop_s, "
+              "multiround.loop_s and multiround.pilot_s"},
     {"metrics": ["trace.overhead_s"],
      "fault": "the traced rounds' median wall time minus the untraced rounds' median, a "
               "difference of two medians that run-to-run noise can make negative"},

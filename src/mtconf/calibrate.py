@@ -70,17 +70,15 @@ class Calibration:
 
     ``per_target_zeta`` holds the (K,) raw-score thresholds of every method
     (K copies of one threshold for QN_MAX); infinite entries mean the
-    corresponding interval side is uninformative.  ``lam`` is the scalar
-    threshold for SINGLE / QN_MAX (raw score domain) and the max-CDF level in
-    [0, 1] for MINIMAX.  ``per_target_level`` keeps the CDF methods' levels
-    in [0, 1].
+    corresponding interval side is uninformative.  ``per_target_level`` keeps
+    the CDF methods' levels in [0, 1] (K copies of one max-CDF level for
+    MINIMAX).
     """
 
     method: Method
     score_kind: ScoreKind
     alpha: float
     per_target_zeta: np.ndarray
-    lam: float | None = None
     per_target_level: np.ndarray | None = None
 
     def __post_init__(self) -> None:
@@ -241,11 +239,9 @@ def fit_method(
     pool = _score_rows(method, cal_scores, tune_scores)
     n = pool.columns.shape[1]
     zeta, levels = pool.cell(n, alpha)(np.arange(n))
-    lam = float(zeta[0]) if method in (Method.SINGLE, Method.QN_MAX) else None
     if levels is not None:
         levels = np.broadcast_to(levels, zeta.shape) / (pool.table.shape[1] - 1)
-        lam = float(levels[0]) if method is Method.MINIMAX else None
-    return Calibration(method, score_kind, alpha, zeta, lam, levels)
+    return Calibration(method, score_kind, alpha, zeta, levels)
 
 
 def interval_array(lo: np.ndarray, hi: np.ndarray, calib: Calibration) -> tuple[np.ndarray, np.ndarray]:

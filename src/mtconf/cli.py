@@ -29,12 +29,14 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import __version__
-from .calibrate import Method, fit_method
+# fit_method, split_cal_test and score_matrix are imported only for
+# perfbench/layers.py, which times those layers by rebinding them here.
+from .calibrate import Method, fit_method  # noqa: F401
 from .core import Role, SplitSpec, TrialSplits, concat, derive_seed, partition
-from .core import split_cal_test  # noqa: F401 (perfbench/layers.py rebinds it here)
+from .core import split_cal_test  # noqa: F401
 from .evaluate import TrialMetrics, run_trials
 from .multiround import ProtocolResult, pilot_tau, run_protocol, run_sc_baseline
-from .scores import MIN_BAND_WIDTH, ScoreKind, score_matrix
+from .scores import MIN_BAND_WIDTH, ScoreKind, score_matrix  # noqa: F401
 from .synthetic import (
     NoiseKind,
     RoundConfig,
@@ -80,7 +82,7 @@ CSV_COLUMNS = (
 )
 
 # Below this tuning size the CDF transforms are too coarse to balance
-# per-target coverage; affected size-sweep cells get a manifest warning.
+# per-target coverage; affected trial cells get a manifest warning.
 UNDER_TUNED = 500
 
 
@@ -112,8 +114,8 @@ class Cell(NamedTuple):
     tau: float | None = None
 
 
-# Runners call the trial loops and the pilot's pieces through this module's
-# globals, at call time, and keep one split table alive at a time.
+# Runners call the trial loops and the pilot through this module's globals, at
+# call time, and keep one split table alive at a time.
 
 
 def _splits(cfg: ExperimentConfig) -> TrialSplits:
@@ -180,10 +182,7 @@ def _protocol_setup(cfg: ExperimentConfig, splits: TrialSplits):
     """Tune set and cal/test pool of a multiround run, and its tau pilot."""
     spec = splits.spec
     base = cfg.round_config(tau=1.0)  # the data and the pilot do not depend on tau
-    data = gen_multiround(
-        spec.total, base, derive_seed(cfg.seed, 10), quantile_alpha=cfg.quantile_alpha,
-        n_pred=cfg.n_pred,
-    )
+    data = gen_multiround(spec.total, base, derive_seed(cfg.seed, 10))
     # Few prediction samples can clip a band to width 0, which QN scores divide by.
     qn = [token for token in cfg.methods if METHOD_TOKENS[token][1].normalized]
     flat = (data.hi - data.lo < MIN_BAND_WIDTH).reshape(spec.total, cfg.rounds, -1).any(axis=2)
@@ -198,14 +197,9 @@ def _protocol_setup(cfg: ExperimentConfig, splits: TrialSplits):
     pool = concat([cal, test], Role.CAL)
 
     def pilot(alpha: float) -> float:
-        """Median conformalized next-to-last-round length on the trial-0 split."""
-        method, kind = METHOD_TOKENS[cfg.methods[0]]
-        cal_rows, test_rows = splits[0]
-        cal, test = pool.subset(cal_rows, Role.CAL), pool.subset(test_rows, Role.TEST)
-        cal_scores, tune_scores = (score_matrix(s.lo, s.hi, s.targets, kind) for s in (cal, tune))
-        calib = fit_method(method, cal_scores, alpha, kind, tune_scores)
+        """The first listed method's tau pilot: trial 0 of its joint protocol."""
         try:
-            return pilot_tau(test, base, calib=calib)
+            return pilot_tau(pool, tune, *METHOD_TOKENS[cfg.methods[0]], alpha, base, splits)
         except ValueError as err:
             msg = f"{err} at alpha={_fmt(alpha)} with n_cal={spec.n_cal}; set a fixed --tau"
             raise ValueError(msg) from None
@@ -316,8 +310,8 @@ class ExperimentConfig:
     tasks: int = _field(RoundConfig.tasks, int, "rounds")
     sigma: tuple[float, ...] = _field(RoundConfig.sigma, float, "rounds")
     rates: tuple[float, ...] = _field(RoundConfig.rates, float, "rounds")
-    quantile_alpha: float = _field(0.1, float, "rounds")
-    n_pred: int = _field(32, int, "rounds")
+    quantile_alpha: float = _field(RoundConfig.quantile_alpha, float, "rounds")
+    n_pred: int = _field(RoundConfig.n_pred, int, "rounds")
 
     def __post_init__(self) -> None:
         if self.experiment not in EXPERIMENTS:
@@ -357,10 +351,6 @@ class ExperimentConfig:
                 raise ConfigError(
                     f"alpha {a} is too small: ia's level 1 - (1 - alpha)^(1/{joint_targets}) is 0"
                 )
-        if not 0.0 < self.quantile_alpha < 1.0:
-            raise ConfigError(f"quantile_alpha must lie in (0, 1), got {self.quantile_alpha}")
-        if self.n_pred < 2:
-            raise ConfigError(f"n_pred must be at least 2 prediction samples, got {self.n_pred}")
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
         for name in ("n_train", "n_tune", "n_cal", "n_test", "trials", "threads", "runs"):
@@ -402,9 +392,8 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} lists {', '.join(map(str, repeated))} more than once")
 
     def round_config(self, tau: float) -> RoundConfig:
-        return RoundConfig(
-            rounds=self.rounds, tasks=self.tasks, sigma=self.sigma, rates=self.rates, tau=tau
-        )
+        layout = {f.name: getattr(self, f.name) for f in fields(RoundConfig) if f.name != "tau"}
+        return RoundConfig(**layout, tau=tau)
 
 
 # (INI section, key) -> the config field it sets.
@@ -450,10 +439,7 @@ def read_config_file(path: Path) -> dict:
 
 def build_config(file_values: dict, flag_values: dict) -> ExperimentConfig:
     """Merge file values and flag overrides onto per-experiment defaults."""
-    merged = dict(file_values)
-    merged.update({k: v for k, v in flag_values.items() if v is not None})
-    if merged.get("tau") == "auto":
-        merged["tau"] = None
+    merged = {**file_values, **flag_values}
     # An unknown experiment gets no defaults; ExperimentConfig rejects it.
     experiment = EXPERIMENTS.get(merged.get("experiment", "table1"))
     defaults = experiment.defaults if experiment else {}
@@ -502,15 +488,16 @@ def _results_table(cfg: ExperimentConfig, cells: list[Cell]) -> list[list[str]]:
 
 
 def _under_tuned(cfg: ExperimentConfig, cells: list[Cell]) -> list[str]:
-    """A warning per size-sweep cell of a CDF method tuned on too few rows."""
-    return [
+    """A warning, once per distinct message in cell order, for each trial cell
+    of a CDF method tuned on too few rows."""
+    return list(dict.fromkeys(
         f"{cell.token} at n_tune={_n_tune(cfg, cell)}: under-tuned (below {UNDER_TUNED}); "
         "per-target coverage may be imbalanced"
         for cell in cells
-        if isinstance(cell.metrics, TrialMetrics) and cell.sweep_value is not None
+        if isinstance(cell.metrics, TrialMetrics)
         and METHOD_TOKENS[cell.token][0] in (Method.MINIMAX, Method.COPULA)
         and _n_tune(cfg, cell) < UNDER_TUNED
-    ]
+    ))
 
 
 def emit_plotdata(cells: list[Cell], outdir: Path) -> list[Path]:
@@ -585,7 +572,11 @@ def _build_argparser() -> argparse.ArgumentParser:
         prog="ctool", description="seeded multi-target conformal experiment runner"
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    runp = sub.add_parser("run", help="run one experiment from a config file and/or flags")
+    # A flag that is not given leaves no attribute, so file values stand.
+    runp = sub.add_parser(
+        "run", help="run one experiment from a config file and/or flags",
+        argument_default=argparse.SUPPRESS,
+    )
     runp.add_argument("config", nargs="?", default=None, help="INI config path (optional)")
     for f in fields(ExperimentConfig):
         if f.metadata["flag"]:
@@ -594,14 +585,13 @@ def _build_argparser() -> argparse.ArgumentParser:
 
 
 def _flag_values(args: argparse.Namespace) -> dict:
-    """Parsed values of the flags given.  ``--tau auto`` stays "auto", which
-    build_config reads as an override of a file's tau (None means no flag)."""
+    """Parsed values of the flags given, read like the file's."""
     values = {}
     for f in fields(ExperimentConfig):
         flag = f.metadata["flag"]
-        raw = getattr(args, flag[2:].replace("-", "_")) if flag else None
-        if raw is not None:
-            values[f.name] = raw if f.name == "tau" and raw == "auto" else _parse(f, raw, flag)
+        dest = flag and flag[2:].replace("-", "_")
+        if dest in vars(args):
+            values[f.name] = _parse(f, getattr(args, dest), flag)
     return values
 
 

@@ -202,8 +202,9 @@ class RoundConfig:
     ``rounds`` acquisition rounds, each predicting the same ``tasks`` latent
     truths with per-round prediction noise ``sigma`` (non-increasing) and a
     speed-up factor ``rates`` (strictly decreasing, final round rate is the
-    baseline).  ``tau`` is the interval-length acceptance threshold used by
-    the early-stopping protocol.
+    baseline).  ``quantile_alpha`` and ``n_pred`` set the bands that
+    ``gen_multiround`` draws; ``tau`` is the interval-length acceptance
+    threshold used by the early-stopping protocol.
     """
 
     rounds: int = 5
@@ -211,6 +212,8 @@ class RoundConfig:
     sigma: tuple[float, ...] = (0.4, 0.2, 0.1, 0.05, 0.02)
     rates: tuple[float, ...] = (16.0, 8.0, 4.0, 2.0, 1.0)
     tau: float = 0.1
+    quantile_alpha: float = 0.1
+    n_pred: int = 32
 
     def __post_init__(self) -> None:
         if self.rounds < 1 or self.tasks < 1:
@@ -227,20 +230,17 @@ class RoundConfig:
             raise ValueError("rates must be positive")
         if not self.tau > 0:
             raise ValueError("tau must be positive")
+        if not 0.0 < self.quantile_alpha < 1.0:
+            raise ValueError(f"quantile_alpha must lie in (0, 1), got {self.quantile_alpha}")
+        if self.n_pred < 2:
+            raise ValueError(f"n_pred must be at least 2 prediction samples, got {self.n_pred}")
 
     @property
     def n_targets(self) -> int:
         return self.rounds * self.tasks
 
 
-def gen_multiround(
-    n: int,
-    cfg: RoundConfig,
-    seed: int,
-    quantile_alpha: float = 0.1,
-    n_pred: int = 32,
-    role: Role = Role.TRAIN,
-) -> LabeledSet:
+def gen_multiround(n: int, cfg: RoundConfig, seed: int, role: Role = Role.TRAIN) -> LabeledSet:
     """Staged predictions of uniform latent truths with shrinking noise.
 
     Each of ``cfg.tasks`` latent truths is uniform on (0, 1) and repeats as
@@ -258,15 +258,11 @@ def gen_multiround(
     """
     if n < 1:
         raise ValueError("need at least one sample")
-    if n_pred < 2:
-        raise ValueError("need at least two prediction samples per round")
-    if not 0.0 < quantile_alpha < 1.0:
-        raise ValueError("quantile_alpha must lie in (0, 1)")
     truths = np.column_stack(
         [rng_for(seed, 0, l).uniform(0.0, 1.0, size=n) for l in range(cfg.tasks)]
     )
-    lo_rank = _ceil_rank((quantile_alpha / 2.0) * n_pred)
-    hi_rank = _ceil_rank((1.0 - quantile_alpha / 2.0) * n_pred)
+    lo_rank = _ceil_rank((cfg.quantile_alpha / 2.0) * cfg.n_pred)
+    hi_rank = _ceil_rank((1.0 - cfg.quantile_alpha / 2.0) * cfg.n_pred)
     n_targets = cfg.n_targets
     lo = np.empty((n, n_targets))
     hi = np.empty((n, n_targets))
@@ -275,7 +271,7 @@ def gen_multiround(
         for l in range(cfg.tasks):
             k = b * cfg.tasks + l
             # truth + sigma * noise, clipped, in place; one row sort gives both ranks
-            samples = rng_for(seed, 1, b, l).normal(0.0, 1.0, size=(n, n_pred))
+            samples = rng_for(seed, 1, b, l).normal(0.0, 1.0, size=(n, cfg.n_pred))
             samples *= cfg.sigma[b]
             samples += truths[:, [l]]
             np.clip(samples, 0.0, 1.0, out=samples)

@@ -6,7 +6,9 @@ return exactly the same numbers.  Their evaluation must not call the code
 under test, so these are test-local copies of the arithmetic as first
 written: short-axis means and ``all`` over (n, K) boolean masks, margins
 expanded to (n, K) before the width ratios divide the finite ones, and the
-reshape-``all`` protocol walk.
+reshape-``all`` protocol walk.  ``raw_tau`` keeps the threshold rule the
+protocol tests were written with: the median of the next-to-last round's
+widest raw band.
 """
 
 import numpy as np
@@ -43,3 +45,12 @@ def reference_walk(lengths, covered, cfg):
     accepted = np.where(ok.any(axis=1), ok.argmax(axis=1), cfg.rounds - 1)
     cov_round = covered.reshape(n, cfg.rounds, cfg.tasks).all(axis=2)
     return accepted, cov_round[np.arange(n), accepted]
+
+
+def raw_tau(data, cfg):
+    """Median over the rows of the next-to-last round's widest raw band (round 0
+    when it is the only one)."""
+    b = max(cfg.rounds - 2, 0)
+    cols = slice(b * cfg.tasks, (b + 1) * cfg.tasks)
+    widths = data.hi[:, cols] - data.lo[:, cols]
+    return float(np.quantile(widths.max(axis=1), 0.5))

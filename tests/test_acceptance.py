@@ -39,8 +39,6 @@ from mtconf import (
     run_protocol,
     run_sc_baseline,
     run_trials,
-    split_cal_test,
-    trial_rng,
 )
 from mtconf.scores import interval_bounds, score_matrix
 from mtconf.synthetic import NOISE_FACTOR
@@ -214,7 +212,7 @@ def test_criterion_4_threshold_convergence():
         for s in range(20):
             tune = scores_of(n, derive_seed(SEED, 1, n, s))
             cal = scores_of(n, derive_seed(SEED, 2, n, s))
-            lam = fit_method(Method.MINIMAX, cal, alpha, ScoreKind.CQR, tune).lam
+            lam = fit_method(Method.MINIMAX, cal, alpha, ScoreKind.CQR, tune).per_target_level[0]
             errs.append(abs(lam - lam_star))
         medians.append(float(np.median(errs)))
     decreasing = medians[0] > medians[1] > medians[2]
@@ -284,22 +282,13 @@ def test_criterion_7_early_stopping_protocol():
     pool = concat([cal, test], Role.CAL)
     splits = TrialSplits(spec, pool.n)
     kind = ScoreKind.CQR
-    tune_s = score_matrix(tune.lo, tune.hi, tune.targets, kind)
 
     joint_fail = []
     early_out = []
     sc_fails = 0
     tau10 = None
     for alpha in (0.15, 0.10, 0.05):
-        pcal, ptest = split_cal_test(pool, n_cal, n_test, trial_rng(spec, 0))
-        calib = fit_method(
-            Method.MINIMAX,
-            score_matrix(pcal.lo, pcal.hi, pcal.targets, kind),
-            alpha,
-            kind,
-            tune_s,
-        )
-        tau = pilot_tau(ptest, cfg0, calib=calib)
+        tau = pilot_tau(pool, tune, Method.MINIMAX, kind, alpha, cfg0, splits)
         if alpha == 0.10:
             tau10 = tau
         cfg = replace(cfg0, tau=tau)
@@ -363,7 +352,8 @@ def test_criterion_8_micro_oracles():
             values = np.array(multiset, dtype=np.float64)
             for alpha in alphas:
                 cases += 1
-                got = fit_method(Method.SINGLE, values[:, None], float(alpha), ScoreKind.CQR).lam
+                calib = fit_method(Method.SINGLE, values[:, None], float(alpha), ScoreKind.CQR)
+                got = calib.per_target_zeta[0]
                 want = _quantile_oracle(alpha, multiset)
                 mismatch += not (got == want or (math.isinf(got) and math.isinf(want)))
     quantile_ok = mismatch == 0

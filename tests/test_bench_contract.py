@@ -143,12 +143,12 @@ def test_per_cell_work_runs_inside_the_timed_trial_calls(
     tmp_path, monkeypatch, ini, flags, timed_calls, pilots
 ):
     """`trials_per_s` divides trials by the time spent in the calls the benchmark
-    times, so each such call must score its own pool; only the tau pilot's
-    `fit_method` may score rows outside them."""
+    times, so each such call must score its own pool; only the tau pilot may
+    score rows outside them."""
     calibrate = importlib.import_module("mtconf.calibrate")
     evaluate = importlib.import_module("mtconf.evaluate")
     inside = []  # per timed call, the pools it scored
-    outside = []  # per scoring outside them, whether the pilot's fit_method made it
+    outside = []  # per scoring outside them, whether the pilot made it
     state = {"timed": False, "pilot": False}
 
     def scoring(real):
@@ -178,7 +178,7 @@ def test_per_cell_work_runs_inside_the_timed_trial_calls(
         monkeypatch.setattr(module, "_score_rows", scoring(module._score_rows))
     for name in LAYERS.TRIAL_CALLS:
         monkeypatch.setattr(cli, name, flagged(getattr(cli, name), "timed"))
-    monkeypatch.setattr(cli, "fit_method", flagged(cli.fit_method, "pilot"))
+    monkeypatch.setattr(cli, "pilot_tau", flagged(cli.pilot_tau, "pilot"))
     args = ["run"]
     if ini is not None:
         (tmp_path / "run.ini").write_text(ini)

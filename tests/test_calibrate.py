@@ -22,11 +22,17 @@ from mtconf.calibrate import _conformal_rank, _kth_smallest, _rank_levels, _scor
 from mtconf.scores import score_matrix
 
 
+def split_threshold(values, alpha):
+    """SINGLE's threshold on one column of calibration scores."""
+    calib = fit_method(Method.SINGLE, np.asarray(values)[:, None], alpha, ScoreKind.CQR)
+    return calib.per_target_zeta[0]
+
+
 def test_single_order_statistic_cases():
     scores = np.arange(1.0, 100.0)  # 1..99
     calib = fit_method(Method.SINGLE, scores[:, None], 0.1, ScoreKind.CQR)
-    assert calib.lam == 90.0
-    assert math.isinf(fit_method(Method.SINGLE, np.arange(5.0)[:, None], 0.1, ScoreKind.CQR).lam)
+    assert calib.per_target_zeta[0] == 90.0
+    assert math.isinf(split_threshold(np.arange(5.0), 0.1))
 
 
 def test_conformal_rank_values():
@@ -43,12 +49,12 @@ def test_conformal_rank_snaps_float_rank_products():
     assert _conformal_rank(9, 0.7) == 3
     assert _conformal_rank(19, 0.95) == 1
     assert _conformal_rank(24, 0.44) == 14
-    assert fit_method(Method.SINGLE, np.arange(1.0, 25.0)[:, None], 0.44, ScoreKind.CQR).lam == 14.0
+    assert split_threshold(np.arange(1.0, 25.0), 0.44) == 14.0
     # (1 - alpha) * 6 is about 6e-13, within the slack of 0, yet its ceiling is 1.
     alpha = 1.0 - 1e-13
     assert _conformal_rank(5, alpha) == math.ceil((1 - Fraction(alpha)) * 6) == 1
     scores = np.arange(5.0, 0.0, -1.0)[:, None]
-    assert fit_method(Method.SINGLE, scores, alpha, ScoreKind.CQR).lam == 1.0
+    assert fit_method(Method.SINGLE, scores, alpha, ScoreKind.CQR).per_target_zeta[0] == 1.0
 
 
 def test_kth_smallest_direct_cases():
@@ -82,7 +88,7 @@ def test_single_rejects_bad_shape_and_level():
 def test_single_threshold_matches_sorted_indexing(values, numerator):
     alpha = Fraction(numerator, 48)
     rank = math.ceil((1 - alpha) * (len(values) + 1))
-    got = fit_method(Method.SINGLE, np.array(values)[:, None], float(alpha), ScoreKind.CQR).lam
+    got = split_threshold(np.array(values), float(alpha))
     assert got == (math.inf if rank > len(values) else sorted(values)[rank - 1])
 
 
@@ -91,7 +97,7 @@ def test_ia_reduces_to_single_for_one_target():
     scores = rng.normal(size=80)
     ia = fit_method(Method.IA, scores[:, None], 0.1, ScoreKind.CQR)
     single = fit_method(Method.SINGLE, scores[:, None], 0.1, ScoreKind.CQR)
-    assert ia.per_target_zeta[0] == single.lam
+    assert ia.per_target_zeta[0] == single.per_target_zeta[0]
 
 
 def test_ia_uses_root_corrected_level():
@@ -103,7 +109,7 @@ def test_ia_uses_root_corrected_level():
     ia = fit_method(Method.IA, scores, alpha, ScoreKind.CQR)
     for k in range(3):
         single = fit_method(Method.SINGLE, scores[:, k : k + 1], alpha_1, ScoreKind.CQR)
-        assert ia.per_target_zeta[k] == single.lam
+        assert ia.per_target_zeta[k] == single.per_target_zeta[0]
 
 
 def test_maxscore_equals_single_on_identical_columns():
@@ -111,7 +117,7 @@ def test_maxscore_equals_single_on_identical_columns():
     col = rng.normal(size=150)
     scores = np.column_stack([col, col, col])
     maxscore = fit_method(Method.QN_MAX, scores, 0.2, ScoreKind.QN)
-    assert maxscore.lam == fit_method(Method.SINGLE, col[:, None], 0.2, ScoreKind.CQR).lam
+    assert maxscore.per_target_zeta[0] == split_threshold(col, 0.2)
 
 
 def test_empirical_cdf_counts():
@@ -139,7 +145,7 @@ def test_minimax_k1_covers_the_same_calibration_subset_as_single():
         mm = fit_method(Method.MINIMAX, scores, 0.1, ScoreKind.CQR, scores)
         single = fit_method(Method.SINGLE, scores[:, :1], 0.1, ScoreKind.CQR)
         got = scores[:, 0] <= mm.per_target_zeta[0]
-        want = scores[:, 0] <= single.lam
+        want = scores[:, 0] <= single.per_target_zeta[0]
         assert np.array_equal(got, want)
 
 
@@ -159,7 +165,7 @@ def test_minimax_small_sample_caps_level_and_goes_infinite():
     tune = rng.normal(size=(50, 2))
     cal = rng.normal(size=(5, 2))
     mm = fit_method(Method.MINIMAX, cal, 0.1, ScoreKind.CQR, tune)
-    assert mm.lam == 1.0
+    assert mm.per_target_level[0] == 1.0
     assert np.all(np.isinf(mm.per_target_zeta))
     covered = coverage_mask(rng.normal(size=(40, 2)), mm)
     assert covered.all()
@@ -171,7 +177,7 @@ def test_copula_k1_matches_minimax_level():
     cal = rng.normal(size=(90, 1))
     cp = fit_method(Method.COPULA, cal, 0.1, ScoreKind.CQR, tune)
     mm = fit_method(Method.MINIMAX, cal, 0.1, ScoreKind.CQR, tune)
-    assert cp.per_target_level[0] == pytest.approx(mm.lam)
+    assert cp.per_target_level[0] == pytest.approx(mm.per_target_level[0])
     assert cp.per_target_zeta[0] == mm.per_target_zeta[0]
 
 
@@ -196,7 +202,7 @@ def test_copula_levels_never_exceed_the_symmetric_start():
     )
     cp = fit_method(Method.COPULA, cal, 0.1, ScoreKind.CQR, tune)
     mm = fit_method(Method.MINIMAX, cal, 0.1, ScoreKind.CQR, tune)
-    assert np.all(cp.per_target_level <= mm.lam + 1e-12)
+    assert np.all(cp.per_target_level <= mm.per_target_level[0] + 1e-12)
 
 
 def test_copula_small_sample_sets_full_levels():
@@ -217,7 +223,7 @@ def test_leave_one_out_coverage_is_exactly_the_conformal_rank():
     covered = 0
     for i in range(n_plus_1):
         rest = np.delete(scores, i)
-        covered += scores[i] <= fit_method(Method.SINGLE, rest[:, None], alpha, ScoreKind.CQR).lam
+        covered += scores[i] <= split_threshold(rest, alpha)
     assert covered == math.ceil((1 - alpha) * n_plus_1)
 
 
@@ -265,12 +271,12 @@ def test_fit_method_contracts():
     scores = rng.normal(size=(60, 2))
     with pytest.raises(ValueError, match="exactly one target"):
         fit_method(Method.SINGLE, scores, 0.1, ScoreKind.CQR)
-    # SINGLE's threshold is both ``lam`` and a (1,) ``per_target_zeta``, also
-    # on rank overflow (alpha 0.01 on 60 rows).
+    # SINGLE's threshold is a (1,) ``per_target_zeta``, also on rank overflow
+    # (alpha 0.01 on 60 rows).
     for alpha in (0.1, 0.01):
         got = fit_method(Method.SINGLE, scores[:, :1], alpha, ScoreKind.CQR)
-        assert got.per_target_zeta.tolist() == [got.lam]
-        assert math.isinf(got.lam) == (alpha == 0.01)
+        assert got.per_target_zeta.shape == (1,)
+        assert math.isinf(got.per_target_zeta[0]) == (alpha == 0.01)
         assert got.n_targets == 1 and got.per_target_level is None
         with pytest.raises(ValueError, match="different target count"):
             got.margins(2)
@@ -309,7 +315,7 @@ def test_every_record_carries_read_only_per_target_thresholds(method, k):
     assert zeta.shape == (k,) and zeta.dtype == np.float64 and not zeta.flags.writeable
     assert calib.margins(k) is zeta and calib.n_targets == k
     if method is Method.QN_MAX:
-        assert zeta.tolist() == [calib.lam] * k
+        assert zeta.tolist() == [zeta[0]] * k
     with pytest.raises(ValueError, match="different target count"):
         calib.margins(k + 1)
 
@@ -341,7 +347,7 @@ def test_interval_array_matches_row_inversion():
     assert ilo.tolist() == [[-0.25, 1.5], [-1.25, 2.5]]
     assert ihi.tolist() == [[1.25, 1.5], [0.25, 5.5]]
     # QN divides each margin by the first target's width over the target's own.
-    qn = Calibration(Method.QN_MAX, ScoreKind.QN, 0.1, np.full(2, 1.0), lam=1.0)
+    qn = Calibration(Method.QN_MAX, ScoreKind.QN, 0.1, np.full(2, 1.0))
     ilo, ihi = interval_array(lo, hi, qn)
     assert ilo.tolist() == [[-1.0, 0.0], [-2.0, -2.0]]
     assert ihi.tolist() == [[2.0, 3.0], [1.0, 10.0]]
@@ -355,7 +361,7 @@ def test_single_split_conformal_marginal_coverage():
     draws = rng.normal(size=(reps, n + 1))
     hits = 0
     for row in draws:
-        hits += row[-1] <= fit_method(Method.SINGLE, row[:-1, None], alpha, ScoreKind.CQR).lam
+        hits += row[-1] <= split_threshold(row[:-1], alpha)
     coverage = hits / reps
     assert coverage >= 1 - alpha - 3 * math.sqrt(alpha * (1 - alpha) / reps)
     # and not grossly conservative: the upper sandwich plus MC slack
@@ -591,9 +597,9 @@ def test_calibrators_take_the_exact_conformal_rank(scores, percent):
 
     need = required_rows(percent, n)
     single = fit_method(Method.SINGLE, scores[:, :1], alpha, ScoreKind.CQR)
-    assert single.lam == order_stat(scores[:, 0], need)
+    assert single.per_target_zeta[0] == order_stat(scores[:, 0], need)
     maxscore = fit_method(Method.QN_MAX, scores, alpha, ScoreKind.QN)
-    assert maxscore.lam == order_stat(scores.max(axis=1), need)
+    assert maxscore.per_target_zeta[0] == order_stat(scores.max(axis=1), need)
     zeta = fit_method(Method.IA, scores, alpha, ScoreKind.CQR).per_target_zeta
     # IA's level (1 - alpha)^(1/K) is irrational in general; a float level
     # within 1e-6 ranks of an integer rank means that integer.
@@ -613,8 +619,8 @@ def test_ia_and_maxscore_thresholds_are_monotone_in_alpha(scores, a, b):
     small, large = sorted((a, b))
     wide = fit_method(Method.IA, scores, small / 100, ScoreKind.CQR).per_target_zeta
     assert np.all(wide >= fit_method(Method.IA, scores, large / 100, ScoreKind.CQR).per_target_zeta)
-    lam = [fit_method(Method.QN_MAX, scores, p / 100, ScoreKind.QN).lam for p in (small, large)]
-    assert lam[0] >= lam[1]
+    strict, loose = (fit_method(Method.QN_MAX, scores, p / 100, ScoreKind.QN) for p in (small, large))
+    assert strict.per_target_zeta[0] >= loose.per_target_zeta[0]
 
 
 @given(

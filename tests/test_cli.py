@@ -117,9 +117,9 @@ def test_read_config_file_diagnostics(tmp_path):
 
 
 def test_build_config_precedence_and_defaults():
-    cfg = build_config({"seed": 1, "alphas": (0.5,)}, {"seed": 9, "trials": None})
+    cfg = build_config({"seed": 1, "alphas": (0.5,)}, {"seed": 9})
     assert cfg.seed == 9  # flag wins
-    assert cfg.alphas == (0.5,)  # file survives a None flag
+    assert cfg.alphas == (0.5,)  # file survives where no flag is given
     assert cfg.trials == 500  # table1 default
 
     sweep = build_config({"experiment": "ntune_sweep"}, {})
@@ -132,7 +132,7 @@ def test_build_config_precedence_and_defaults():
 
 
 def test_build_config_tau_auto_flag_overrides_file():
-    cfg = build_config({"tau": 0.5, "experiment": "multiround"}, {"tau": "auto"})
+    cfg = build_config({"tau": 0.5, "experiment": "multiround"}, {"tau": None})
     assert cfg.tau is None
 
 
@@ -442,17 +442,17 @@ def test_plot_files_agree_with_the_results_rows(tmp_path, ini, flags):
         assert not (out / "plot_mil.csv").exists()
 
 
-def test_only_size_sweeps_warn_when_under_tuned(tmp_path, capsys):
-    """A size sweep warns once per CDF-method cell tuned on fewer than 500 rows,
-    so ntrain_sweep repeats the warning for each training size; table1 at the
-    same tuning size does not warn."""
+def test_under_tuned_cells_warn_once_per_message(tmp_path, capsys):
+    """Every trial cell of a CDF method tuned on fewer than 500 rows warns, once
+    per distinct message: ntrain_sweep's three training sizes and table1's two
+    levels at the same tuning size each warn once."""
     warning = "cpts at n_tune=100: under-tuned (below 500); per-target coverage may be imbalanced"
     sizes = ("--trials", "2", "--ntrain", "60", "--ntune", "100", "--ncal", "50", "--ntest", "30")
     config = tmp_path / "sweep.ini"
     config.write_text("[experiment]\nntrain_values = 60, 80, 100\nruns = 1\n")
     for name, args, want in (
-        ("ntrain_sweep", (config, "--experiment", "ntrain_sweep"), [warning] * 3),
-        ("table1", ("--experiment", "table1", "--alphas", "0.2"), []),
+        ("ntrain_sweep", (config, "--experiment", "ntrain_sweep"), [warning]),
+        ("table1", ("--experiment", "table1", "--alphas", "0.2,0.1"), [warning]),
     ):
         out = tmp_path / name
         assert run_cli(*args, "--methods", "cpts,ia", *sizes, "--output-dir", out) == 0

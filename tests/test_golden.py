@@ -6,9 +6,10 @@ T = 20, and compares the sha256 of its ``results.csv``, of every
 ``output_dir``, which differ between runs) with the digests recorded when the
 case was added.  Two cases sit at the ends of the CDF methods' threshold
 table: a calibration set too small for the level (thresholds +inf) and a
-20-row tuning set (levels at m beside finite ones).  The ntrain_sweep case
-tunes on 200 rows, so its manifest carries the under-tuned warnings, and
-averages three runs, where a median would differ from the mean.  A
+20-row tuning set (levels at m beside finite ones).  Every case that tunes a
+CDF method on fewer than 500 rows carries under-tuned warnings in its
+manifest.  The ntrain_sweep case averages three runs, where a median would
+differ from the mean.  A
 change that moves any printed number fails here; a change that alters output
 on purpose updates the digest and says so.  The digests were recorded with
 numpy 2.4 on x86-64; another numpy or BLAS build may legitimately print
@@ -85,13 +86,13 @@ VIEWS = {
         "plot_ejc.csv": "e9090cb8dd3319b9610d3e69eddcc32634dc51286bab9ac280a3b5f528065ace",
         "plot_esc_extremes.csv": "675a7f041c447007719bc6a58c2dd1b12e940956aa3338f174be76cd18fd9c86",
         "plot_mil.csv": "9dd6360621099494360e2736ea3963a747ed9c714cf07cd46ec3136ab0387135",
-        "manifest.json": "ad40c8355d1241b7dc4336575a8f68483177f300b79a88204a1f316c067eec03",
+        "manifest.json": "9cc632ec4b79bdf6cbe2d9c9bf1be46c1359a7437497697488256fcf98d98d35",
     },
     "coverage_sweep": {
         "plot_ejc.csv": "7eab2017b3bc80225ea423c6e24f0da4825e4265228e8ab000ce4b8f35ff81f8",
         "plot_esc_extremes.csv": "957dd4ef52d7a1e5ae397d54cb89ccebcbab86fc22358185c3eff425ffdd6d65",
         "plot_mil.csv": "defd88a9de9f3f701e40277ffc6e71670424177669787697d438db347da9bf59",
-        "manifest.json": "10f781f6451ac9b4d07f923a376a712392b552456b3dced619b72ef55bb7aca4",
+        "manifest.json": "efe8405484f2d54de433769409aceab37c4dba093531eab9106a9d70d5c88b5f",
     },
     "ntune_sweep": {
         "plot_esc_extremes.csv": "971e2d90849dc8536ac0857fc95c548d629e3c3054fdc0fe062dc46d2caf84f5",
@@ -111,17 +112,17 @@ VIEWS = {
         "plot_ejc.csv": "044ae6dc8a4dc518ba58a488b189d486e73d9b21afa2afba90b8a2385fad6cc7",
         "plot_esc_extremes.csv": "1909ea43ae720c41a1a5c4d6a0263a26667134c2ae12268c816b6fc76df3ced1",
         "plot_mil.csv": "7d66aa9fccb72ae7153b87e912a7764d7524f1efd1d205e82ac5f17282ee1e89",
-        "manifest.json": "1dd62338b02e9e803a8e4ee919bd2f41849a0339a93121812493fb21ec601fad",
+        "manifest.json": "5efcece4ee30fd417507ad95bbd0dd540ed3b2bfebbda2b9e1f1b8f178fdd2a8",
     },
     "coarse_tuning": {
         "plot_ejc.csv": "1e7e9b32a7d6101151875bdd734592c11646e04edb97a785a5b6e0d066535cce",
         "plot_esc_extremes.csv": "1d0919633d6cee244d3ff884bfbde90f12375646a482e872757abb0682b32b5e",
         "plot_mil.csv": "cfbe2804b7387614cebb997a749c4f228be064d4c9441c5b2e992cee0bc696d2",
-        "manifest.json": "fa0e5930b8e1e8ec55167a26164557de3a854b321d45fe69133273cb54a0d02f",
+        "manifest.json": "2b02df096c4c32be68a8d7b421429be7d008c91b5cc568dae5d4357d146b897a",
     },
     "ntrain_sweep": {
         "plot_esc_extremes.csv": "33edb6b462ce554aac7bedd1665ca9f2549538922992b9229a0f0842b399fc63",
-        "manifest.json": "f804a85aaaf4a5099b7e1ebec8013a8b7daf7d273d08f86c18b363bce6ef52c3",
+        "manifest.json": "c797516e2ff812b523f49c62fc2fa029d3e5e327af47f86a5a0764168a50d2e6",
     },
 }
 

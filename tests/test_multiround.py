@@ -26,7 +26,7 @@ from mtconf import (
 )
 from mtconf.multiround import _walk
 from mtconf.scores import score_matrix
-from reference import reference_bounds, reference_walk
+from reference import raw_tau, reference_bounds, reference_walk
 
 
 CFG = RoundConfig()
@@ -123,40 +123,23 @@ def test_sc_baseline_covers_without_early_stopping():
     assert res.eac >= 1 - 0.1 - mc_slack(0.1, res.trials, res.n_test)
 
 
-def test_pilot_tau_matches_the_quantile_of_round_widths():
-    widths = DATA.hi - DATA.lo
-    cols = slice((CFG.rounds - 2) * CFG.tasks, (CFG.rounds - 1) * CFG.tasks)
-    want = float(np.quantile(widths[:, cols].max(axis=1), 0.5))
-    assert pilot_tau(DATA, CFG) == pytest.approx(want)
-
-
-def test_pilot_tau_with_a_calibration_adds_the_margins():
-    zeta = 0.05
-    calib = Calibration(
-        method=Method.IA,
-        score_kind=ScoreKind.CQR,
-        alpha=0.1,
-        per_target_zeta=np.full(CFG.rounds * CFG.tasks, zeta),
-    )
-    raw = pilot_tau(DATA, CFG)
-    conformalized = pilot_tau(DATA, CFG, calib=calib)
-    assert conformalized == pytest.approx(raw + 2 * zeta)
-
-
 def test_pilot_tau_with_a_fitted_calibration_is_usable():
-    scores = score_matrix(DATA.lo, DATA.hi, DATA.targets, ScoreKind.CQR)
-    tune_scores = score_matrix(TUNE.lo, TUNE.hi, TUNE.targets, ScoreKind.CQR)
-    calib = fit_method(Method.MINIMAX, scores, 0.1, ScoreKind.CQR, tune_scores)
-    tau = pilot_tau(DATA, CFG, calib=calib)
+    tau = pilot_tau(DATA, TUNE, *MINIMAX_CQR, 0.1, CFG, SPLITS)
     assert np.isfinite(tau) and tau > 0
 
 
 def test_pilot_tau_rejects_infinite_lengths():
-    # a level too strict for the calibration set: every margin is +inf
-    calib = fit_method(Method.IA, np.zeros((3, CFG.n_targets)), 0.05, ScoreKind.CQR)
-    assert np.isinf(calib.per_target_zeta).all()
+    # a level too strict for three calibration rows: every margin is +inf
+    starved = TrialSplits(SplitSpec(seed=42, n_tune=1, n_cal=3, n_test=300), DATA.n)
     with pytest.raises(ValueError, match="not finite"):
-        pilot_tau(DATA, CFG, calib=calib)
+        pilot_tau(DATA, TUNE, Method.IA, ScoreKind.CQR, 0.05, CFG, starved)
+
+
+def test_pilot_tau_rejects_a_zero_median_length():
+    # at alpha = 0.999999 the margins are the lowest calibration scores, which
+    # clip more than half of the intervals to length 0
+    with pytest.raises(ValueError, match="median interval length is 0$"):
+        pilot_tau(DATA, TUNE, *MINIMAX_CQR, 0.999999, CFG, SPLITS)
 
 
 def test_protocol_rejects_mismatched_layout():
@@ -216,15 +199,17 @@ def assert_same_protocol(got, want):
     assert (got.trials, got.n_test) == (want.trials, want.n_test)
 
 
-def staged_rows(n, cfg, seed, role=Role.CAL):
+def staged_rows(n, cfg, seed, role=Role.CAL, offset=0.0):
     """Round-shaped rows whose bands shrink by round and never collapse.
 
     Clipped ``gen_multiround`` bands can have zero width, which the
-    width-normalized scores refuse; these rows admit every score kind.
+    width-normalized scores refuse; these rows admit every score kind.  An
+    ``offset`` lifts the rows, and with them the one-sided interval lengths
+    (their upper ends), above 0.
     """
     rng = np.random.default_rng(seed)
     scale = np.repeat(np.asarray(cfg.sigma), cfg.tasks)
-    center = rng.normal(size=(n, cfg.n_targets))
+    center = rng.normal(size=(n, cfg.n_targets)) + offset
     half = rng.uniform(0.5, 1.5, size=center.shape) * scale
     targets = center + rng.normal(size=center.shape) * scale
     return LabeledSet(
@@ -251,7 +236,7 @@ def test_protocols_equal_the_per_trial_pipeline(method, tasks, kind):
     data = staged_rows(420, cfg, seed=50)
     tune = staged_rows(120, cfg, seed=51, role=Role.TUNE)
     spec = SplitSpec(seed=52, n_tune=1, n_cal=240, n_test=150)
-    rc = dataclasses.replace(cfg, tau=pilot_tau(data, cfg))
+    rc = dataclasses.replace(cfg, tau=raw_tau(data, cfg))
     for alpha in (0.2, 0.05):
         assert_protocols_match(data, tune, method, alpha, rc, 3, spec, kind)
 
@@ -267,7 +252,7 @@ def test_protocols_on_a_shared_split_table_equal_fresh_draws(method, tasks, kind
     data = staged_rows(420, cfg, seed=70)
     tune = staged_rows(120, cfg, seed=71, role=Role.TUNE)
     spec = SplitSpec(seed=72, n_tune=1, n_cal=240, n_test=150)
-    rc = dataclasses.replace(cfg, tau=pilot_tau(data, cfg))
+    rc = dataclasses.replace(cfg, tau=raw_tau(data, cfg))
     splits = TrialSplits(spec, data.n)
     # Every cell reuses the splits the cells before it drew, and the last draws one more.
     for alpha, trials in ((0.2, 2), (0.05, 3)):
@@ -285,7 +270,7 @@ def test_protocols_equal_the_per_trial_pipeline_at_size(method, kind):
     data = staged_rows(2600, cfg, seed=66)
     tune = staged_rows(600, cfg, seed=67, role=Role.TUNE)
     spec = SplitSpec(seed=68, n_tune=1, n_cal=1500, n_test=1000)
-    rc = dataclasses.replace(cfg, tau=pilot_tau(data, cfg))
+    rc = dataclasses.replace(cfg, tau=raw_tau(data, cfg))
     assert_protocols_match(data, tune, method, 0.1, rc, 3, spec, kind)
 
 
@@ -317,3 +302,30 @@ def test_protocols_equal_the_pipeline_at_the_rank_extremes(method, tasks):
     spec = SplitSpec(seed=59, n_tune=1, n_cal=30, n_test=30)
     joint, _ = assert_protocols_match(data, far, method, 0.2, cfg, 2, spec, ScoreKind.CQR)
     assert joint.ejc_all == 0.0
+
+
+def reference_pilot(data, tune, method, kind, alpha, cfg, spec):
+    """The pilot from public pieces: trial 0's split, ``fit_method`` and the
+    median over its test rows of the next-to-last round's longest
+    ``reference_bounds`` interval."""
+    cal, test = split_cal_test(data, spec.n_cal, spec.n_test, trial_rng(spec, 0))
+    scores = [score_matrix(s.lo, s.hi, s.targets, kind) for s in (cal, tune)]
+    calib = fit_method(method, scores[0], alpha, kind, scores[1])
+    ilo, ihi = reference_bounds(test.lo, test.hi, calib.margins(cfg.n_targets), kind)
+    lengths = ihi if kind.one_sided else np.maximum(0.0, ihi - ilo)
+    b = max(cfg.rounds - 2, 0)
+    return float(np.quantile(lengths[:, b * cfg.tasks:(b + 1) * cfg.tasks].max(axis=1), 0.5))
+
+
+@pytest.mark.parametrize("kind", list(ScoreKind))
+@pytest.mark.parametrize("tasks", [1, 3])
+@pytest.mark.parametrize("method", [Method.IA, Method.QN_MAX, Method.MINIMAX, Method.COPULA])
+def test_pilot_tau_equals_the_reference_pipeline_bit_for_bit(method, tasks, kind):
+    cfg = dataclasses.replace(CFG, tasks=tasks)
+    # 600 tuning rows keep the CDF methods' 15-target thresholds finite at alpha 0.1.
+    data = staged_rows(420, cfg, seed=60, offset=3.0)
+    tune = staged_rows(600, cfg, seed=61, role=Role.TUNE, offset=3.0)
+    spec = SplitSpec(seed=62, n_tune=1, n_cal=240, n_test=150)
+    for alpha in (0.2, 0.1):
+        got = pilot_tau(data, tune, method, kind, alpha, cfg, TrialSplits(spec, data.n))
+        assert got == reference_pilot(data, tune, method, kind, alpha, cfg, spec)

@@ -203,6 +203,13 @@ def test_round_config_validation():
         RoundConfig(rounds=3, sigma=(0.2, 0.1), rates=(2.0, 1.0))
     with pytest.raises(ValueError, match="tau"):
         RoundConfig(tau=0.0)
+    # gen_multiround reads its band settings from the layout, which checks them.
+    with pytest.raises(ValueError, match="n_pred must be at least 2 prediction samples, got 1"):
+        RoundConfig(n_pred=1)
+    for quantile_alpha in (0.0, 2.0, -0.5):
+        message = rf"quantile_alpha must lie in \(0, 1\), got {quantile_alpha}$"
+        with pytest.raises(ValueError, match=message):
+            RoundConfig(quantile_alpha=quantile_alpha)
 
 
 def test_gen_multiround_layout_and_truths():
@@ -238,8 +245,8 @@ def test_gen_multiround_zero_noise_collapses_bands():
 def test_gen_multiround_tiny_quantile_alpha_takes_the_row_extremes():
     # (1e-11 / 2) * 32 is far below 1, yet it ranks the lower end at 1.
     n, n_pred, sigma = 50, 32, 0.3
-    cfg = RoundConfig(rounds=1, sigma=(sigma,), rates=(1.0,))
-    data = gen_multiround(n, cfg, seed=34, quantile_alpha=1e-11, n_pred=n_pred)
+    cfg = RoundConfig(rounds=1, sigma=(sigma,), rates=(1.0,), quantile_alpha=1e-11, n_pred=n_pred)
+    data = gen_multiround(n, cfg, seed=34)
     truths = rng_for(34, 0, 0).uniform(0.0, 1.0, size=n)
     noise = rng_for(34, 1, 0, 0).normal(0.0, 1.0, size=(n, n_pred))
     samples = np.clip(truths[:, None] + sigma * noise, 0.0, 1.0)
@@ -261,15 +268,11 @@ def test_gen_multiround_task_streams_do_not_shift():
 def test_gen_multiround_input_validation():
     with pytest.raises(ValueError):
         gen_multiround(0, RoundConfig(), seed=1)
-    with pytest.raises(ValueError):
-        gen_multiround(10, RoundConfig(), seed=1, n_pred=1)
-    for quantile_alpha in (0.0, 2.0, -0.5):
-        with pytest.raises(ValueError, match="quantile_alpha"):
-            gen_multiround(10, RoundConfig(), seed=1, quantile_alpha=quantile_alpha)
 
 
-def partition_bands(n, cfg, seed, quantile_alpha, n_pred):
+def partition_bands(n, cfg, seed):
     """``gen_multiround``'s bands, selected with a two-kth ``np.partition``."""
+    quantile_alpha, n_pred = cfg.quantile_alpha, cfg.n_pred
     truths = np.column_stack(
         [rng_for(seed, 0, l).uniform(0.0, 1.0, size=n) for l in range(cfg.tasks)]
     )
@@ -302,7 +305,7 @@ def test_gen_multiround_bands_equal_the_partition_reference(
     # A large sigma clips most samples to 0 or 1, so the sorted rows tie there;
     # sigma 0 makes every sample its truth.
     cfg = RoundConfig(rounds=2, tasks=tasks, sigma=(sigma, 0.0 if quiet_last else sigma),
-                      rates=(2.0, 1.0))
-    data = gen_multiround(n, cfg, seed, quantile_alpha=quantile_alpha, n_pred=n_pred)
-    lo, hi = partition_bands(n, cfg, seed, quantile_alpha, n_pred)
+                      rates=(2.0, 1.0), quantile_alpha=quantile_alpha, n_pred=n_pred)
+    data = gen_multiround(n, cfg, seed)
+    lo, hi = partition_bands(n, cfg, seed)
     assert data.lo.tobytes() == lo.tobytes() and data.hi.tobytes() == hi.tobytes()
