@@ -17,6 +17,16 @@ and failed.  Per workload the file also keeps the median and quartiles over
 the runs of each end-to-end metric, ``env`` names the machine, and
 ``known_faults`` lists the faults of perfbench itself that its numbers carry.
 
+Recording also runs, ten times in each checkout and alternating the same
+way, the four published ``ctool run``s at their defaults (``PUBLISHED``):
+table1 with correlated and with independent noise, coverage_sweep and
+multiround.  Each runs in a fresh process, ``python -c CTOOL run ARGS
+--output-dir DIR`` with the checkout's ``src`` as ``PYTHONPATH``; ``CTOOL``
+calls ``mtconf.cli.main`` and then prints the process's ``VmHWM`` from
+``/proc/self/status``.  Per run the file keeps the wall time around the
+process, that peak memory and the ``results.csv`` sha256, and per run name
+the median and quartiles, under ``published``.
+
 Comparing prints, per workload and metric, the relative change of the median
 from A to B beside the bound ``BENCHMARK.json`` allows, in how many pairs
 (run i of A, run i of B) B is better, and whether that shows a gain: B better
@@ -24,18 +34,25 @@ in nine of ten pairs, and its median better by more than A's quartile spread.
 The exit code is 1 when B is worse beyond a bound, fails a larger share of
 operations, is not correct (a failed gate, or runs whose digests disagree),
 or was run for another length than A.  A changed digest is reported, not
-counted: an output-changing commit changes it on purpose.
+counted: an output-changing commit changes it on purpose.  Then it prints,
+per published run, each metric's median change, in how many pairs B is
+better, and whether the digests are equal; these lines report and do not
+count, because ``BENCHMARK.json`` sets no bound on them.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
 import statistics
 import subprocess
 import sys
+import tempfile
+import time
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -43,6 +60,26 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 SEED = 1
 RUNS = 10  # the pairs a claimed gain is judged on
+
+# The published `ctool run`s: name -> the arguments after `run`.
+PUBLISHED = {
+    "table1_correlated": ("--experiment", "table1", "--noise", "correlated"),
+    "table1_independent": ("--experiment", "table1", "--noise", "independent"),
+    "coverage_sweep": ("--experiment", "coverage_sweep"),
+    "multiround": ("--experiment", "multiround"),
+}
+PUBLISHED_METRICS = [
+    {"name": "wall_s", "unit": "s", "better": "lower"},
+    {"name": "peak_rss_mb", "unit": "MB", "better": "lower"},
+]
+# ctool's main, then the process's own peak resident memory on stderr's last line.
+CTOOL = """import sys
+from mtconf.cli import main
+code = main(sys.argv[1:])
+with open("/proc/self/status") as fh:
+    print(next(line for line in fh if line.startswith("VmHWM:")), end="", file=sys.stderr)
+sys.exit(code)
+"""
 
 # Faults of perfbench that are known and left as they are, because mending
 # them edits the benchmark.  Every record carries them, so that a reader of
@@ -86,6 +123,25 @@ def perfbench_run(root: Path, workload: str, seconds: float) -> dict:
     }
 
 
+def ctool_run(root: Path, args: tuple[str, ...]) -> dict:
+    """One published ``ctool run`` of ``root`` in a fresh process: wall time,
+    peak memory and digest, in the shape of a perfbench run."""
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    with tempfile.TemporaryDirectory(prefix="bench_record_") as tmp:
+        out = Path(tmp) / "out"
+        start = time.perf_counter()
+        proc = subprocess.run([sys.executable, "-c", CTOOL, "run", *args, "--output-dir", str(out)],
+                              cwd=tmp, env=env, capture_output=True, text=True)
+        wall = time.perf_counter() - start
+        if proc.returncode != 0:
+            raise RuntimeError(f"ctool run {' '.join(args)} in {root}: exited {proc.returncode}:\n"
+                               f"{proc.stderr}")
+        digest = hashlib.sha256((out / "results.csv").read_bytes()).hexdigest()
+    peak_kb = int(proc.stderr.splitlines()[-1].split()[1])
+    return {"correct": True, "attempted": 1, "failed": 0, "results_sha256": [digest],
+            "metrics": {"wall_s": wall, "peak_rss_mb": peak_kb / 1024.0}}
+
+
 def summarize(runs: list[dict], metrics: list[dict]) -> dict:
     """One workload's entry: its runs, and the median and quartiles over them."""
     digests = sorted({d for r in runs for d in r["results_sha256"]})
@@ -107,19 +163,26 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
 
 
 def record(roots: list[Path], bench: dict) -> list[dict]:
-    """RUNS alternating runs of every workload in each root, one record per root."""
+    """RUNS alternating runs of every workload and published run in each root,
+    one record per root."""
     seconds = bench["run_seconds"]
     e2e: list[dict] = [{} for _ in roots]
-    for workload in (w["name"] for w in bench["workloads"]):
+    published: list[dict] = [{} for _ in roots]
+    jobs = [(e2e, w["name"], bench["end_to_end"],
+             partial(perfbench_run, workload=w["name"], seconds=seconds))
+            for w in bench["workloads"]]
+    jobs += [(published, name, PUBLISHED_METRICS, partial(ctool_run, args=args))
+             for name, args in PUBLISHED.items()]
+    for part, name, metrics, one_run in jobs:
         runs: list[list[dict]] = [[] for _ in roots]
         for i in range(RUNS):
             order = range(len(roots)) if i % 2 == 0 else reversed(range(len(roots)))
             for j in order:
-                runs[j].append(perfbench_run(roots[j], workload, seconds))
+                runs[j].append(one_run(roots[j]))
         for j, root_runs in enumerate(runs):
-            e2e[j][workload] = summarize(root_runs, bench["end_to_end"])
-            print(f"{roots[j]} {workload}: " + ", ".join(
-                f"{name} {m['median']:.6g}" for name, m in e2e[j][workload]["metrics"].items()))
+            part[j][name] = summarize(root_runs, metrics)
+            print(f"{roots[j]} {name}: " + ", ".join(
+                f"{metric} {m['median']:.6g}" for metric, m in part[j][name]["metrics"].items()))
     env = {
         "python": platform.python_version(),
         "numpy": np.__version__,
@@ -127,8 +190,11 @@ def record(roots: list[Path], bench: dict) -> list[dict]:
         "host": platform.node(),
     }
     command = f"python3 perfbench/run.py --workload W --seed {SEED} --seconds {seconds:g} --trace 0"
+    published_command = "python3 -c CTOOL run ARGS --output-dir DIR"
     return [{"command": command, "seconds": seconds, "runs": RUNS, "env": env,
-             "known_faults": KNOWN_FAULTS, "e2e": one} for one in e2e]
+             "known_faults": KNOWN_FAULTS, "e2e": one,
+             "published_command": published_command, "ctool": CTOOL, "published": pub}
+            for one, pub in zip(e2e, published)]
 
 
 def compare(a: dict, b: dict, bench: dict) -> tuple[list[str], bool]:
@@ -153,14 +219,38 @@ def compare(a: dict, b: dict, bench: dict) -> tuple[list[str], bool]:
             loss = sign * (y - x) / x
             worse |= loss > bound
             verdict = "WORSE beyond bound" if loss > bound else "within bound"
-            pairs = list(zip(old["runs"], new["runs"]))
-            wins = sum(sign * (q["metrics"][name] - p["metrics"][name]) < 0 for p, q in pairs)
+            wins, pairs = better_pairs(old, new, metric)
             spread = old["metrics"][name]["q3"] - old["metrics"][name]["q1"]
-            gain = "gain shown" if wins >= 0.9 * len(pairs) and -sign * (y - x) > spread else "no gain shown"
+            gain = "gain shown" if wins >= 0.9 * pairs and -sign * (y - x) > spread else "no gain shown"
             lines.append(f"  {name:<13} {x:10.6g} -> {y:10.6g} {metric['unit']:<4} {(y - x) / x:+8.2%}"
                          f"  ({metric['better']} is better, bound {bound:.0%}): {verdict}; "
-                         f"B better in {wins}/{len(pairs)} pairs, A's quartile spread {spread:.3g}: {gain}")
-    return lines, worse
+                         f"B better in {wins}/{pairs} pairs, A's quartile spread {spread:.3g}: {gain}")
+    return lines + compare_published(a, b), worse
+
+
+def better_pairs(old: dict, new: dict, metric: dict) -> tuple[int, int]:
+    """In how many pairs (run i of A, run i of B) B is better, and how many pairs."""
+    sign = 1 if metric["better"] == "lower" else -1
+    pairs = list(zip(old["runs"], new["runs"]))
+    name = metric["name"]
+    return sum(sign * (q["metrics"][name] - p["metrics"][name]) < 0 for p, q in pairs), len(pairs)
+
+
+def compare_published(a: dict, b: dict) -> list[str]:
+    """Report lines for B's published runs against A's, which set no verdict."""
+    if "published" not in a or "published" not in b:
+        return ["published runs: not in both files"]
+    lines = []
+    for run_name in PUBLISHED:
+        old, new = a["published"][run_name], b["published"][run_name]
+        same = "same" if old["results_sha256"] == new["results_sha256"] else "DIFFERENT"
+        lines.append(f"published {run_name}: results.csv {same}")
+        for metric in PUBLISHED_METRICS:
+            x, y = (e["metrics"][metric["name"]]["median"] for e in (old, new))
+            wins, pairs = better_pairs(old, new, metric)
+            lines.append(f"  {metric['name']:<13} {x:10.6g} -> {y:10.6g} {metric['unit']:<4} "
+                         f"{(y - x) / x:+8.2%}  B better in {wins}/{pairs} pairs")
+    return lines
 
 
 def main(argv: list[str] | None = None) -> int:

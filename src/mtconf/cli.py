@@ -360,8 +360,10 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be at least {least}")
         # The largest arrays a run allocates hold a float per row drawn and per
         # target, or per prediction sample of a multiround draw; the quantile
-        # fit holds 6 floats per training row and target (3 per fitted line);
-        # a cell's per-trial results hold 1 + 2K floats per trial (joint
+        # fit holds 4 floats and 2 one-byte flags per training row and fitted
+        # line, two lines per target, and an epoch that flips every flag
+        # gathers 4 floats more: 132 bytes per training row and target; a
+        # cell's per-trial results hold 1 + 2K floats per trial (joint
         # coverage, then per-target coverage and length), a protocol's 3; and
         # the split table, one alive at a time, n_cal + n_test int64 per trial.
         width = joint_targets if fits_models else max(joint_targets, self.n_pred)
@@ -370,7 +372,7 @@ class ExperimentConfig:
         drawn = max((self.n_tune + self.n_cal + self.n_test, *tune_sizes))
         trained = max((self.n_train, *train_sizes)) if fits_models else 0
         per_trial = max(1 + 2 * joint_targets if fits_models else 3, self.n_cal + self.n_test)
-        need = max(drawn * width, 6 * joint_targets * trained, per_trial * self.trials) * 8
+        need = max(8 * drawn * width, 132 * joint_targets * trained, 8 * per_trial * self.trials)
         try:
             memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
         except (AttributeError, ValueError, OSError):  # unknown here: no check

@@ -109,11 +109,14 @@ def fit_quantile_models(train: LabeledSet, alpha: float) -> list[tuple[QuantReg,
     separate fits.  That holds because every step is elementwise IEEE
     arithmetic on (2K,) coefficient arrays or (2K, n) rows, and each row's
     subgradient is one ``np.add.reduce`` along a contiguous row, the same
-    pairwise sum as a single line's.  A rewrite that sums in another order or
-    rounds once where this rounds twice changes the bits: ``dot``, ``matmul``
-    or ``einsum`` for the sums, sorting or ``count_nonzero`` for the
-    below-line counts, or testing ``zs - b < us * w`` instead of
-    ``zs < us * w + b``.
+    pairwise sum as a single line's.  The subgradient rows persist across
+    epochs and only the entries whose below-line flag flipped are rewritten
+    (see ``_fit_lines``); every entry still holds what a full rewrite would
+    compute, so the sums and the models keep their bits.  A rewrite that sums
+    in another order or rounds once where this rounds twice changes the bits:
+    ``dot``, ``matmul`` or ``einsum`` for the sums, sorting or
+    ``count_nonzero`` for the below-line counts, or testing
+    ``zs - b < us * w`` instead of ``zs < us * w + b``.
     """
     levels = (alpha / 2.0, 1.0 - alpha / 2.0)
     models = _fit_lines(train, [(k, lvl) for k in range(train.n_targets) for lvl in levels])
@@ -123,8 +126,16 @@ def fit_quantile_models(train: LabeledSet, alpha: float) -> list[tuple[QuantReg,
 def _fit_lines(train: LabeledSet, lines: list[tuple[int, float]]) -> list[QuantReg]:
     """``fit_quantreg`` for every (target, level) line, in one descent.
 
-    Holds 3 floats per training row and line: the standardized target, and
-    the line's prediction-then-subgradient and coefficient rows.
+    Holds 4 floats and 2 flags per training row and line across the epochs:
+    the standardized target, the prediction, the persisting coefficient and
+    subgradient entries, and the below-line flags of this epoch and the last.
+    Each epoch compares the flags with the last epoch's and, only at the flat
+    indices that flipped, rewrites coefficient ``level - flag`` and
+    subgradient ``coefficient * u``: the same IEEE expressions a full rewrite
+    evaluates, so every entry holds a full rewrite's bits.  The one reduce
+    over the rows runs only when a flag flipped; otherwise the buffer, and
+    so its sums, are those of the last epoch.  An epoch that flips every flag
+    gathers up to 4 floats more per row and line.
     """
     if not all(0.0 < level < 1.0 for _, level in lines):
         raise ValueError("quantile level must lie in (0, 1)")
@@ -141,24 +152,39 @@ def _fit_lines(train: LabeledSet, lines: list[tuple[int, float]]) -> list[QuantR
         z_sd = z_sd if z_sd > 1e-12 else 1.0
         zs[i] = (z - z_mean) / z_sd
         z_scales.append((z_mean, z_sd))
-    levels = np.array([level for _, level in lines])[:, None]
+    levels = np.array([level for _, level in lines])
     w, b = np.zeros(m), np.zeros(m)
     w_acc, b_acc = np.zeros(m), np.zeros(m)
     n_tail = FIT_EPOCHS // 4
     tail_start = FIT_EPOCHS - n_tail + 1
-    # One epoch in one (2m, n) buffer: the grad rows first hold the
-    # prediction, then coeff * u; a single reduce sums them and the coeff rows.
+    # The subgradient rows persist: every entry starts above its line
+    # (coeff = level, grad = level * u) and is rewritten only when its flag
+    # flips, so one reduce over the (2m, n) buffer sums the grad and coeff rows.
     rows = np.empty((2 * m, n))
-    grad, coeff = rows[:m], rows[m:]
+    np.copyto(rows[m:], levels[:, None])
+    np.multiply(rows[m:], us, out=rows[:m])
+    grad, coeff = rows[:m].reshape(-1), rows[m:].reshape(-1)
+    sums = np.add.reduce(rows, axis=1)
+    pred = np.empty((m, n))
+    below, now = np.zeros((m, n), dtype=bool), np.empty((m, n), dtype=bool)
     for epoch in range(1, FIT_EPOCHS + 1):
-        np.multiply(us, w[:, None], out=grad)
-        np.add(grad, b[:, None], out=grad)
-        # For finite doubles, zs - pred < 0 exactly when zs < pred; the float
-        # out stores the mask as 1.0/0.0.
-        np.less(zs, grad, out=coeff)
-        np.subtract(levels, coeff, out=coeff)
-        np.multiply(coeff, us, out=grad)
-        steps = np.add.reduce(rows, axis=1) / n
+        np.multiply(us, w[:, None], out=pred)
+        np.add(pred, b[:, None], out=pred)
+        # For finite doubles, zs - pred < 0 exactly when zs < pred.
+        np.less(zs, pred, out=now)
+        # The last epoch's flags turn into the flips; this epoch's are kept.
+        np.not_equal(now, below, out=below)
+        flipped = np.flatnonzero(below)
+        below, now = now, below
+        if flipped.size:
+            # level - 1.0 or level - 0.0, then times u: a full rewrite's values.
+            c = levels[flipped // n]
+            c -= below.reshape(-1)[flipped]
+            coeff[flipped] = c
+            c *= us[flipped % n]
+            grad[flipped] = c
+            sums = np.add.reduce(rows, axis=1)
+        steps = sums / n
         steps *= FIT_STEP / math.sqrt(epoch)
         w += steps[:m]
         b += steps[m:]

@@ -1,8 +1,10 @@
 """bench/record.py: the BENCH file's summaries, the recording order and the compare verdicts.
 
-These run on hand-made perfbench outputs and a stub perfbench; no benchmark is started.
+These run on hand-made perfbench outputs, a stub perfbench and a stub ``mtconf.cli``; no
+benchmark is started.
 """
 
+import hashlib
 import importlib.util
 import json
 import statistics
@@ -124,29 +126,93 @@ print(json.dumps({"correct": True, "attempted": 5, "failed": 1, "metrics": metri
 """
 
 
+# A stub mtconf.cli: it logs its checkout and arguments and writes the
+# checkout's name as results.csv.
+CLI_STUB = """
+from pathlib import Path
+def main(argv):
+    here = Path(__file__).resolve().parents[2]
+    cut = argv.index("--output-dir")
+    with open(here.parent / "order.log", "a") as fh:
+        fh.write(f"{here.name} {' '.join(argv[:cut])}\\n")
+    out = Path(argv[cut + 1])
+    out.mkdir(parents=True)
+    (out / "results.csv").write_text(here.name)
+    return int(here.name == "broken")
+"""
+
+
+def stub_checkout(root):
+    (root / "perfbench").mkdir(parents=True)
+    (root / "perfbench" / "run.py").write_text(textwrap.dedent(STUB))
+    (root / "src" / "mtconf").mkdir(parents=True)
+    (root / "src" / "mtconf" / "__init__.py").write_text("")
+    (root / "src" / "mtconf" / "cli.py").write_text(textwrap.dedent(CLI_STUB))
+
+
 def test_record_alternates_checkouts_and_keeps_every_run(tmp_path, monkeypatch):
     monkeypatch.setattr(record, "RUNS", 4)
     for name in "ab":
-        (tmp_path / name / "perfbench").mkdir(parents=True)
-        (tmp_path / name / "perfbench" / "run.py").write_text(textwrap.dedent(STUB))
+        stub_checkout(tmp_path / name)
     outs = [tmp_path / "A.json", tmp_path / "B.json"]
     argv = ["--record", str(tmp_path / "a"), str(outs[0]), "--record", str(tmp_path / "b"), str(outs[1])]
     assert record.main(argv) == 0
     seconds = BENCH["run_seconds"]
     log = (tmp_path / "order.log").read_text().split("\n")[:-1]
-    assert log == [f"{s} {w} {seconds:g}" for w in NAMES for s in "abbaabba"]
+    published = [" ".join(("run", *args)) for args in record.PUBLISHED.values()]
+    assert log == ([f"{s} {w} {seconds:g}" for w in NAMES for s in "abbaabba"]
+                   + [f"{s} {args}" for args in published for s in "abbaabba"])
     a, b = (json.loads(p.read_text()) for p in outs)
     assert a["seconds"] == b["seconds"] == seconds and a["runs"] == 4
     one = b["e2e"][NAMES[0]]
     assert (one["results_sha256"], one["attempted"], one["failed"], one["correct"]) == ("db", 20, 4, True)
     assert len(one["runs"]) == 4 and one["metrics"]["wall_s"]["median"] == 2.0
+    assert a["ctool"] == record.CTOOL and set(a["published"]) == set(record.PUBLISHED)
+    for pub in b["published"].values():
+        assert pub["results_sha256"] == hashlib.sha256(b"b").hexdigest() and pub["correct"]
+        assert len(pub["runs"]) == 4
+        for one_run in pub["runs"]:
+            # VmHWM of a Python process that imported the stub: some MB, not 0.
+            assert one_run["metrics"]["wall_s"] > 0 and 1 < one_run["metrics"]["peak_rss_mb"] < 1024
     lines, worse = record.compare(a, b, BENCH)
     assert worse and "DIFFERENT" in lines[0]
+    assert f"published {next(iter(record.PUBLISHED))}: results.csv DIFFERENT" in lines
+
+
+def test_a_failing_published_run_stops_the_record(tmp_path):
+    stub_checkout(tmp_path / "broken")
+    with pytest.raises(RuntimeError, match="exited 1"):
+        record.ctool_run(tmp_path / "broken", record.PUBLISHED["multiround"])
+
+
+def published_entry(walls, digest="ab"):
+    runs = [{"correct": True, "attempted": 1, "failed": 0, "results_sha256": [digest],
+             "metrics": {"wall_s": w, "peak_rss_mb": 70.0}} for w in walls]
+    return record.summarize(runs, record.PUBLISHED_METRICS)
+
+
+def test_compare_reports_published_medians_and_digests_without_a_verdict():
+    a = bench_file(**{n: entry([run(), run()]) for n in NAMES})
+    b = json.loads(json.dumps(a))
+    a["published"] = {name: published_entry([2.0, 2.2, 2.1, 2.4]) for name in record.PUBLISHED}
+    b["published"] = {name: published_entry([1.7, 1.8, 2.2, 1.9]) for name in record.PUBLISHED}
+    b["published"]["multiround"] = published_entry([3.0] * 4, digest="cd")
+    lines, worse = record.compare(a, b, BENCH)
+    assert not worse  # a slower published run with another digest sets no verdict
+    at = lines.index("published table1_correlated: results.csv same")
+    # Medians 2.15 and 1.85: 14% less wall time, B better in 3 of 4 pairs.
+    assert lines[at + 1].split() == ["wall_s", "2.15", "->", "1.85", "s", "-13.95%", "B",
+                                     "better", "in", "3/4", "pairs"]
+    assert lines[at + 2].split()[:6] == ["peak_rss_mb", "70", "->", "70", "MB", "+0.00%"]
+    assert "published multiround: results.csv DIFFERENT" in lines
+    del a["published"]
+    assert record.compare(a, b, BENCH)[0][-1] == "published runs: not in both files"
 
 
 def test_every_record_carries_the_known_perfbench_faults(monkeypatch):
     monkeypatch.setattr(record, "RUNS", 2)
     monkeypatch.setattr(record, "perfbench_run", lambda root, workload, seconds: run())
+    monkeypatch.setattr(record, "ctool_run", lambda root, args: run())
     records = record.record([Path("a"), Path("b")], BENCH)
     assert [r["known_faults"] for r in records] == [record.KNOWN_FAULTS] * 2
     declared = {m["name"] for m in BENCH["end_to_end"] + BENCH["per_layer"]}

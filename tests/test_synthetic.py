@@ -159,6 +159,38 @@ def test_fit_quantreg_is_bit_identical_to_the_first_written_descent(n, noise, fl
                 assert (model.weight, model.bias) == first_written_quantreg(train, k, level)
 
 
+@st.composite
+def tied_training_sets(draw):
+    """Up to 200 rows of integer features and two integer targets, with
+    repeated rows and, at times, a constant column: ties make ``zs == pred``
+    happen, so below-line flags flip back and forth."""
+    n = draw(st.integers(1, 200))
+    distinct = draw(st.integers(1, n))
+    cell = st.integers(-4, 4)
+    base = np.array(draw(st.lists(st.tuples(cell, cell, cell), min_size=distinct,
+                                  max_size=distinct)), dtype=np.float64)
+    table = base[draw(st.lists(st.integers(0, distinct - 1), min_size=n, max_size=n))]
+    flat = draw(st.sampled_from([None, 0, 1, 2]))
+    if flat is not None:
+        table[:, flat] = draw(cell)
+    return LabeledSet(features=table[:, 0], targets=table[:, 1:], role=Role.TRAIN)
+
+
+@given(
+    tied_training_sets(),
+    st.integers(0, 1),
+    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    st.floats(1e-9, 1.0, exclude_max=True),  # so 1 - alpha / 2 stays below 1
+)
+@settings(max_examples=30, deadline=None)
+def test_fits_on_tied_data_are_bit_identical_to_the_first_written_descent(train, k, level, alpha):
+    model = fit_quantreg(train, k, level)
+    assert (model.weight, model.bias) == first_written_quantreg(train, k, level)
+    for k, pair in enumerate(fit_quantile_models(train, alpha)):
+        for model, level in zip(pair, (alpha / 2.0, 1.0 - alpha / 2.0)):
+            assert (model.weight, model.bias) == first_written_quantreg(train, k, level)
+
+
 def test_fit_quantile_models_orders_the_pair():
     data = gen_synthetic(3000, NoiseKind.INDEPENDENT, seed=23)
     pairs = fit_quantile_models(data, alpha=0.2)
