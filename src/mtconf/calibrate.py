@@ -88,10 +88,6 @@ class Calibration:
                 values.setflags(write=False)
                 object.__setattr__(self, name, values)
 
-    @property
-    def n_targets(self) -> int:
-        return self.per_target_zeta.size
-
     def margins(self, n_targets: int) -> np.ndarray:
         """Per-target raw-score thresholds, checked against the target count."""
         if self.per_target_zeta.size != n_targets:

@@ -69,10 +69,8 @@ def _test_metrics(covered: np.ndarray) -> tuple[float, np.ndarray]:
 
 
 def _length_rows(lo, hi, kind: ScoreKind) -> list[np.ndarray]:
-    """The (K, N) target rows of a trial's mean lengths: none for the one-sided
-    kinds, the band widths w, and for QN their ratios w_k / w_0."""
-    if kind.one_sided:
-        return []
+    """The (K, N) target rows of a trial's mean lengths: the band widths w, and
+    for QN their ratios w_k / w_0."""
     widths = hi - lo
     rows = (widths, widths / widths[:, :1]) if kind.normalized else (widths,)
     return [np.ascontiguousarray(r.T) for r in rows]
@@ -81,10 +79,7 @@ def _length_rows(lo, hi, kind: ScoreKind) -> list[np.ndarray]:
 def _trial_mil(rows: list[np.ndarray], test: np.ndarray, margins: np.ndarray) -> np.ndarray:
     """A trial's per-target mean interval length on its test columns ``test``,
     from ``_length_rows`` and (K, 1) margins q: mean max(0, w + 2q), with q scaled
-    by w_k/w_0 for QN, so q = +inf gives +inf and q = -inf gives 0.  A one-sided
-    interval (-inf, hi + q] is unbounded, or empty at q = -inf."""
-    if not rows:
-        return np.where(margins[:, 0] == -math.inf, 0.0, math.inf)
+    by w_k/w_0 for QN, so q = +inf gives +inf and q = -inf gives 0."""
     widths, *ratios = (r.take(test, axis=1) for r in rows)
     widths += np.multiply(ratios[0], 2.0 * margins, out=ratios[0]) if ratios else 2.0 * margins
     return np.maximum(0.0, widths, out=widths).mean(axis=1)

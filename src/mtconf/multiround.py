@@ -85,14 +85,10 @@ def _protocol_cells(
     blocks = tuple(_round_slice(cfg, b) for b in range(cfg.rounds)) if per_round else (slice(None),)
     cell = _trials(data, tune, fit, kind, alpha, trials, splits, blocks)
     # (K, N) band rows, and for QN their width ratios, gathered by each trial.
-    # A one-sided interval's lower end is -inf, which the widening writes into
-    # a (K, 1) stand-in rather than a gathered lower band.
-    bands = ([] if kind.one_sided else [data.lo]) + [data.hi]
-    bands += [_scale_ratios(data.lo, data.hi)] if kind.normalized else []
+    bands = [data.lo, data.hi] + ([_scale_ratios(data.lo, data.hi)] if kind.normalized else [])
     bands = [np.array(r.T, order="C") for r in bands]
-    stand_in = [np.empty((data.n_targets, 1))] if kind.one_sided else []
     for covered, test, margins in cell:
-        lo, hi, *ratios = stand_in + [r.take(test, axis=1) for r in bands]
+        lo, hi, *ratios = (r.take(test, axis=1) for r in bands)
         yield covered, interval_lengths(lo, hi, margins, kind, *ratios)
 
 

@@ -1,11 +1,11 @@
 """Nonconformity scores over (n, K) quantile bands, and their inversion to intervals.
 
-The two-sided scores measure how far a target value sits outside its
-estimated quantile band; negative values mean the band already contains the
-target.  The width-normalized variants rescale each target's score by the
-ratio of the first target's band width to its own, which puts all targets on
-a shared scale before any max is taken across them.  One-sided variants keep
-only the upper violation, for settings where only an upper bound matters.
+The CQR score measures how far a target value sits outside its estimated
+quantile band on either side; negative values mean the band already contains
+the target.  The width-normalized QN score rescales each target's CQR score
+by the ratio of the first target's band width to its own, which puts all
+targets on a shared scale before any max is taken across them.  Every
+interval is the band widened by the margin on both sides.
 """
 
 from __future__ import annotations
@@ -30,16 +30,10 @@ class ScoreKind(Enum):
 
     CQR = "cqr"
     QN = "qn"
-    CQR_ONE_SIDED = "cqr_one_sided"
-    QN_ONE_SIDED = "qn_one_sided"
-
-    @property
-    def one_sided(self) -> bool:
-        return self in (ScoreKind.CQR_ONE_SIDED, ScoreKind.QN_ONE_SIDED)
 
     @property
     def normalized(self) -> bool:
-        return self in (ScoreKind.QN, ScoreKind.QN_ONE_SIDED)
+        return self is ScoreKind.QN
 
 
 def _ceil_rank(x: float) -> int:
@@ -82,10 +76,7 @@ def score_matrix(lo: np.ndarray, hi: np.ndarray, targets: np.ndarray, kind: Scor
     lo = np.asarray(lo, dtype=np.float64)
     hi = np.asarray(hi, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
-    if kind.one_sided:
-        raw = targets - hi
-    else:
-        raw = np.maximum(lo - targets, targets - hi)
+    raw = np.maximum(lo - targets, targets - hi)
     if kind.normalized:
         raw = raw * _scale_ratios(lo, hi)
     return raw
@@ -99,14 +90,13 @@ def interval_bounds(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Endpoints of {z : score(lo, hi, z) <= zeta} for every (sample, target) pair.
 
-    For two-sided kinds this is the band widened by the (de-normalized)
-    margin on both sides; for one-sided kinds the lower endpoint is -inf.  A
+    This is the band widened by the (de-normalized) margin on both sides.  A
     margin of +inf yields (-inf, +inf).  A negative margin can empty an
     interval, which is then returned inverted (lo > hi).  ``zetas`` is a
     scalar margin shared by all targets or a (K,) vector of per-target
     margins, in the score's own domain; it broadcasts against the (n, K)
-    bands.  The normalized kinds divide every finite margin by the band-width
-    ratio ``_scale_ratios(lo, hi)``.
+    bands.  QN divides every finite margin by the band-width ratio
+    ``_scale_ratios(lo, hi)``.
     """
     lo, hi = np.array(lo, dtype=np.float64), np.array(hi, dtype=np.float64)
     return _widen(lo, hi, np.asarray(zetas, dtype=np.float64), kind)
@@ -119,18 +109,13 @@ def _widen(lo, hi, margins, kind: ScoreKind, ratios=None) -> tuple[np.ndarray, n
         finite = np.isfinite(margins)
         margins = scaled if finite.all() else np.where(finite, scaled, margins)
     hi += margins
-    if kind.one_sided:
-        lo.fill(-math.inf)
-    else:
-        lo -= margins
+    lo -= margins
     return lo, hi
 
 
 def interval_lengths(lo, hi, margins, kind: ScoreKind, ratios=None) -> np.ndarray:
     """``np.maximum(0.0, ihi - ilo)`` of ``interval_bounds``, same arithmetic, in the
-    scratch bands ``lo``/``hi``; one-sided lengths are the upper ends, unclipped."""
+    scratch bands ``lo``/``hi``."""
     lo, hi = _widen(lo, hi, margins, kind, ratios)
-    if kind.one_sided:
-        return hi
     hi -= lo
     return np.maximum(0.0, hi, out=hi)

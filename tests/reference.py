@@ -22,19 +22,14 @@ def reference_bounds(lo, hi, zetas, kind):
         ratios = widths[:, :1] / widths
         finite = np.isfinite(margins)
         margins[finite] = margins[finite] / ratios[finite]
-    out_hi = hi + margins
-    out_lo = np.full_like(out_hi, -np.inf) if kind.one_sided else lo - margins
-    return out_lo, out_hi
+    return lo - margins, hi + margins
 
 
 def reference_evaluation(calib, scores, lo, hi):
     """Joint coverage, per-target coverage and mean lengths of (n, K) test rows."""
     covered = scores <= calib.margins(scores.shape[1])
     ilo, ihi = reference_bounds(lo, hi, calib.margins(lo.shape[1]), calib.score_kind)
-    # An interval whose upper end is -inf is empty (a one-sided kind at a -inf
-    # threshold), length 0 where ihi - ilo would be -inf - -inf.
-    lengths = np.subtract(ihi, ilo, out=np.zeros_like(ihi), where=ihi > -np.inf)
-    np.maximum(0.0, lengths, out=lengths)
+    lengths = np.maximum(0.0, ihi - ilo)
     return float(covered.all(axis=1).mean()), covered.mean(axis=0), lengths.mean(axis=0)
 
 

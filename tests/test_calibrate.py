@@ -277,7 +277,7 @@ def test_fit_method_contracts():
         got = fit_method(Method.SINGLE, scores[:, :1], alpha, ScoreKind.CQR)
         assert got.per_target_zeta.shape == (1,)
         assert math.isinf(got.per_target_zeta[0]) == (alpha == 0.01)
-        assert got.n_targets == 1 and got.per_target_level is None
+        assert got.per_target_zeta.size == 1 and got.per_target_level is None
         with pytest.raises(ValueError, match="different target count"):
             got.margins(2)
     with pytest.raises(ValueError, match="needs tuning scores"):
@@ -313,7 +313,7 @@ def test_every_record_carries_read_only_per_target_thresholds(method, k):
     calib = fit_method(method, cal, 0.2, ScoreKind.CQR, tune)
     zeta = calib.per_target_zeta
     assert zeta.shape == (k,) and zeta.dtype == np.float64 and not zeta.flags.writeable
-    assert calib.margins(k) is zeta and calib.n_targets == k
+    assert calib.margins(k) is zeta and calib.per_target_zeta.size == k
     if method is Method.QN_MAX:
         assert zeta.tolist() == [zeta[0]] * k
     with pytest.raises(ValueError, match="different target count"):

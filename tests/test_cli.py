@@ -58,6 +58,13 @@ MULTIROUND = (
 )
 
 
+def test_every_method_and_score_kind_has_a_method_token():
+    # A variant that no token names is code that no ctool run can reach.
+    methods, kinds = zip(*cli.METHOD_TOKENS.values())
+    assert set(mtconf.Method) <= set(methods)
+    assert set(ScoreKind) <= set(kinds)
+
+
 def test_read_config_file_parses_all_sections(tmp_path):
     path = tmp_path / "run.ini"
     path.write_text(

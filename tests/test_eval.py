@@ -255,7 +255,7 @@ def test_interval_lengths_equal_the_reference_bounds_bit_for_bit(k):
     # The protocols' in-place lengths of every score kind against the
     # reference bounds, on (n, K) bands and on the (K, n) rows with (K, 1)
     # margins: margins finite (Cauchy, so some negative and some emptying the
-    # band), partly +inf, and all +inf.  One-sided lengths are the upper ends.
+    # band), partly +inf, and all +inf.
     rng = np.random.default_rng(k)
     for n in (*range(1, 40), 127, 128, 129, 255, 256, 257, 1000, 2000, 4097):
         lo = rng.normal(size=(n, k)) * 10.0 ** rng.uniform(-3, 3, size=(n, k))
@@ -265,7 +265,7 @@ def test_interval_lengths_equal_the_reference_bounds_bit_for_bit(k):
         for margins, kind in product((finite, partly, np.full(k, np.inf)), ScoreKind):
             ratios = _scale_ratios(lo, hi) if kind.normalized else None
             ilo, ihi = reference_bounds(lo, hi, margins, kind)
-            want = ihi if kind.one_sided else np.maximum(0.0, ihi - ilo)
+            want = np.maximum(0.0, ihi - ilo)
             got = interval_lengths(lo.copy(), hi.copy(), margins, kind, ratios)
             assert got.tobytes() == want.tobytes(), (n, kind)
             rows = interval_lengths(
@@ -354,7 +354,7 @@ def test_run_trials_equals_the_pipeline_at_the_rank_extremes(method, kind):
     assert_matches_reference(got, reference_trials(data, tune, method, kind, 0.05, 3, starved))
     assert got.ejc == 1.0 and np.all(np.isposinf(got.mil))
     # every tuning score lies above every pool score: level 0, thresholds -inf,
-    # so every interval is empty, the one-sided (-inf, -inf] included
+    # so every interval is empty
     far = LabeledSet(
         features=tune.features, targets=tune.hi + 100.0, lo=tune.lo, hi=tune.hi, role=Role.TUNE
     )

@@ -181,7 +181,7 @@ def reference_protocol(data, tune, method, alpha, cfg, trials, spec, kind, per_r
         margins = calib.margins(cfg.n_targets)
         covered = score_matrix(test.lo, test.hi, test.targets, kind) <= margins
         ilo, ihi = reference_bounds(test.lo, test.hi, margins, kind)
-        lengths = ihi if kind.one_sided else np.maximum(0.0, ihi - ilo)
+        lengths = np.maximum(0.0, ihi - ilo)
         accepted, accepted_cov = reference_walk(lengths, covered, cfg)
         eac[t] = accepted_cov.mean()
         inv_rate[t] = np.mean(1.0 / rates[accepted])
@@ -199,17 +199,15 @@ def assert_same_protocol(got, want):
     assert (got.trials, got.n_test) == (want.trials, want.n_test)
 
 
-def staged_rows(n, cfg, seed, role=Role.CAL, offset=0.0):
+def staged_rows(n, cfg, seed, role=Role.CAL):
     """Round-shaped rows whose bands shrink by round and never collapse.
 
     Clipped ``gen_multiround`` bands can have zero width, which the
-    width-normalized scores refuse; these rows admit every score kind.  An
-    ``offset`` lifts the rows, and with them the one-sided interval lengths
-    (their upper ends), above 0.
+    width-normalized scores refuse; these rows admit every score kind.
     """
     rng = np.random.default_rng(seed)
     scale = np.repeat(np.asarray(cfg.sigma), cfg.tasks)
-    center = rng.normal(size=(n, cfg.n_targets)) + offset
+    center = rng.normal(size=(n, cfg.n_targets))
     half = rng.uniform(0.5, 1.5, size=center.shape) * scale
     targets = center + rng.normal(size=center.shape) * scale
     return LabeledSet(
@@ -312,7 +310,7 @@ def reference_pilot(data, tune, method, kind, alpha, cfg, spec):
     scores = [score_matrix(s.lo, s.hi, s.targets, kind) for s in (cal, tune)]
     calib = fit_method(method, scores[0], alpha, kind, scores[1])
     ilo, ihi = reference_bounds(test.lo, test.hi, calib.margins(cfg.n_targets), kind)
-    lengths = ihi if kind.one_sided else np.maximum(0.0, ihi - ilo)
+    lengths = np.maximum(0.0, ihi - ilo)
     b = max(cfg.rounds - 2, 0)
     return float(np.quantile(lengths[:, b * cfg.tasks:(b + 1) * cfg.tasks].max(axis=1), 0.5))
 
@@ -323,8 +321,8 @@ def reference_pilot(data, tune, method, kind, alpha, cfg, spec):
 def test_pilot_tau_equals_the_reference_pipeline_bit_for_bit(method, tasks, kind):
     cfg = dataclasses.replace(CFG, tasks=tasks)
     # 600 tuning rows keep the CDF methods' 15-target thresholds finite at alpha 0.1.
-    data = staged_rows(420, cfg, seed=60, offset=3.0)
-    tune = staged_rows(600, cfg, seed=61, role=Role.TUNE, offset=3.0)
+    data = staged_rows(420, cfg, seed=60)
+    tune = staged_rows(600, cfg, seed=61, role=Role.TUNE)
     spec = SplitSpec(seed=62, n_tune=1, n_cal=240, n_test=150)
     for alpha in (0.2, 0.1):
         got = pilot_tau(data, tune, method, kind, alpha, cfg, TrialSplits(spec, data.n))

@@ -42,14 +42,6 @@ def test_zero_width_band_is_rejected_naming_the_target():
         score_matrix(lo, hi, np.zeros((1, 2)), ScoreKind.QN)
 
 
-def test_one_sided_hand_cases():
-    lo, hi = np.zeros((1, 2)), np.ones((1, 2))
-    z = np.array([[3.0, 1.0]])
-    raw = score_matrix(lo, hi, z, ScoreKind.CQR_ONE_SIDED)
-    assert raw[0].tolist() == [2.0, 0.0]
-    assert np.array_equal(score_matrix(lo, hi, z, ScoreKind.QN_ONE_SIDED), raw)
-
-
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_score_matrix_matches_scalar_dispatch(kind):
     rng = np.random.default_rng(0)
@@ -60,9 +52,7 @@ def test_score_matrix_matches_scalar_dispatch(kind):
     got = score_matrix(lo, hi, z, kind)
     for i in range(n):
         for j in range(k):
-            want = z[i, j] - hi[i, j]
-            if not kind.one_sided:
-                want = max(lo[i, j] - z[i, j], want)
+            want = max(lo[i, j] - z[i, j], z[i, j] - hi[i, j])
             if kind.normalized:
                 want *= (hi[i, 0] - lo[i, 0]) / (hi[i, j] - lo[i, j])
             assert got[i, j] == pytest.approx(want, abs=1e-12)
@@ -74,8 +64,6 @@ def test_interval_bounds_hand_cases():
     assert (ilo[0, 0], ihi[0, 0]) == (-0.5, 1.5)
     ilo, ihi = interval_bounds(lo, hi, math.inf, ScoreKind.CQR)
     assert (ilo[0, 0], ihi[0, 0]) == (-math.inf, math.inf)
-    ilo, ihi = interval_bounds(lo, hi, 0.5, ScoreKind.CQR_ONE_SIDED)
-    assert (ilo[0, 0], ihi[0, 0]) == (-math.inf, 1.5)
 
 
 def test_negative_margin_can_empty_the_interval():
