@@ -33,15 +33,21 @@ from mtconf import (
 from mtconf import evaluate
 from mtconf.evaluate import _length_rows, _test_metrics, _trial_mil
 from mtconf.scores import _scale_ratios, interval_bounds, interval_lengths, score_matrix
+from conftest import KINDS_AND_TIES
 from reference import reference_bounds, reference_evaluation
 
 
-def banded(n, k, seed, role=Role.CAL):
-    """iid rows with a quantile band and a target drawn around one center."""
+def banded(n, k, seed, role=Role.CAL, tied=False):
+    """iid rows with a quantile band and a target drawn around one center.
+
+    ``tied`` snaps the same draws to multiples of 1/4, so band ends, targets
+    and scores repeat exactly across rows and the calibration ranks meet ties.
+    """
     rng = np.random.default_rng(seed)
-    center = rng.normal(size=(n, k)) * (1.0 + np.arange(k))
-    half = rng.uniform(0.5, 1.5, size=(n, k))
-    targets = center + rng.normal(size=(n, k))
+    snap = (lambda x: np.round(4.0 * x) / 4.0) if tied else (lambda x: x)
+    center = snap(rng.normal(size=(n, k)) * (1.0 + np.arange(k)))
+    half = snap(rng.uniform(0.5, 1.5, size=(n, k)))
+    targets = center + snap(rng.normal(size=(n, k)))
     return LabeledSet(
         features=rng.normal(size=n),
         targets=targets,
@@ -211,12 +217,12 @@ def assert_matches_reference(got, want, ulps=64):
     assert np.all(np.abs(got - want) <= ulps * np.spacing(want))
 
 
-@pytest.mark.parametrize("kind", list(ScoreKind))
+@pytest.mark.parametrize("kind, tied", KINDS_AND_TIES)
 @pytest.mark.parametrize("method", list(Method))
-def test_run_trials_equals_the_per_trial_pipeline(method, kind):
+def test_run_trials_equals_the_per_trial_pipeline(method, kind, tied):
     k = 1 if method is Method.SINGLE else 3
-    data = banded(360, k, seed=30)
-    tune = banded(90, k, seed=31)
+    data = banded(360, k, seed=30, tied=tied)
+    tune = banded(90, k, seed=31, tied=tied)
     spec = SplitSpec(seed=32, n_tune=1, n_cal=200, n_test=120)
     splits = TrialSplits(spec, data.n)
     for alpha in (0.3, 0.1):
@@ -224,12 +230,12 @@ def test_run_trials_equals_the_per_trial_pipeline(method, kind):
         assert_matches_reference(got, reference_trials(data, tune, method, kind, alpha, 4, spec))
 
 
-@pytest.mark.parametrize("kind", list(ScoreKind))
+@pytest.mark.parametrize("kind, tied", KINDS_AND_TIES)
 @pytest.mark.parametrize("method", list(Method))
-def test_run_trials_on_a_shared_split_table_equals_fresh_draws(method, kind):
+def test_run_trials_on_a_shared_split_table_equals_fresh_draws(method, kind, tied):
     k = 1 if method is Method.SINGLE else 3
-    data = banded(360, k, seed=40)
-    tune = banded(90, k, seed=41)
+    data = banded(360, k, seed=40, tied=tied)
+    tune = banded(90, k, seed=41, tied=tied)
     spec = SplitSpec(seed=42, n_tune=1, n_cal=200, n_test=120)
     splits = TrialSplits(spec, data.n)
     # The second cell reuses the first's four splits and draws two more.
@@ -343,11 +349,11 @@ def test_run_trials_equals_the_per_trial_pipeline_at_size(method, kind):
     assert_matches_reference(got, reference_trials(data, tune, method, kind, 0.05, 3, spec))
 
 
-@pytest.mark.parametrize("kind", list(ScoreKind))
+@pytest.mark.parametrize("kind, tied", KINDS_AND_TIES)
 @pytest.mark.parametrize("method", [Method.MINIMAX, Method.COPULA])
-def test_run_trials_equals_the_pipeline_at_the_rank_extremes(method, kind):
-    data = banded(40, 2, seed=33)
-    tune = banded(60, 2, seed=34)
+def test_run_trials_equals_the_pipeline_at_the_rank_extremes(method, kind, tied):
+    data = banded(40, 2, seed=33, tied=tied)
+    tune = banded(60, 2, seed=34, tied=tied)
     # rank ceil(0.95 * 6) = 6 overflows n_cal = 5: level m, thresholds +inf
     starved = SplitSpec(seed=35, n_tune=1, n_cal=5, n_test=30)
     got = run_trials(data, tune, method, kind, 0.05, 3, TrialSplits(starved, data.n))

@@ -26,6 +26,7 @@ from mtconf import (
 )
 from mtconf.multiround import _walk
 from mtconf.scores import score_matrix
+from conftest import KINDS_AND_TIES
 from reference import raw_tau, reference_bounds, reference_walk
 
 
@@ -199,17 +200,22 @@ def assert_same_protocol(got, want):
     assert (got.trials, got.n_test) == (want.trials, want.n_test)
 
 
-def staged_rows(n, cfg, seed, role=Role.CAL):
+def staged_rows(n, cfg, seed, role=Role.CAL, tied=False):
     """Round-shaped rows whose bands shrink by round and never collapse.
 
     Clipped ``gen_multiround`` bands can have zero width, which the
     width-normalized scores refuse; these rows admit every score kind.
+    ``tied`` snaps the same draws to a power-of-two step below an eighth of
+    each round's sigma, so band ends, targets, scores and lengths repeat
+    exactly across rows.
     """
     rng = np.random.default_rng(seed)
     scale = np.repeat(np.asarray(cfg.sigma), cfg.tasks)
-    center = rng.normal(size=(n, cfg.n_targets))
-    half = rng.uniform(0.5, 1.5, size=center.shape) * scale
-    targets = center + rng.normal(size=center.shape) * scale
+    step = 2.0 ** np.floor(np.log2(scale / 8.0))
+    snap = (lambda x: np.round(x / step) * step) if tied else (lambda x: x)
+    center = snap(rng.normal(size=(n, cfg.n_targets)))
+    half = snap(rng.uniform(0.5, 1.5, size=center.shape) * scale)
+    targets = center + snap(rng.normal(size=center.shape) * scale)
     return LabeledSet(
         features=rng.normal(size=n), targets=targets, lo=center - half, hi=center + half, role=role
     )
@@ -226,29 +232,29 @@ def assert_protocols_match(data, tune, method, alpha, cfg, trials, spec, kind):
     return joint, sc
 
 
-@pytest.mark.parametrize("kind", list(ScoreKind))
+@pytest.mark.parametrize("kind, tied", KINDS_AND_TIES)
 @pytest.mark.parametrize("tasks", [1, 3])
 @pytest.mark.parametrize("method", [Method.IA, Method.QN_MAX, Method.MINIMAX, Method.COPULA])
-def test_protocols_equal_the_per_trial_pipeline(method, tasks, kind):
+def test_protocols_equal_the_per_trial_pipeline(method, tasks, kind, tied):
     cfg = dataclasses.replace(CFG, tasks=tasks)
-    data = staged_rows(420, cfg, seed=50)
-    tune = staged_rows(120, cfg, seed=51, role=Role.TUNE)
+    data = staged_rows(420, cfg, seed=50, tied=tied)
+    tune = staged_rows(120, cfg, seed=51, role=Role.TUNE, tied=tied)
     spec = SplitSpec(seed=52, n_tune=1, n_cal=240, n_test=150)
     rc = dataclasses.replace(cfg, tau=raw_tau(data, cfg))
     for alpha in (0.2, 0.05):
         assert_protocols_match(data, tune, method, alpha, rc, 3, spec, kind)
 
 
-@pytest.mark.parametrize("kind", list(ScoreKind))
+@pytest.mark.parametrize("kind, tied", KINDS_AND_TIES)
 @pytest.mark.parametrize(
     "method, tasks", [(m, t) for m in Method for t in (1, 3) if m is not Method.SINGLE or t == 1]
 )
-def test_protocols_on_a_shared_split_table_equal_fresh_draws(method, tasks, kind):
+def test_protocols_on_a_shared_split_table_equal_fresh_draws(method, tasks, kind, tied):
     cfg = dataclasses.replace(CFG, tasks=tasks)
     if method is Method.SINGLE:  # one target: one round of one task
         cfg = RoundConfig(rounds=1, sigma=(0.1,), rates=(1.0,))
-    data = staged_rows(420, cfg, seed=70)
-    tune = staged_rows(120, cfg, seed=71, role=Role.TUNE)
+    data = staged_rows(420, cfg, seed=70, tied=tied)
+    tune = staged_rows(120, cfg, seed=71, role=Role.TUNE, tied=tied)
     spec = SplitSpec(seed=72, n_tune=1, n_cal=240, n_test=150)
     rc = dataclasses.replace(cfg, tau=raw_tau(data, cfg))
     splits = TrialSplits(spec, data.n)
@@ -315,14 +321,14 @@ def reference_pilot(data, tune, method, kind, alpha, cfg, spec):
     return float(np.quantile(lengths[:, b * cfg.tasks:(b + 1) * cfg.tasks].max(axis=1), 0.5))
 
 
-@pytest.mark.parametrize("kind", list(ScoreKind))
+@pytest.mark.parametrize("kind, tied", KINDS_AND_TIES)
 @pytest.mark.parametrize("tasks", [1, 3])
 @pytest.mark.parametrize("method", [Method.IA, Method.QN_MAX, Method.MINIMAX, Method.COPULA])
-def test_pilot_tau_equals_the_reference_pipeline_bit_for_bit(method, tasks, kind):
+def test_pilot_tau_equals_the_reference_pipeline_bit_for_bit(method, tasks, kind, tied):
     cfg = dataclasses.replace(CFG, tasks=tasks)
     # 600 tuning rows keep the CDF methods' 15-target thresholds finite at alpha 0.1.
-    data = staged_rows(420, cfg, seed=60)
-    tune = staged_rows(600, cfg, seed=61, role=Role.TUNE)
+    data = staged_rows(420, cfg, seed=60, tied=tied)
+    tune = staged_rows(600, cfg, seed=61, role=Role.TUNE, tied=tied)
     spec = SplitSpec(seed=62, n_tune=1, n_cal=240, n_test=150)
     for alpha in (0.2, 0.1):
         got = pilot_tau(data, tune, method, kind, alpha, cfg, TrialSplits(spec, data.n))

@@ -7,10 +7,19 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import KINDS_AND_TIES
 from mtconf import ScoreKind
 from mtconf.scores import interval_bounds, score_matrix
 
-ALL_KINDS = list(ScoreKind)
+
+def quarter_grid(lo, widths, z, tied):
+    """Bands and targets as drawn, or snapped to multiples of 1/4 with every
+    band at least 1/4 wide: targets then often sit on a band end, so scores
+    are exactly 0 and repeat across rows."""
+    if not tied:
+        return lo, lo + widths, z
+    lo, z = np.round(4.0 * lo) / 4.0, np.round(4.0 * z) / 4.0
+    return lo, lo + np.ceil(4.0 * widths) / 4.0, z
 
 
 def test_cqr_hand_cases():
@@ -42,13 +51,13 @@ def test_zero_width_band_is_rejected_naming_the_target():
         score_matrix(lo, hi, np.zeros((1, 2)), ScoreKind.QN)
 
 
-@pytest.mark.parametrize("kind", ALL_KINDS)
-def test_score_matrix_matches_scalar_dispatch(kind):
+@pytest.mark.parametrize("kind, tied", KINDS_AND_TIES)
+def test_score_matrix_matches_scalar_dispatch(kind, tied):
     rng = np.random.default_rng(0)
     n, k = 20, 3
     lo = rng.normal(size=(n, k))
-    hi = lo + rng.uniform(0.2, 2.0, size=(n, k))
-    z = rng.normal(size=(n, k))
+    widths = rng.uniform(0.2, 2.0, size=(n, k))
+    lo, hi, z = quarter_grid(lo, widths, rng.normal(size=(n, k)), tied)
     got = score_matrix(lo, hi, z, kind)
     for i in range(n):
         for j in range(k):
@@ -71,13 +80,13 @@ def test_negative_margin_can_empty_the_interval():
     assert ilo[0, 0] > ihi[0, 0]
 
 
-@pytest.mark.parametrize("kind", ALL_KINDS)
-def test_score_interval_round_trip(kind):
+@pytest.mark.parametrize("kind, tied", KINDS_AND_TIES)
+def test_score_interval_round_trip(kind, tied):
     rng = np.random.default_rng(7)
     n, k = 400, 2
     lo = rng.normal(size=(n, k))
-    hi = lo + rng.uniform(0.05, 3.0, size=(n, k))
-    z = rng.normal(scale=2.0, size=(n, k))
+    widths = rng.uniform(0.05, 3.0, size=(n, k))
+    lo, hi, z = quarter_grid(lo, widths, rng.normal(scale=2.0, size=(n, k)), tied)
     zetas = rng.normal(scale=1.5, size=k)
     scores = score_matrix(lo, hi, z, kind)
     ilo, ihi = interval_bounds(lo, hi, zetas, kind)
