@@ -80,6 +80,8 @@ class LabeledSet:
             raise ValueError("features must be (n,) and targets (n, K)")
         if targets.shape[1] < 1:
             raise ValueError("need at least one target")
+        if not np.all(np.isfinite(feats)):
+            raise ValueError("features must be finite")
         if not np.all(np.isfinite(targets)):
             raise ValueError("targets must be finite")
         arrays = {"features": feats, "targets": targets}

@@ -34,6 +34,9 @@ NOISE_FACTOR.setflags(write=False)
 
 # The pinball fit's number of full-batch subgradient steps and first step size.
 FIT_EPOCHS, FIT_STEP = 2000, 0.5
+# Half-width, in standardized units, of the band around each line whose
+# entries the pinball fit re-tests between its full epochs.
+_NEAR = 0.01
 
 
 class NoiseKind(str, Enum):
@@ -107,15 +110,17 @@ def fit_quantile_models(train: LabeledSet, alpha: float) -> list[tuple[QuantReg,
     All 2K lines (K targets) descend together, each exactly as
     ``fit_quantreg`` would fit it alone: the models are bit-identical to 2K
     separate fits.  That holds because every step is elementwise IEEE
-    arithmetic on (2K,) coefficient arrays or (2K, n) rows, and each row's
-    subgradient is one ``np.add.reduce`` along a contiguous row, the same
-    pairwise sum as a single line's.  The subgradient rows persist across
-    epochs and only the entries whose below-line flag flipped are rewritten
-    (see ``_fit_lines``); every entry still holds what a full rewrite would
-    compute, so the sums and the models keep their bits.  A rewrite that sums
-    in another order or rounds once where this rounds twice changes the bits:
-    ``dot``, ``matmul`` or ``einsum`` for the sums, sorting or
-    ``count_nonzero`` for the below-line counts, or testing
+    arithmetic on per-line coefficients or rows, and each row's subgradient
+    is one ``np.add.reduce`` along a contiguous row, the same pairwise sum as
+    a single line's.  The subgradient rows persist across epochs: only the
+    entries whose below-line flag flipped are rewritten and only their lines
+    re-summed, and between full epochs only the entries near a line are
+    re-tested, while a bound on the lines' movement and rounding shows that
+    no other flag can flip (see ``_fit_lines``).  Every entry still holds
+    what a full rewrite would compute, so the sums and the models keep their
+    bits.  A rewrite that sums in another order or rounds once where this
+    rounds twice changes the bits: ``dot``, ``matmul`` or ``einsum`` for the
+    sums, sorting or ``count_nonzero`` for the below-line counts, or testing
     ``zs - b < us * w`` instead of ``zs < us * w + b``.
     """
     levels = (alpha / 2.0, 1.0 - alpha / 2.0)
@@ -129,13 +134,35 @@ def _fit_lines(train: LabeledSet, lines: list[tuple[int, float]]) -> list[QuantR
     Holds 4 floats and 2 flags per training row and line across the epochs:
     the standardized target, the prediction, the persisting coefficient and
     subgradient entries, and the below-line flags of this epoch and the last.
-    Each epoch compares the flags with the last epoch's and, only at the flat
-    indices that flipped, rewrites coefficient ``level - flag`` and
-    subgradient ``coefficient * u``: the same IEEE expressions a full rewrite
-    evaluates, so every entry holds a full rewrite's bits.  The one reduce
-    over the rows runs only when a flag flipped; otherwise the buffer, and
-    so its sums, are those of the last epoch.  An epoch that flips every flag
-    gathers up to 4 floats more per row and line.
+    Entries hold coefficient ``level - flag`` and subgradient
+    ``coefficient * u``, the IEEE expressions a full rewrite evaluates.  A
+    line with a flipped flag has its entries rewritten (all of them in a full
+    epoch, the flipped ones otherwise) and its two rows re-summed, each with
+    one ``np.add.reduce`` along the contiguous row; the other lines keep
+    their rows and sums.
+
+    A full epoch computes every ``us * w + b`` and ``zs < pred`` and keeps
+    the near-line set, the entries with ``|zs - pred| <= _NEAR``, with 6
+    words and 2 flags each: u, zs, level, line, two positions and two flags.
+    Later epochs evaluate the same expressions on the set alone, until an
+    entry outside it could flip.  Let w0, b0 and p0 be the lines and an
+    entry's prediction at the last full epoch, p its prediction now, k the
+    steps taken since, D the float sum of their largest |step|, U the
+    largest |us|, A = U max|w0| + max|b0| and u = 2^-53.  Outside the set
+    the computed |zs - p0| exceeds _NEAR, so the exact one does (rounding is
+    monotone and _NEAR is a double), and the flag cannot flip while the
+    exact |p - p0| <= _NEAR.  That difference is at most (U + 1) D plus
+    rounding: the two roundings of each of p and p0, below 2.01u (U|w| + |b|)
+    plus 2^-1074 for an underflowed product; the k roundings of
+    ``coef += steps``, below 1.01u |w| and 1.01u |b| each; and the relative
+    error of D and of the test's own arithmetic, below (k + 3)u.  While the
+    test passes, U|w| + |b| stays below A + 1.02 _NEAR, so the rounding is
+    below 1.04 (k + 5) u (A + 2.05 _NEAR), and the slack
+    (k + 5) 2^-50 (A + _NEAR + 1) is more than three times that.  A full
+    epoch runs when ``not (U + 1) * D + slack <= _NEAR``, so a drift or
+    slack that is infinite or NaN takes it too; while U, A and the steps are
+    finite, so are the predictions, and an entry whose zs is not finite is
+    outside the set and cannot flip.
     """
     if not all(0.0 < level < 1.0 for _, level in lines):
         raise ValueError("quantile level must lie in (0, 1)")
@@ -153,46 +180,86 @@ def _fit_lines(train: LabeledSet, lines: list[tuple[int, float]]) -> list[QuantR
         zs[i] = (z - z_mean) / z_sd
         z_scales.append((z_mean, z_sd))
     levels = np.array([level for _, level in lines])
-    w, b = np.zeros(m), np.zeros(m)
-    w_acc, b_acc = np.zeros(m), np.zeros(m)
+    # Each line's (w, b), stepped by the sums of its (grad, coeff) rows.
+    coef, acc = np.zeros((m, 2)), np.zeros((m, 2))
+    w, b = coef[:, 0], coef[:, 1]
     n_tail = FIT_EPOCHS // 4
     tail_start = FIT_EPOCHS - n_tail + 1
     # The subgradient rows persist: every entry starts above its line
-    # (coeff = level, grad = level * u) and is rewritten only when its flag
-    # flips, so one reduce over the (2m, n) buffer sums the grad and coeff rows.
-    rows = np.empty((2 * m, n))
-    np.copyto(rows[m:], levels[:, None])
-    np.multiply(rows[m:], us, out=rows[:m])
-    grad, coeff = rows[:m].reshape(-1), rows[m:].reshape(-1)
-    sums = np.add.reduce(rows, axis=1)
+    # (coeff = level, grad = level * u) and changes only when its flag flips.
+    # Entry (l, i) sits at l * 2n + i (grad) and l * 2n + n + i (coeff) of
+    # ``entries``.
+    rows = np.empty((m, 2, n))
+    rows[:, 1] = levels[:, None]
+    np.multiply(rows[:, 1], us, out=rows[:, 0])
+    entries = rows.reshape(-1)
+    sums = np.add.reduce(rows, axis=2)
     pred = np.empty((m, n))
     below, now = np.zeros((m, n), dtype=bool), np.empty((m, n), dtype=bool)
+    flags = below.reshape(-1)
+    us_max = float(np.abs(us).max())
+    near, near_below = np.empty(0, dtype=np.intp), np.empty(0, dtype=bool)
+    # A NaN drift makes the first epoch a full one, whatever the width.
+    drift, last, unit = math.nan, 0, 0.0
     for epoch in range(1, FIT_EPOCHS + 1):
-        np.multiply(us, w[:, None], out=pred)
-        np.add(pred, b[:, None], out=pred)
-        # For finite doubles, zs - pred < 0 exactly when zs < pred.
-        np.less(zs, pred, out=now)
-        # The last epoch's flags turn into the flips; this epoch's are kept.
-        np.not_equal(now, below, out=below)
-        flipped = np.flatnonzero(below)
-        below, now = now, below
-        if flipped.size:
-            # level - 1.0 or level - 0.0, then times u: a full rewrite's values.
-            c = levels[flipped // n]
-            c -= below.reshape(-1)[flipped]
-            coeff[flipped] = c
-            c *= us[flipped % n]
-            grad[flipped] = c
-            sums = np.add.reduce(rows, axis=1)
+        if not drift * (us_max + 1.0) + (epoch - last + 5) * unit <= _NEAR:
+            # A full epoch: every prediction and flag, then the near-line set.
+            flags[near] = near_below
+            np.multiply(us, w[:, None], out=pred)
+            np.add(pred, b[:, None], out=pred)
+            # For finite doubles, zs - pred < 0 exactly when zs < pred.
+            np.less(zs, pred, out=now)
+            # The last epoch's flags turn into the flips; this epoch's are kept.
+            np.not_equal(now, below, out=below)
+            flipped_lines = below.any(axis=1).nonzero()[0].tolist()
+            below, now = now, below
+            flags = below.reshape(-1)
+            for l in flipped_lines:
+                # Rewritten whole: an entry whose flag held keeps its value.
+                np.subtract(levels[l], below[l], out=rows[l, 1])
+                np.multiply(rows[l, 1], us, out=rows[l, 0])
+                np.add.reduce(rows[l], axis=1, out=sums[l])
+            np.subtract(zs, pred, out=pred)
+            np.abs(pred, out=pred)
+            np.less_equal(pred, _NEAR, out=now)
+            near = np.flatnonzero(now)
+            near_line = near // n
+            near_grad = near + near_line * n
+            near_level = levels[near_line]
+            near_u = us[near - near_line * n]
+            near_z = zs.reshape(-1)[near]
+            near_below, near_now = flags[near], np.empty(near.size, dtype=bool)
+            drift, last = 0.0, epoch
+            reach = us_max * float(np.abs(w).max()) + float(np.abs(b).max())
+            unit = 2.0**-50 * (reach + _NEAR + 1.0)
+        else:
+            # The same expressions on the set alone; its flags reach the
+            # full (m, n) flags at the next full epoch.
+            near_pred = w.take(near_line)
+            near_pred *= near_u
+            near_pred += b.take(near_line)
+            np.less(near_z, near_pred, out=near_now)
+            np.not_equal(near_now, near_below, out=near_below)
+            at = near_below.nonzero()[0]
+            near_below, near_now = near_now, near_below
+            if at.size:
+                # level - 1.0 or level - 0.0, then times u: a full rewrite's values.
+                c = near_level[at]
+                c -= near_below[at]
+                grad_at = near_grad[at]
+                entries[grad_at + n] = c
+                c *= near_u[at]
+                entries[grad_at] = c
+                for l in set(near_line[at].tolist()):
+                    np.add.reduce(rows[l], axis=1, out=sums[l])
         steps = sums / n
         steps *= FIT_STEP / math.sqrt(epoch)
-        w += steps[:m]
-        b += steps[m:]
+        coef += steps
+        drift += float(np.abs(steps).max())
         if epoch >= tail_start:
-            w_acc += w
-            b_acc += b
+            acc += coef
     models = []
-    tails = zip((w_acc / n_tail).tolist(), (b_acc / n_tail).tolist())
+    tails = (acc / n_tail).tolist()
     for (_, level), (z_mean, z_sd), (w, b) in zip(lines, z_scales, tails):
         weight = z_sd * w / u_sd
         bias = z_mean + z_sd * (b - w * u_mean / u_sd)

@@ -110,6 +110,12 @@ def test_labeled_set_validation():
         )
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_labeled_set_rejects_non_finite_features(bad):
+    with pytest.raises(ValueError, match="features must be finite"):
+        LabeledSet(features=[0.0, bad, 1.0], targets=np.zeros((3, 1)), role=Role.CAL)
+
+
 def test_labeled_set_arrays_are_read_only():
     data = toy_set(quantiles=True)
     for arr in (data.features, data.targets, data.lo, data.hi):

@@ -1,6 +1,7 @@
 """Synthetic generators and the pinball-loss quantile fits."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from mtconf import (
     regression_mean,
 )
 from mtconf.core import LabeledSet, rng_for
+from mtconf import synthetic
 from mtconf.scores import _ceil_rank
 from mtconf.synthetic import FIT_EPOCHS, FIT_STEP
 
@@ -189,6 +191,36 @@ def test_fits_on_tied_data_are_bit_identical_to_the_first_written_descent(train,
     for k, pair in enumerate(fit_quantile_models(train, alpha)):
         for model, level in zip(pair, (alpha / 2.0, 1.0 - alpha / 2.0)):
             assert (model.weight, model.bias) == first_written_quantreg(train, k, level)
+
+
+def bit_identity_set(n, noise, flat):
+    """The training set of a ``BIT_IDENTITY_CASES`` case."""
+    train = gen_synthetic(n, noise, seed=24 + n)
+    features, targets = train.features, train.targets.copy()
+    if flat == "feature":
+        features = np.full(n, 1.5)
+    elif flat == "target":
+        targets[:, 1] = -3.0
+    return LabeledSet(features=features, targets=targets, role=Role.TRAIN)
+
+
+@pytest.mark.parametrize("n, noise, flat", BIT_IDENTITY_CASES)
+@given(tied=tied_training_sets())
+@settings(max_examples=1, deadline=None)
+def test_every_near_line_width_gives_the_first_written_bits(n, noise, flat, tied):
+    """Width 0 re-tests every entry in every epoch, as every epoch did before
+    the near-line set; 1e9 lies above every standardized residual, so every
+    entry stays in the set and only the first epoch is a full one."""
+    for train in (bit_identity_set(n, noise, flat), tied):
+        expected = [
+            first_written_quantreg(train, k, level)
+            for k in range(train.n_targets)
+            for level in (0.025, 0.975)
+        ]
+        for width in (synthetic._NEAR, 0.0, 1e9):
+            with mock.patch.object(synthetic, "_NEAR", width):
+                pairs = fit_quantile_models(train, 0.05)
+            assert [(m.weight, m.bias) for pair in pairs for m in pair] == expected
 
 
 def test_fit_quantile_models_orders_the_pair():
