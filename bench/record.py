@@ -27,6 +27,11 @@ calls ``mtconf.cli.main`` and then prints the process's ``VmHWM`` from
 process, that peak memory and the ``results.csv`` sha256, and per run name
 the median and quartiles, under ``published``.
 
+Last, once in each checkout per workload, again alternating, it runs
+perfbench with ``--trace 1`` and keeps, under ``layers``, the run's
+per-layer metrics (each the median over its traced rounds), its digests and
+its operations.
+
 Comparing prints, per workload and metric, the relative change of the median
 from A to B beside the bound ``BENCHMARK.json`` allows, in how many pairs
 (run i of A, run i of B) B is better, and whether that shows a gain: B better
@@ -35,9 +40,11 @@ The exit code is 1 when B is worse beyond a bound, fails a larger share of
 operations, is not correct (a failed gate, or runs whose digests disagree),
 or was run for another length than A.  A changed digest is reported, not
 counted: an output-changing commit changes it on purpose.  Then it prints,
-per published run, each metric's median change, in how many pairs B is
-better, and whether the digests are equal; these lines report and do not
-count, because ``BENCHMARK.json`` sets no bound on them.
+per workload, each per-layer metric of A and of B and its change, marking
+the metrics that either file's ``known_faults`` names (the layers that read
+0, among others), and per published run, each metric's median change, in
+how many pairs B is better, and whether the digests are equal; these lines
+report and do not count, because ``BENCHMARK.json`` sets no bound on them.
 """
 
 from __future__ import annotations
@@ -104,10 +111,10 @@ KNOWN_FAULTS = [
 ]
 
 
-def perfbench_run(root: Path, workload: str, seconds: float) -> dict:
+def perfbench_run(root: Path, workload: str, seconds: float, trace: int = 0) -> dict:
     """One perfbench run in ``root``: metric values, digest and operations."""
     argv = ["perfbench/run.py", "--workload", workload, "--seed", str(SEED),
-            "--seconds", f"{seconds:g}", "--trace", "0"]
+            "--seconds", f"{seconds:g}", "--trace", str(trace)]
     proc = subprocess.run([sys.executable, *argv], cwd=root, capture_output=True, text=True)
     if proc.returncode != 0:
         raise RuntimeError(f"{workload} in {root}: perfbench exited {proc.returncode}:\n{proc.stderr}")
@@ -162,9 +169,14 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
     return entry
 
 
+def alternate(i: int, count: int) -> range:
+    """The order of the checkouts in the i-th turn: forward, then backward."""
+    return range(count) if i % 2 == 0 else range(count - 1, -1, -1)
+
+
 def record(roots: list[Path], bench: dict) -> list[dict]:
     """RUNS alternating runs of every workload and published run in each root,
-    one record per root."""
+    then one traced run of every workload, one record per root."""
     seconds = bench["run_seconds"]
     e2e: list[dict] = [{} for _ in roots]
     published: list[dict] = [{} for _ in roots]
@@ -176,13 +188,16 @@ def record(roots: list[Path], bench: dict) -> list[dict]:
     for part, name, metrics, one_run in jobs:
         runs: list[list[dict]] = [[] for _ in roots]
         for i in range(RUNS):
-            order = range(len(roots)) if i % 2 == 0 else reversed(range(len(roots)))
-            for j in order:
+            for j in alternate(i, len(roots)):
                 runs[j].append(one_run(roots[j]))
         for j, root_runs in enumerate(runs):
             part[j][name] = summarize(root_runs, metrics)
             print(f"{roots[j]} {name}: " + ", ".join(
                 f"{metric} {m['median']:.6g}" for metric, m in part[j][name]["metrics"].items()))
+    layers: list[dict] = [{} for _ in roots]
+    for i, workload in enumerate(w["name"] for w in bench["workloads"]):
+        for j in alternate(i, len(roots)):
+            layers[j][workload] = perfbench_run(roots[j], workload, seconds, trace=1)
     env = {
         "python": platform.python_version(),
         "numpy": np.__version__,
@@ -193,8 +208,9 @@ def record(roots: list[Path], bench: dict) -> list[dict]:
     published_command = "python3 -c CTOOL run ARGS --output-dir DIR"
     return [{"command": command, "seconds": seconds, "runs": RUNS, "env": env,
              "known_faults": KNOWN_FAULTS, "e2e": one,
-             "published_command": published_command, "ctool": CTOOL, "published": pub}
-            for one, pub in zip(e2e, published)]
+             "published_command": published_command, "ctool": CTOOL, "published": pub,
+             "layers_command": command.replace("--trace 0", "--trace 1"), "layers": lay}
+            for one, pub, lay in zip(e2e, published, layers)]
 
 
 def compare(a: dict, b: dict, bench: dict) -> tuple[list[str], bool]:
@@ -225,7 +241,7 @@ def compare(a: dict, b: dict, bench: dict) -> tuple[list[str], bool]:
             lines.append(f"  {name:<13} {x:10.6g} -> {y:10.6g} {metric['unit']:<4} {(y - x) / x:+8.2%}"
                          f"  ({metric['better']} is better, bound {bound:.0%}): {verdict}; "
                          f"B better in {wins}/{pairs} pairs, A's quartile spread {spread:.3g}: {gain}")
-    return lines + compare_published(a, b), worse
+    return lines + compare_layers(a, b, bench) + compare_published(a, b), worse
 
 
 def better_pairs(old: dict, new: dict, metric: dict) -> tuple[int, int]:
@@ -250,6 +266,27 @@ def compare_published(a: dict, b: dict) -> list[str]:
             wins, pairs = better_pairs(old, new, metric)
             lines.append(f"  {metric['name']:<13} {x:10.6g} -> {y:10.6g} {metric['unit']:<4} "
                          f"{(y - x) / x:+8.2%}  B better in {wins}/{pairs} pairs")
+    return lines
+
+
+def compare_layers(a: dict, b: dict, bench: dict) -> list[str]:
+    """Report lines for B's per-layer metrics against A's, which set no verdict."""
+    if "layers" not in a or "layers" not in b:
+        return ["layers: not in both files"]
+    faulty = {m for r in (a, b) for fault in r.get("known_faults", []) for m in fault["metrics"]}
+    lines = []
+    for workload in (w["name"] for w in bench["workloads"]):
+        if workload not in a["layers"] or workload not in b["layers"]:
+            lines.append(f"layers {workload}: not in both files")
+            continue
+        lines.append(f"layers {workload}:")
+        old, new = a["layers"][workload]["metrics"], b["layers"][workload]["metrics"]
+        for metric in bench["per_layer"]:
+            name = metric["name"]
+            x, y = old[name], new[name]
+            change = f"{(y - x) / x:+8.2%}" if x else "     n/a"
+            lines.append(f"  {name:<24} {x:10.6g} -> {y:10.6g} {metric['unit']:<5} {change}"
+                         + ("  known fault" if name in faulty else ""))
     return lines
 
 

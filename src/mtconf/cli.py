@@ -361,10 +361,12 @@ class ExperimentConfig:
         # The largest arrays a run allocates hold a float per row drawn and per
         # target, or per prediction sample of a multiround draw; the quantile
         # fit holds, per training row and fitted line, 4 floats and 2 one-byte
-        # flags, a near-line set of every entry 6 words and 2 flags more, and
-        # an epoch's indices and gathers 6 words more: 132 bytes, two lines
-        # per target, and the standardized feature's 8 bytes per row, so at
-        # most 272 bytes per training row and target; a cell's per-trial
+        # flags, a near-line set of every entry 6 words and 2 flags more, an
+        # epoch's indices and gathers 6 words more, and the memo of line sums
+        # 5 flags more (its keys hold up to 4 flag states per entry, and one
+        # more is looked up): 137 bytes, two lines per target, and the
+        # standardized feature's 8 bytes per row, so at most 282 bytes per
+        # training row and target; a cell's per-trial
         # results hold 1 + 2K floats per trial (joint coverage, then
         # per-target coverage and length), a protocol's 3; and the split
         # table, one alive at a time, n_cal + n_test int64 per trial.
@@ -374,7 +376,7 @@ class ExperimentConfig:
         drawn = max((self.n_tune + self.n_cal + self.n_test, *tune_sizes))
         trained = max((self.n_train, *train_sizes)) if fits_models else 0
         per_trial = max(1 + 2 * joint_targets if fits_models else 3, self.n_cal + self.n_test)
-        need = max(8 * drawn * width, 272 * joint_targets * trained, 8 * per_trial * self.trials)
+        need = max(8 * drawn * width, 282 * joint_targets * trained, 8 * per_trial * self.trials)
         try:
             memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
         except (AttributeError, ValueError, OSError):  # unknown here: no check

@@ -37,6 +37,9 @@ FIT_EPOCHS, FIT_STEP = 2000, 0.5
 # Half-width, in standardized units, of the band around each line whose
 # entries the pinball fit re-tests between its full epochs.
 _NEAR = 0.01
+# The near-line flag states per line whose subgradient sums the pinball fit
+# keeps between its full epochs.
+_MEMO_STATES = 4
 
 
 class NoiseKind(str, Enum):
@@ -116,9 +119,10 @@ def fit_quantile_models(train: LabeledSet, alpha: float) -> list[tuple[QuantReg,
     entries whose below-line flag flipped are rewritten and only their lines
     re-summed, and between full epochs only the entries near a line are
     re-tested, while a bound on the lines' movement and rounding shows that
-    no other flag can flip (see ``_fit_lines``).  Every entry still holds
-    what a full rewrite would compute, so the sums and the models keep their
-    bits.  A rewrite that sums in another order or rounds once where this
+    no other flag can flip (see ``_fit_lines``).  A memo of line sums, keyed
+    by a line's near-entry flags, returns a sum only for the flags that
+    produced it.  Every entry still holds what a full rewrite would compute,
+    so the sums and the models keep their bits.  A rewrite that sums in another order or rounds once where this
     rounds twice changes the bits: ``dot``, ``matmul`` or ``einsum`` for the
     sums, sorting or ``count_nonzero`` for the below-line counts, or testing
     ``zs - b < us * w`` instead of ``zs < us * w + b``.
@@ -141,28 +145,39 @@ def _fit_lines(train: LabeledSet, lines: list[tuple[int, float]]) -> list[QuantR
     one ``np.add.reduce`` along the contiguous row; the other lines keep
     their rows and sums.
 
-    A full epoch computes every ``us * w + b`` and ``zs < pred`` and keeps
-    the near-line set, the entries with ``|zs - pred| <= _NEAR``, with 6
-    words and 2 flags each: u, zs, level, line, two positions and two flags.
-    Later epochs evaluate the same expressions on the set alone, until an
-    entry outside it could flip.  Let w0, b0 and p0 be the lines and an
-    entry's prediction at the last full epoch, p its prediction now, k the
-    steps taken since, D the float sum of their largest |step|, U the
-    largest |us|, A = U max|w0| + max|b0| and u = 2^-53.  Outside the set
-    the computed |zs - p0| exceeds _NEAR, so the exact one does (rounding is
-    monotone and _NEAR is a double), and the flag cannot flip while the
-    exact |p - p0| <= _NEAR.  That difference is at most (U + 1) D plus
-    rounding: the two roundings of each of p and p0, below 2.01u (U|w| + |b|)
-    plus 2^-1074 for an underflowed product; the k roundings of
-    ``coef += steps``, below 1.01u |w| and 1.01u |b| each; and the relative
-    error of D and of the test's own arithmetic, below (k + 3)u.  While the
-    test passes, U|w| + |b| stays below A + 1.02 _NEAR, so the rounding is
-    below 1.04 (k + 5) u (A + 2.05 _NEAR), and the slack
-    (k + 5) 2^-50 (A + _NEAR + 1) is more than three times that.  A full
-    epoch runs when ``not (U + 1) * D + slack <= _NEAR``, so a drift or
-    slack that is infinite or NaN takes it too; while U, A and the steps are
-    finite, so are the predictions, and an entry whose zs is not finite is
-    outside the set and cannot flip.
+    A full epoch computes every ``us * w + b`` and ``zs < pred``, stores the
+    lines as w0 and b0, and keeps the near-line set, the entries with
+    ``|zs - pred| <= _NEAR``, with 6 words and 2 flags each: u, zs, level,
+    line, two positions and two flags.  Later epochs evaluate the same
+    expressions on the set alone, until an entry outside it could flip.  Let
+    p0 and p be an entry's computed prediction at the last full epoch and
+    now, U the largest |us|, A = U max|w0| + max|b0|, E = U max|w - w0| +
+    max|b - b0| taken exactly on the stored doubles, and u = 2^-53.  Outside
+    the set the computed |zs - p0| exceeds _NEAR, so the exact one does
+    (rounding is monotone and _NEAR is a double), and the flag cannot flip
+    while the exact |p - p0| <= _NEAR.  That difference is at most E plus the
+    two roundings of each of p and p0, below 2.01u (U|w| + |b|) + 2^-1074
+    each.  A full epoch runs when ``not U * dw + db + slack <= _NEAR``, with
+    dw and db the computed max|w - w0| and max|b - b0|.  That sum takes at
+    most four roundings on either coefficient, so a near epoch runs only if
+    E + slack <= (1 + 4.01u) _NEAR; then E <= 1.01 _NEAR, U|w| + |b| <=
+    A + E, and the rounding of p, p0 and the test is below
+    4.02u A + 6.05u _NEAR + 2^-1073, which the slack 2^-49 (A + _NEAR + 1)
+    exceeds more than twice.  A movement or slack that is infinite or NaN
+    takes the full epoch; while U, A and the steps are finite, so are the
+    predictions, and an entry whose zs is not finite is outside the set and
+    cannot flip.
+
+    Between full epochs an entry outside the set keeps its flag and every
+    entry holds the expressions of its own flag, so a line's rows, and their
+    sums, follow from the flags of its entries in the set.  The set is
+    sorted by line, so those flags are one contiguous segment, and a near
+    epoch keys each re-summed line's sums by the segment's bytes: it copies
+    the sums a key holds, or sums the rows and keeps the result while the
+    line holds fewer than ``_MEMO_STATES`` keys.  The lines oscillate, so
+    their flags return to states they held.  A full epoch can flip any flag
+    and starts an empty memo; the memo holds at most ``_MEMO_STATES`` flags
+    per entry of the set.
     """
     if not all(0.0 < level < 1.0 for _, level in lines):
         raise ValueError("quantile level must lie in (0, 1)")
@@ -199,10 +214,14 @@ def _fit_lines(train: LabeledSet, lines: list[tuple[int, float]]) -> list[QuantR
     flags = below.reshape(-1)
     us_max = float(np.abs(us).max())
     near, near_below = np.empty(0, dtype=np.intp), np.empty(0, dtype=bool)
-    # A NaN drift makes the first epoch a full one, whatever the width.
-    drift, last, unit = math.nan, 0, 0.0
+    # The lines at the last full epoch; a NaN slack makes the first epoch a
+    # full one, whatever the width.
+    coef0, moved, slack = coef.copy(), coef.copy(), math.nan
     for epoch in range(1, FIT_EPOCHS + 1):
-        if not drift * (us_max + 1.0) + (epoch - last + 5) * unit <= _NEAR:
+        np.subtract(coef, coef0, out=moved)
+        np.abs(moved, out=moved)
+        dw, db = moved.max(axis=0).tolist()
+        if not us_max * dw + db + slack <= _NEAR:
             # A full epoch: every prediction and flag, then the near-line set.
             flags[near] = near_below
             np.multiply(us, w[:, None], out=pred)
@@ -229,9 +248,12 @@ def _fit_lines(train: LabeledSet, lines: list[tuple[int, float]]) -> list[QuantR
             near_u = us[near - near_line * n]
             near_z = zs.reshape(-1)[near]
             near_below, near_now = flags[near], np.empty(near.size, dtype=bool)
-            drift, last = 0.0, epoch
+            # Line l's entries of the set are near_below[seg[l]:seg[l + 1]].
+            seg = np.searchsorted(near_line, np.arange(m + 1)).tolist()
+            memo = [{} for _ in range(m)]
+            coef0[...] = coef
             reach = us_max * float(np.abs(w).max()) + float(np.abs(b).max())
-            unit = 2.0**-50 * (reach + _NEAR + 1.0)
+            slack = 2.0**-49 * (reach + _NEAR + 1.0)
         else:
             # The same expressions on the set alone; its flags reach the
             # full (m, n) flags at the next full epoch.
@@ -251,11 +273,18 @@ def _fit_lines(train: LabeledSet, lines: list[tuple[int, float]]) -> list[QuantR
                 c *= near_u[at]
                 entries[grad_at] = c
                 for l in set(near_line[at].tolist()):
+                    # The line's rows follow from its flags in the set.
+                    key = near_below[seg[l]:seg[l + 1]].tobytes()
+                    kept = memo[l].get(key)
+                    if kept is not None:
+                        sums[l] = kept
+                        continue
                     np.add.reduce(rows[l], axis=1, out=sums[l])
+                    if len(memo[l]) < _MEMO_STATES:
+                        memo[l][key] = sums[l].copy()
         steps = sums / n
         steps *= FIT_STEP / math.sqrt(epoch)
         coef += steps
-        drift += float(np.abs(steps).max())
         if epoch >= tail_start:
             acc += coef
     models = []

@@ -109,21 +109,34 @@ def test_compare_shows_a_gain_only_on_nine_pairs_beyond_the_spread(b_tps, shown)
     assert line.endswith(": gain shown") is shown and not worse
 
 
+# A stub perfbench: it logs its checkout and arguments.  Untraced, every
+# metric reads 1 in checkout a and 2 in b; traced, the layers that
+# KNOWN_FAULTS names read 0, synthetic.fit_s reads 0.3 in a and 0.2 in b,
+# and the other layers read 1.
 STUB = """
 import json, sys
 from pathlib import Path
 w = sys.argv[sys.argv.index("--workload") + 1]
+trace = sys.argv[sys.argv.index("--trace") + 1]
 here = Path(__file__).resolve().parent
 with open(here.parent.parent / "order.log", "a") as fh:
-    fh.write(f"{here.parent.name} {w} {sys.argv[sys.argv.index('--seconds') + 1]}\\n")
+    fh.write(f"{here.parent.name} {w} {sys.argv[sys.argv.index('--seconds') + 1]} {trace}\\n")
 out = here / "_out" / w
 out.mkdir(parents=True, exist_ok=True)
 (out / "rounds.json").write_text(json.dumps({"rounds": [{"sha256": "d" + here.parent.name}] * 2}))
-metrics = {m: {"value": 1.0 if here.parent.name == "a" else 2.0, "unit": "s"}
-           for m in ("wall_s", "setup_s", "trials_per_s", "peak_rss_mb")}
+if trace == "1":
+    values = {m: 0.0 if m in READ_0 else 1.0 for m in LAYERS}
+    values["synthetic.fit_s"] = 0.3 if here.parent.name == "a" else 0.2
+else:
+    values = {m: 1.0 if here.parent.name == "a" else 2.0
+              for m in ("wall_s", "setup_s", "trials_per_s", "peak_rss_mb")}
+metrics = {m: {"value": v, "unit": "s"} for m, v in values.items()}
 print("report text")
 print(json.dumps({"correct": True, "attempted": 5, "failed": 1, "metrics": metrics}))
 """
+LAYERS = [m["name"] for m in BENCH["per_layer"]]
+READ_0 = [m for fault in record.KNOWN_FAULTS if fault["fault"].startswith("read 0")
+          for m in fault["metrics"]]
 
 
 # A stub mtconf.cli: it logs its checkout and arguments and writes the
@@ -144,7 +157,8 @@ def main(argv):
 
 def stub_checkout(root):
     (root / "perfbench").mkdir(parents=True)
-    (root / "perfbench" / "run.py").write_text(textwrap.dedent(STUB))
+    (root / "perfbench" / "run.py").write_text(
+        f"LAYERS = {LAYERS!r}\nREAD_0 = {READ_0!r}\n" + textwrap.dedent(STUB))
     (root / "src" / "mtconf").mkdir(parents=True)
     (root / "src" / "mtconf" / "__init__.py").write_text("")
     (root / "src" / "mtconf" / "cli.py").write_text(textwrap.dedent(CLI_STUB))
@@ -160,8 +174,9 @@ def test_record_alternates_checkouts_and_keeps_every_run(tmp_path, monkeypatch):
     seconds = BENCH["run_seconds"]
     log = (tmp_path / "order.log").read_text().split("\n")[:-1]
     published = [" ".join(("run", *args)) for args in record.PUBLISHED.values()]
-    assert log == ([f"{s} {w} {seconds:g}" for w in NAMES for s in "abbaabba"]
-                   + [f"{s} {args}" for args in published for s in "abbaabba"])
+    assert log == ([f"{s} {w} {seconds:g} 0" for w in NAMES for s in "abbaabba"]
+                   + [f"{s} {args}" for args in published for s in "abbaabba"]
+                   + [f"{s} {w} {seconds:g} 1" for w, s in zip(NAMES, ("ab", "ba", "ab")) for s in s])
     a, b = (json.loads(p.read_text()) for p in outs)
     assert a["seconds"] == b["seconds"] == seconds and a["runs"] == 4
     one = b["e2e"][NAMES[0]]
@@ -174,9 +189,19 @@ def test_record_alternates_checkouts_and_keeps_every_run(tmp_path, monkeypatch):
         for one_run in pub["runs"]:
             # VmHWM of a Python process that imported the stub: some MB, not 0.
             assert one_run["metrics"]["wall_s"] > 0 and 1 < one_run["metrics"]["peak_rss_mb"] < 1024
+    assert a["layers_command"].endswith("--trace 1") and set(a["layers"]) == set(NAMES)
+    assert b["layers"][NAMES[0]]["metrics"]["synthetic.fit_s"] == 0.2
     lines, worse = record.compare(a, b, BENCH)
     assert worse and "DIFFERENT" in lines[0]
     assert f"published {next(iter(record.PUBLISHED))}: results.csv DIFFERENT" in lines
+    at = lines.index(f"layers {NAMES[0]}:")
+    layer_lines = {line.split()[0]: line.split()[1:] for line in lines[at + 1:at + 1 + len(LAYERS)]}
+    assert list(layer_lines) == LAYERS
+    # The saving in the fit shows; the read-0 layers are marked, and so is no other.
+    assert layer_lines["synthetic.fit_s"] == ["0.3", "->", "0.2", "s", "-33.33%"]
+    assert layer_lines["core.split_s"] == ["0", "->", "0", "s", "n/a", "known", "fault"]
+    assert {name for name, words in layer_lines.items() if words[-2:] == ["known", "fault"]} == {
+        m for fault in record.KNOWN_FAULTS for m in fault["metrics"] if m in LAYERS}
 
 
 def test_a_failing_published_run_stops_the_record(tmp_path):
@@ -211,7 +236,7 @@ def test_compare_reports_published_medians_and_digests_without_a_verdict():
 
 def test_every_record_carries_the_known_perfbench_faults(monkeypatch):
     monkeypatch.setattr(record, "RUNS", 2)
-    monkeypatch.setattr(record, "perfbench_run", lambda root, workload, seconds: run())
+    monkeypatch.setattr(record, "perfbench_run", lambda root, workload, seconds, trace=0: run())
     monkeypatch.setattr(record, "ctool_run", lambda root, args: run())
     records = record.record([Path("a"), Path("b")], BENCH)
     assert [r["known_faults"] for r in records] == [record.KNOWN_FAULTS] * 2

@@ -752,17 +752,17 @@ def test_oversized_runs_are_config_errors_before_allocating(flags):
 
 
 def test_the_memory_check_reads_physical_memory(monkeypatch):
-    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 1020}  # 4177920 bytes
+    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 1054}  # 4317184 bytes
     monkeypatch.setattr(cli.os, "sysconf", pages.__getitem__)
     # One trial keeps the split table (7000 indices, 56000 bytes) out of the way.
     # table1's defaults draw 12000 rows of 3 targets (288000 bytes) and fit
-    # 3 targets on 5000 training rows with 272 bytes per row each (4080000 bytes).
+    # 3 targets on 5000 training rows with 282 bytes per row each (4230000 bytes).
     one = {"experiment": "table1", "trials": 1}
     assert build_config({}, one)
-    assert build_config({}, dict(one, n_test=164000))  # 174000 rows drawn: 4176000
-    with pytest.raises(ConfigError, match="GiB array"):  # 175000 rows drawn: 4200000
-        build_config({}, dict(one, n_test=165000))
-    # 5100 training rows: 4161600 bytes in the fit; 5200: 4243200, though the
+    assert build_config({}, dict(one, n_test=169000))  # 179000 rows drawn: 4296000
+    with pytest.raises(ConfigError, match="GiB array"):  # 180000 rows drawn: 4320000
+        build_config({}, dict(one, n_test=170000))
+    # 5100 training rows: 4314600 bytes in the fit; 5200: 4399200, though the
     # drawn rows still fit.
     assert build_config({}, dict(one, n_train=5100))
     with pytest.raises(ConfigError, match="GiB array"):
@@ -777,7 +777,7 @@ def test_the_memory_check_counts_per_trial_results(monkeypatch):
     monkeypatch.setattr(cli.os, "sysconf", pages.__getitem__)
     # A table1 cell keeps 1 + 2 * 3 floats per trial: 14000 trials take 784000
     # bytes.  Five pool rows keep the split table smaller (560000 bytes), and
-    # 500 training rows the fit (408000 bytes).
+    # 500 training rows the fit (423000 bytes).
     tiny_pool = {"experiment": "table1", "n_train": 500, "n_cal": 3, "n_test": 2}
     assert build_config({}, dict(tiny_pool, trials=14000))
     with pytest.raises(ConfigError, match="GiB array"):  # 840000
@@ -796,7 +796,7 @@ def test_the_memory_check_counts_the_split_table(monkeypatch):
     monkeypatch.setattr(cli.os, "sysconf", pages.__getitem__)
     # table1's 7000-row pool keeps 56000 bytes of indices per trial, one table
     # at a time: 14 trials take 784000 bytes, 15 take 840000, which nothing
-    # else in the run comes near (the fit on 500 training rows takes 408000
+    # else in the run comes near (the fit on 500 training rows takes 423000
     # bytes, the 12000 rows drawn 288000).
     small_fit = {"experiment": "table1", "n_train": 500}
     assert build_config({}, dict(small_fit, trials=14))

@@ -1,5 +1,6 @@
 """Synthetic generators and the pinball-loss quantile fits."""
 
+import itertools
 import math
 from unittest import mock
 
@@ -210,15 +211,20 @@ def bit_identity_set(n, noise, flat):
 def test_every_near_line_width_gives_the_first_written_bits(n, noise, flat, tied):
     """Width 0 re-tests every entry in every epoch, as every epoch did before
     the near-line set; 1e9 lies above every standardized residual, so every
-    entry stays in the set and only the first epoch is a full one."""
+    entry stays in the set and only the first epoch is a full one.  A memo of
+    no states re-sums every flipped line; a memo of 10**9 keeps every flag
+    state a line takes between full epochs, and the tied sets' flags flip
+    back and forth, so it reuses sums."""
     for train in (bit_identity_set(n, noise, flat), tied):
         expected = [
             first_written_quantreg(train, k, level)
             for k in range(train.n_targets)
             for level in (0.025, 0.975)
         ]
-        for width in (synthetic._NEAR, 0.0, 1e9):
-            with mock.patch.object(synthetic, "_NEAR", width):
+        for width, states in itertools.product(
+            (synthetic._NEAR, 0.0, 1e9), (synthetic._MEMO_STATES, 0, 10**9)
+        ):
+            with mock.patch.multiple(synthetic, _NEAR=width, _MEMO_STATES=states):
                 pairs = fit_quantile_models(train, 0.05)
             assert [(m.weight, m.bias) for pair in pairs for m in pair] == expected
 
