@@ -111,7 +111,7 @@ def test_compare_shows_a_gain_only_on_nine_pairs_beyond_the_spread(b_tps, shown)
 
 # A stub perfbench: it logs its checkout and arguments.  Untraced, every
 # metric reads 1 in checkout a and 2 in b; traced, the layers that
-# KNOWN_FAULTS names read 0, synthetic.fit_s reads 0.3 in a and 0.2 in b,
+# KNOWN_FAULTS says read 0 do, synthetic.fit_s reads 0.3 in a and 0.2 in b,
 # and the other layers read 1.
 STUB = """
 import json, sys
@@ -176,7 +176,7 @@ def test_record_alternates_checkouts_and_keeps_every_run(tmp_path, monkeypatch):
     published = [" ".join(("run", *args)) for args in record.PUBLISHED.values()]
     assert log == ([f"{s} {w} {seconds:g} 0" for w in NAMES for s in "abbaabba"]
                    + [f"{s} {args}" for args in published for s in "abbaabba"]
-                   + [f"{s} {w} {seconds:g} 1" for w, s in zip(NAMES, ("ab", "ba", "ab")) for s in s])
+                   + [f"{s} {w} {seconds:g} 1" for w, order in zip(NAMES, ("ab", "ba", "ab")) for s in order])
     a, b = (json.loads(p.read_text()) for p in outs)
     assert a["seconds"] == b["seconds"] == seconds and a["runs"] == 4
     one = b["e2e"][NAMES[0]]
