@@ -10,11 +10,12 @@ sides at once.  Per config it compares the exit code, stdout, stderr,
 ``results.csv``, every ``plot_*.csv`` and ``manifest.json`` without
 ``wall_time_s`` and ``config.output_dir``; it also compares ``ctool --help``
 and ``ctool run --help``.  It prints one line per config and exits 1 on any
-difference.  The list covers all six experiments, every method token
-(``single`` on a one-round layout), three tasks per round, fixed and piloted
-tau, both noises, a size sweep with two runs, config errors and run errors,
-at T = 3 and a few hundred rows, so a whole comparison takes about 10 s on
-2 CPUs.
+difference.  The list's 24 configs cover all six experiments, every method
+token (``single`` on a one-round layout), three tasks per round, fixed and
+piloted tau, both noises, a size sweep with two runs, config errors and run
+errors, at T = 3 and a few hundred rows, and table1 on pools of 257 and
+65,537 rows at T = 2, so the split tables keep indices of every width
+(uint8, uint16, uint32).  A whole comparison takes about 11 s on 2 CPUs.
 """
 
 from __future__ import annotations
@@ -47,6 +48,14 @@ CONFIGS: dict[str, tuple[str | None, tuple[str, ...]]] = {
     "table1_well_tuned": (None, (
         "--experiment", "table1", "--methods", "cpts,qn", "--alphas", "0.1", *SIZES,
         "--ntune", "600")),
+    # Pools of 257 and 65,537 rows, whose split tables keep uint16 and uint32
+    # indices (the other configs' 200-row pools keep uint8).
+    "table1_pool_257": (None, (
+        "--experiment", "table1", "--methods", "ia,cpts", "--alphas", "0.2", *SIZES,
+        "--trials", "2", "--ncal", "157", "--ntest", "100")),
+    "table1_pool_65537": (None, (
+        "--experiment", "table1", "--methods", "qn,cqr_minimax", "--alphas", "0.1", *SIZES,
+        "--trials", "2", "--ncal", "40000", "--ntest", "25537")),
     "coverage_sweep": (None, (
         "--experiment", "coverage_sweep", "--noise", "independent",
         "--methods", "cpts,qn_minimax,ia", *SIZES)),

@@ -125,19 +125,20 @@ def _splits(cfg: ExperimentConfig) -> TrialSplits:
 
 
 def _run_benchmark(cfg: ExperimentConfig) -> list[Cell]:
-    """table1 / coverage_sweep: per level, fit the models, then score a fixed
-    tune set and re-split a fixed cal/test pool."""
+    """table1 / coverage_sweep: one partition per run into a fixed tune set and
+    cal/test pool, then per level, fit the models, band both and re-split the pool."""
     train = gen_synthetic(cfg.n_train, cfg.noise, derive_seed(cfg.seed, 0), role=Role.TRAIN)
     raw = gen_synthetic(
         cfg.n_tune + cfg.n_cal + cfg.n_test, cfg.noise, derive_seed(cfg.seed, 1), role=Role.CAL
     )
     splits = _splits(cfg)
+    tune, cal, test = partition(raw, splits.spec)
+    rest = concat([cal, test], Role.CAL)
     # Every level's models are fitted before the first trial loop starts.
     pools = []
     for alpha in cfg.alphas:
         models = fit_quantile_models(train, alpha)
-        tune, cal, test = partition(predict_quantiles(models, raw), splits.spec)
-        pools.append((alpha, tune, concat([cal, test], Role.CAL)))
+        pools.append((alpha, predict_quantiles(models, tune), predict_quantiles(models, rest)))
     cells = []
     for (alpha, tune, rest), token in product(pools, cfg.methods):
         m = run_trials(rest, tune, *METHOD_TOKENS[token], alpha, cfg.trials, splits)
@@ -366,17 +367,19 @@ class ExperimentConfig:
         # 5 flags more (its keys hold up to 4 flag states per entry, and one
         # more is looked up): 137 bytes, two lines per target, and the
         # standardized feature's 8 bytes per row, so at most 282 bytes per
-        # training row and target; a cell's per-trial
-        # results hold 1 + 2K floats per trial (joint coverage, then
-        # per-target coverage and length), a protocol's 3; and the split
-        # table, one alive at a time, n_cal + n_test int64 per trial.
+        # training row and target; a cell's per-trial results hold 1 + 2K
+        # floats (joint coverage, then per-target coverage and length), a
+        # protocol's 3; and the split table, one alive at a time, n_cal + n_test
+        # indices per trial in the narrowest unsigned type (2 bytes to 65,536).
         width = joint_targets if fits_models else max(joint_targets, self.n_pred)
         tune_sizes = self.ntune_values if self.experiment == "ntune_sweep" else ()
         train_sizes = self.ntrain_values if self.experiment == "ntrain_sweep" else ()
         drawn = max((self.n_tune + self.n_cal + self.n_test, *tune_sizes))
         trained = max((self.n_train, *train_sizes)) if fits_models else 0
-        per_trial = max(1 + 2 * joint_targets if fits_models else 3, self.n_cal + self.n_test)
-        need = max(8 * drawn * width, 282 * joint_targets * trained, 8 * per_trial * self.trials)
+        pool = self.n_cal + self.n_test
+        index = np.min_scalar_type(pool - 1).itemsize
+        per_trial = max(8 * (1 + 2 * joint_targets if fits_models else 3), index * pool)
+        need = max(8 * drawn * width, 282 * joint_targets * trained, per_trial * self.trials)
         try:
             memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
         except (AttributeError, ValueError, OSError):  # unknown here: no check

@@ -204,7 +204,8 @@ class TrialSplits:
     A split depends only on (spec, n, trial), so the cells that re-split one
     pool share a table and draw each trial once between them.  The kept
     index arrays are read-only: an in-place edit would corrupt every later
-    cell.  A full table holds trials * n int64 indices.
+    cell.  A full table holds trials * n indices of the narrowest unsigned
+    type (uint16 to 65,536 rows), only for ``take``: they wrap under arithmetic.
     """
 
     def __init__(self, spec: SplitSpec, n: int) -> None:
@@ -217,7 +218,8 @@ class TrialSplits:
         split = self._drawn.get(trial)
         if split is None:
             spec = self.spec
-            split = split_indices(self.n, spec.n_cal, spec.n_test, trial_rng(spec, trial))
+            drawn = split_indices(self.n, spec.n_cal, spec.n_test, trial_rng(spec, trial))
+            split = tuple(part.astype(np.min_scalar_type(self.n - 1)) for part in drawn)
             for indices in split:
                 indices.setflags(write=False)
             self._drawn[trial] = split

@@ -754,7 +754,7 @@ def test_oversized_runs_are_config_errors_before_allocating(flags):
 def test_the_memory_check_reads_physical_memory(monkeypatch):
     pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 1054}  # 4317184 bytes
     monkeypatch.setattr(cli.os, "sysconf", pages.__getitem__)
-    # One trial keeps the split table (7000 indices, 56000 bytes) out of the way.
+    # One trial keeps the split table (7000 indices, 14000 bytes) out of the way.
     # table1's defaults draw 12000 rows of 3 targets (288000 bytes) and fit
     # 3 targets on 5000 training rows with 282 bytes per row each (4230000 bytes).
     one = {"experiment": "table1", "trials": 1}
@@ -776,7 +776,7 @@ def test_the_memory_check_counts_per_trial_results(monkeypatch):
     pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 200}  # 819200 bytes
     monkeypatch.setattr(cli.os, "sysconf", pages.__getitem__)
     # A table1 cell keeps 1 + 2 * 3 floats per trial: 14000 trials take 784000
-    # bytes.  Five pool rows keep the split table smaller (560000 bytes), and
+    # bytes.  Five pool rows keep the split table smaller (70000 bytes), and
     # 500 training rows the fit (423000 bytes).
     tiny_pool = {"experiment": "table1", "n_train": 500, "n_cal": 3, "n_test": 2}
     assert build_config({}, dict(tiny_pool, trials=14000))
@@ -794,19 +794,19 @@ def test_the_memory_check_counts_per_trial_results(monkeypatch):
 def test_the_memory_check_counts_the_split_table(monkeypatch):
     pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 200}  # 819200 bytes
     monkeypatch.setattr(cli.os, "sysconf", pages.__getitem__)
-    # table1's 7000-row pool keeps 56000 bytes of indices per trial, one table
-    # at a time: 14 trials take 784000 bytes, 15 take 840000, which nothing
+    # table1's 7000-row pool keeps 7000 two-byte indices per trial, one table
+    # at a time: 58 trials take 812000 bytes, 59 take 826000, which nothing
     # else in the run comes near (the fit on 500 training rows takes 423000
     # bytes, the 12000 rows drawn 288000).
     small_fit = {"experiment": "table1", "n_train": 500}
-    assert build_config({}, dict(small_fit, trials=14))
+    assert build_config({}, dict(small_fit, trials=58))
     with pytest.raises(ConfigError, match="GiB array"):
-        build_config({}, dict(small_fit, trials=15))
+        build_config({}, dict(small_fit, trials=59))
     # The same holds for a protocol run's one table.
     small = {"experiment": "multiround", "n_tune": 50, "n_cal": 900, "n_test": 100}
-    assert build_config({}, dict(small, trials=102))  # 816000
+    assert build_config({}, dict(small, trials=409))  # 818000
     with pytest.raises(ConfigError, match="GiB array"):
-        build_config({}, dict(small, trials=103))  # 824000
+        build_config({}, dict(small, trials=410))  # 820000
 
 
 def test_each_trial_split_is_drawn_once_per_run(tmp_path, monkeypatch):

@@ -171,6 +171,28 @@ def test_trial_splits_draw_each_trial_once_on_first_use(monkeypatch):
     assert len(draws) == 2
 
 
+@pytest.mark.parametrize(
+    "n, dtype",
+    [(256, np.uint8), (257, np.uint16), (65_536, np.uint16), (65_537, np.uint32)],
+)
+def test_trial_splits_keep_the_narrowest_unsigned_indices(monkeypatch, n, dtype):
+    # The pool's last row index, n - 1, sets the width: 255 is the last that
+    # fits a byte, 65,535 the last that fits two.
+    spec = SplitSpec(seed=9, n_tune=1, n_cal=n // 2, n_test=n - n // 2)
+    draws = []
+    monkeypatch.setattr(core, "split_indices", lambda *a: draws.append(a) or split_indices(*a))
+    table = TrialSplits(spec, n)
+    for trial in (0, 1, 0, 1):
+        got = table[trial]
+        want = split_indices(n, spec.n_cal, spec.n_test, trial_rng(spec, trial))
+        for indices, expected in zip(got, want):
+            assert indices.dtype == dtype and not indices.flags.writeable
+            assert np.array_equal(indices, expected)
+    assert len(draws) == 2
+    cal, test = table[1]
+    assert np.array_equal(np.sort(np.concatenate([cal, test])), np.arange(n))
+
+
 def test_trial_splits_are_read_only():
     table = TrialSplits(SplitSpec(seed=8, n_tune=1, n_cal=5, n_test=3), 10)
     for indices in table[1]:
