@@ -10,12 +10,14 @@ sides at once.  Per config it compares the exit code, stdout, stderr,
 ``results.csv``, every ``plot_*.csv`` and ``manifest.json`` without
 ``wall_time_s`` and ``config.output_dir``; it also compares ``ctool --help``
 and ``ctool run --help``.  It prints one line per config and exits 1 on any
-difference.  The list's 24 configs cover all six experiments, every method
+difference.  The list's 26 configs cover all six experiments, every method
 token (``single`` on a one-round layout), three tasks per round, fixed and
 piloted tau, both noises, a size sweep with two runs, config errors and run
 errors, at T = 3 and a few hundred rows, and table1 on pools of 257 and
 65,537 rows at T = 2, so the split tables keep indices of every width
-(uint8, uint16, uint32).  A whole comparison takes about 11 s on 2 CPUs.
+(uint8, uint16, uint32).  table1's four levels on 7 training rows and
+coverage_sweep's levels out of order check the quantile fit that serves
+every level at once.  A whole comparison takes about 13 s on 2 CPUs.
 """
 
 from __future__ import annotations
@@ -59,6 +61,15 @@ CONFIGS: dict[str, tuple[str | None, tuple[str, ...]]] = {
     "coverage_sweep": (None, (
         "--experiment", "coverage_sweep", "--noise", "independent",
         "--methods", "cpts,qn_minimax,ia", *SIZES)),
+    # table1's four levels on 7 training rows, where a level takes a full
+    # epoch in about one epoch of six (one of seventeen on 5000 rows), and
+    # coverage_sweep's levels out of order, each run's levels in one fit.
+    "table1_ntrain_7": (None, (
+        "--experiment", "table1", "--noise", "correlated", "--methods", "ia,qn", *SIZES,
+        "--ntrain", "7")),
+    "coverage_sweep_unsorted": (None, (
+        "--experiment", "coverage_sweep", "--methods", "cqr_minimax,max_cqr",
+        "--alphas", "0.1,0.3,0.05,0.25", *SIZES)),
     "ntrain_sweep": ("[experiment]\nntrain_values = 60, 150\n", (
         "--experiment", "ntrain_sweep", "--methods", "ia,cpts,qn_minimax", "--runs", "2", *SIZES)),
     "ntune_sweep": ("[experiment]\nntune_values = 40, 600\n", (

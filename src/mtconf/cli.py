@@ -126,7 +126,7 @@ def _splits(cfg: ExperimentConfig) -> TrialSplits:
 
 def _run_benchmark(cfg: ExperimentConfig) -> list[Cell]:
     """table1 / coverage_sweep: one partition per run into a fixed tune set and
-    cal/test pool, then per level, fit the models, band both and re-split the pool."""
+    cal/test pool, one descent for every level, then per level, band both and re-split the pool."""
     train = gen_synthetic(cfg.n_train, cfg.noise, derive_seed(cfg.seed, 0), role=Role.TRAIN)
     raw = gen_synthetic(
         cfg.n_tune + cfg.n_cal + cfg.n_test, cfg.noise, derive_seed(cfg.seed, 1), role=Role.CAL
@@ -134,11 +134,9 @@ def _run_benchmark(cfg: ExperimentConfig) -> list[Cell]:
     splits = _splits(cfg)
     tune, cal, test = partition(raw, splits.spec)
     rest = concat([cal, test], Role.CAL)
-    # Every level's models are fitted before the first trial loop starts.
-    pools = []
-    for alpha in cfg.alphas:
-        models = fit_quantile_models(train, alpha)
-        pools.append((alpha, predict_quantiles(models, tune), predict_quantiles(models, rest)))
+    fits = zip(cfg.alphas, fit_quantile_models(train, cfg.alphas))
+    pools = [(alpha, predict_quantiles(models, tune), predict_quantiles(models, rest))
+             for alpha, models in fits]
     cells = []
     for (alpha, tune, rest), token in product(pools, cfg.methods):
         m = run_trials(rest, tune, *METHOD_TOKENS[token], alpha, cfg.trials, splits)
@@ -361,12 +359,14 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be at least {least}")
         # The largest arrays a run allocates hold a float per row drawn and per
         # target, or per prediction sample of a multiround draw; the quantile
-        # fit holds, per training row and fitted line, 4 floats and 2 one-byte
-        # flags, a near-line set of every entry 6 words and 2 flags more, an
-        # epoch's indices and gathers 6 words more, and the memo of line sums
-        # 5 flags more (its keys hold up to 4 flag states per entry, and one
-        # more is looked up): 137 bytes, two lines per target, and the
-        # standardized feature's 8 bytes per row, so at most 282 bytes per
+        # fit holds, per training row and fitted line, 2 floats and a flag, a
+        # near-line set of every entry 5 words and 2 flags more, an epoch's
+        # indices and gathers, and the last epoch's, 7 words more, and the memo
+        # of line sums 5 flags more (its keys hold up to 4 flag states per
+        # entry, and one more is looked up): 120 bytes, two lines per target
+        # and level (table1 and coverage_sweep fit every level at once); 2
+        # floats and a flag per line of one level, which the levels share, and
+        # the standardized feature's 8 bytes per row add at most 42 bytes per
         # training row and target; a cell's per-trial results hold 1 + 2K
         # floats (joint coverage, then per-target coverage and length), a
         # protocol's 3; and the split table, one alive at a time, n_cal + n_test
@@ -379,7 +379,9 @@ class ExperimentConfig:
         pool = self.n_cal + self.n_test
         index = np.min_scalar_type(pool - 1).itemsize
         per_trial = max(8 * (1 + 2 * joint_targets if fits_models else 3), index * pool)
-        need = max(8 * drawn * width, 282 * joint_targets * trained, per_trial * self.trials)
+        levels = len(self.alphas) if self.experiment in ("table1", "coverage_sweep") else 1
+        fit = (240 * levels + 42) * joint_targets * trained
+        need = max(8 * drawn * width, fit, per_trial * self.trials)
         try:
             memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
         except (AttributeError, ValueError, OSError):  # unknown here: no check

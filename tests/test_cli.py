@@ -756,17 +756,26 @@ def test_the_memory_check_reads_physical_memory(monkeypatch):
     monkeypatch.setattr(cli.os, "sysconf", pages.__getitem__)
     # One trial keeps the split table (7000 indices, 14000 bytes) out of the way.
     # table1's defaults draw 12000 rows of 3 targets (288000 bytes) and fit
-    # 3 targets on 5000 training rows with 282 bytes per row each (4230000 bytes).
-    one = {"experiment": "table1", "trials": 1}
+    # their 4 levels of 3 targets together, 240 bytes per level and 42 more
+    # per training row and target: 1002 bytes, so 1400 rows take 4208400.
+    one = {"experiment": "table1", "trials": 1, "n_train": 1400}
     assert build_config({}, one)
     assert build_config({}, dict(one, n_test=169000))  # 179000 rows drawn: 4296000
     with pytest.raises(ConfigError, match="GiB array"):  # 180000 rows drawn: 4320000
         build_config({}, dict(one, n_test=170000))
-    # 5100 training rows: 4314600 bytes in the fit; 5200: 4399200, though the
+    # 1436 training rows: 4316616 bytes in the fit; 1437: 4319622, though the
     # drawn rows still fit.
-    assert build_config({}, dict(one, n_train=5100))
+    assert build_config({}, dict(one, n_train=1436))
     with pytest.raises(ConfigError, match="GiB array"):
-        build_config({}, dict(one, n_train=5200))
+        build_config({}, dict(one, n_train=1437))
+    # coverage_sweep fits its six levels together: on 5000 training rows, 1482
+    # bytes per row and target take 22230000 bytes, while one level's 282 take
+    # 4230000.  A size sweep fits one level, whatever alphas it lists.
+    sweep = {"experiment": "coverage_sweep", "trials": 1}
+    assert build_config({}, dict(sweep, alphas=(0.1,)))
+    with pytest.raises(ConfigError, match="GiB array"):
+        build_config({}, sweep)
+    assert build_config({}, dict(sweep, experiment="ntrain_sweep", alphas=(0.3, 0.2, 0.1)))
     # Without sysconf there is nothing to compare against, and no check.
     monkeypatch.setattr(cli.os, "sysconf", pages.__getattribute__)
     assert build_config({}, {"experiment": "table1", "n_test": 10**12})
@@ -777,8 +786,8 @@ def test_the_memory_check_counts_per_trial_results(monkeypatch):
     monkeypatch.setattr(cli.os, "sysconf", pages.__getitem__)
     # A table1 cell keeps 1 + 2 * 3 floats per trial: 14000 trials take 784000
     # bytes.  Five pool rows keep the split table smaller (70000 bytes), and
-    # 500 training rows the fit (423000 bytes).
-    tiny_pool = {"experiment": "table1", "n_train": 500, "n_cal": 3, "n_test": 2}
+    # 200 training rows the fit (601200 bytes).
+    tiny_pool = {"experiment": "table1", "n_train": 200, "n_cal": 3, "n_test": 2}
     assert build_config({}, dict(tiny_pool, trials=14000))
     with pytest.raises(ConfigError, match="GiB array"):  # 840000
         build_config({}, dict(tiny_pool, trials=15000))
@@ -796,9 +805,9 @@ def test_the_memory_check_counts_the_split_table(monkeypatch):
     monkeypatch.setattr(cli.os, "sysconf", pages.__getitem__)
     # table1's 7000-row pool keeps 7000 two-byte indices per trial, one table
     # at a time: 58 trials take 812000 bytes, 59 take 826000, which nothing
-    # else in the run comes near (the fit on 500 training rows takes 423000
+    # else in the run comes near (the fit on 200 training rows takes 601200
     # bytes, the 12000 rows drawn 288000).
-    small_fit = {"experiment": "table1", "n_train": 500}
+    small_fit = {"experiment": "table1", "n_train": 200}
     assert build_config({}, dict(small_fit, trials=58))
     with pytest.raises(ConfigError, match="GiB array"):
         build_config({}, dict(small_fit, trials=59))
@@ -870,8 +879,8 @@ def test_label_sweep_generates_each_task_count_once(tmp_path, monkeypatch, count
 
 
 def test_models_are_fitted_in_the_order_the_benchmark_times(tmp_path, monkeypatch):
-    """table1 fits every level before its first trial loop; a size sweep fits
-    each run just before that run's trials."""
+    """table1 fits every level in one call before its first trial loop; a size
+    sweep fits each run just before that run's trials."""
     calls = []
 
     def recorder(name, real):
@@ -882,7 +891,7 @@ def test_models_are_fitted_in_the_order_the_benchmark_times(tmp_path, monkeypatc
     sizes = ("--trials", "2", "--ntrain", "60", "--ntune", "40", "--ncal", "50", "--ntest", "30")
     table1 = ("--experiment", "table1", "--methods", "qn,ia", "--alphas", "0.2,0.1")
     assert run_cli(*table1, *sizes, "--output-dir", tmp_path / "t1") == 0
-    assert calls == ["fit", "fit"] + ["trials"] * 4
+    assert calls == ["fit"] + ["trials"] * 4
 
     calls.clear()
     config = tmp_path / "sweep.ini"

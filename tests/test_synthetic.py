@@ -163,11 +163,11 @@ def test_fit_quantreg_is_bit_identical_to_the_first_written_descent(n, noise, fl
 
 
 @st.composite
-def tied_training_sets(draw):
-    """Up to 200 rows of integer features and two integer targets, with
-    repeated rows and, at times, a constant column: ties make ``zs == pred``
-    happen, so below-line flags flip back and forth."""
-    n = draw(st.integers(1, 200))
+def tied_training_sets(draw, max_rows=200):
+    """Up to ``max_rows`` rows of integer features and two integer targets,
+    with repeated rows and, at times, a constant column: ties make ``zs ==
+    pred`` happen, so below-line flags flip back and forth."""
+    n = draw(st.integers(1, max_rows))
     distinct = draw(st.integers(1, n))
     cell = st.integers(-4, 4)
     base = np.array(draw(st.lists(st.tuples(cell, cell, cell), min_size=distinct,
@@ -192,6 +192,26 @@ def test_fits_on_tied_data_are_bit_identical_to_the_first_written_descent(train,
     for k, pair in enumerate(fit_quantile_models(train, alpha)):
         for model, level in zip(pair, (alpha / 2.0, 1.0 - alpha / 2.0)):
             assert (model.weight, model.bias) == first_written_quantreg(train, k, level)
+
+
+@given(
+    st.one_of(
+        st.builds(gen_synthetic, st.integers(1, 60), st.sampled_from(NoiseKind), st.integers(0, 99)),
+        tied_training_sets(max_rows=60),
+    ),
+    st.lists(st.floats(1e-9, 1.0, exclude_max=True), min_size=1, max_size=6),
+)
+@settings(max_examples=25, deadline=None)
+def test_levels_fitted_together_keep_the_bits_of_levels_fitted_alone(train, alphas):
+    """One descent for every level, in the order given, is bit-identical to a
+    descent per level; the float form returns one (lo, hi) pair per target."""
+    together = fit_quantile_models(train, alphas)
+    alone = [fit_quantile_models(train, alpha) for alpha in alphas]
+    assert all(len(pairs) == train.n_targets for pairs in alone)
+    assert all(isinstance(pair, tuple) and len(pair) == 2 for pairs in alone for pair in pairs)
+    assert [[(m.weight, m.bias, m.level) for pair in pairs for m in pair] for pairs in together] == [
+        [(m.weight, m.bias, m.level) for pair in pairs for m in pair] for pairs in alone
+    ]
 
 
 def bit_identity_set(n, noise, flat):
